@@ -60,7 +60,9 @@ from .reduce import (
     split_and_close,
 )
 from .ratlp import (
+    BudgetExceeded,
     DimensionMismatch,
+    LpFailure,
     LpProblem,
     LpSolution,
     Rational,

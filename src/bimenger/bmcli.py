@@ -33,7 +33,15 @@ from .bigraph import (
     build_graph,
     vertex_sort_key,
 )
-from .certify import MengerCertificate, solve_menger, solve_st, solve_xpaths
+from .certify import (
+    DualInfeasible,
+    MengerCertificate,
+    NotBalanced,
+    NotIntegral,
+    solve_menger,
+    solve_st,
+    solve_xpaths,
+)
 from .oracle import (
     SizeBoundExceeded,
     oracle_max_links,
@@ -41,8 +49,8 @@ from .oracle import (
     oracle_st,
     oracle_xpaths,
 )
-from .ratlp import ratio_str
-from .reduce import DirectTerminalEdge, EqualTerminals
+from .ratlp import LpFailure, ratio_str
+from .reduce import DirectTerminalEdge, EqualTerminals, InvalidDerivedLink, UnmappableEdge
 from .walks import Link
 
 EXIT_OK = 0
@@ -476,6 +484,10 @@ def run_cli(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     except DirectTerminalEdge as exc:
         err.write(f"error: {exc} (separator is infinite)\n")
         return EXIT_SEPARATOR_INFINITE
+    except (LpFailure, NotBalanced, NotIntegral, DualInfeasible, InvalidDerivedLink,
+            UnmappableEdge) as exc:
+        err.write(f"error: {type(exc).__name__}: {exc}\n")
+        return EXIT_VERIFY
     except AssertionError as exc:
         err.write(f"internal verification failure: {exc}\n")
         return EXIT_VERIFY

@@ -39,6 +39,7 @@ from .oracle import (
     oracle_st,
 )
 from .ratlp import (
+    LpFailure,
     LpProblem,
     LpSolution,
     build_dual,
@@ -291,26 +292,32 @@ class _LpBundle(NamedTuple):
     dual_integral_raw: bool
 
 
+def _optimal(what: str, sol: LpSolution) -> LpSolution:
+    if sol.status != "optimal":
+        raise LpFailure(f"{what} ended {sol.status}")
+    return sol
+
+
 def _solve_lps(g_prime: BidirectedGraph, f: EdgeId) -> _LpBundle:
-    """Solve (P) and (D); fall back to exact integral search when a
-    basic optimum comes back fractional."""
+    """Solve (P) and (D).  The packing is the integral optimum of (P),
+    whose branch and bound also returns the plain relaxation; (D) falls
+    back to exact integral search when its basic optimum comes back
+    fractional."""
     P = build_primal(g_prime, f)
-    plp = simplex_max(P)
-    assert plp.status == "optimal"
+    psol = solve_integral_max(P)
+    plp = _optimal("primal relaxation", psol.relaxation)
     primal_integral_raw = is_integral(plp.values)
-    psol = plp if primal_integral_raw else solve_integral_max(P)
-    x, xf = primal_vectors(P, psol)
+    x, xf = primal_vectors(P, _optimal("integral primal", psol))
     xf = _as_int(xf)
 
     D = build_dual(g_prime, f)
-    dlp = simplex_max(D)
-    assert dlp.status == "optimal"
+    dlp = _optimal("dual relaxation", simplex_max(D))
     z, y = dual_vectors(D, dlp, g_prime)
     dual_integral_raw = is_integral(z.values()) and is_integral(y.values())
     if not dual_integral_raw:
         cap = 2 * (len(D.a_eq) + len(D.names)) + 8
         dint = solve_integral_max(D, integral_cols=_dual_branch_columns(D), unbounded_cap=cap)
-        z, y = dual_vectors(D, dint, g_prime)
+        z, y = dual_vectors(D, _optimal("integral dual", dint), g_prime)
     return _LpBundle(plp, dlp, x, xf, z, y, primal_integral_raw, dual_integral_raw)
 
 

@@ -3,15 +3,26 @@
 Everything is computed over arbitrary-precision rationals; there is no
 floating point anywhere.  ``Rational`` is the standard-library Fraction,
 which already keeps values in lowest terms with a positive denominator.
-The solver is a two-phase bounded-variable simplex with Bland's rule:
+
+Every solve runs on one bounded-variable simplex tableau.  A cold solve
+(``simplex_max``) scales each equality row to integers once and runs the
+two-phase primal simplex with Bland's rule from an all-artificial basis:
 slow, deterministic, and guaranteed to terminate on a basic (vertex)
-optimum, which is what the integrality arguments need.
+optimum, which is what the integrality arguments need.  Branch and bound
+(``solve_integral_max``) solves only its root cold.  Each child node
+copies its parent's optimal tableau, tightens the branched column's
+bound and re-optimises with an exact dual simplex, and a child whose
+parent's rounded-down bound cannot beat the incumbent is dropped before
+any pivot.  A warm-started node can stop at another optimal vertex than
+a cold solve of the same node would, so the integral optimum found
+(not its value) can differ from that of a search with cold nodes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +35,15 @@ HALF = Fraction(1, 2)
 
 class DimensionMismatch(Exception):
     """Objective, constraint matrix and bounds disagree on sizes."""
+
+
+class LpFailure(RuntimeError):
+    """An exact solve did not reach a proven answer: it ended in a status
+    its theory rules out, or a limit stopped it."""
+
+
+class BudgetExceeded(LpFailure):
+    """A pivot, node or cap limit stopped an exact solve."""
 
 
 def is_integral(values: Iterable) -> bool:
@@ -76,6 +96,8 @@ class LpSolution:
     values: tuple
     objective_value: Optional[Fraction]
     basis: tuple
+    # the root LP relaxation, on results of solve_integral_max
+    relaxation: Optional["LpSolution"] = None
 
     def value_of(self, problem: LpProblem, name: str):
         return self.values[problem.column(name)]
@@ -90,13 +112,21 @@ def _div(a, b):
     return f.numerator if f.denominator == 1 else f
 
 
+def _exact(v):
+    """v as an int when it is integral, as a Fraction otherwise."""
+    if isinstance(v, int):
+        return v
+    f = Fraction(v)
+    return f.numerator if f.denominator == 1 else f
+
+
 def _scaled_int_row(row, rhs):
     """Clear denominators of one equality row (same solution set)."""
     den = 1
     for v in itertools.chain(row, (rhs,)):
         if not isinstance(v, int):
             f = Fraction(v)
-            den = den * f.denominator // _gcd(den, f.denominator)
+            den = den * f.denominator // math.gcd(den, f.denominator)
     if den == 1:
         return [int(v) if isinstance(v, int) else v.numerator for v in row], int(rhs) if isinstance(rhs, int) else rhs.numerator
     out = []
@@ -107,13 +137,258 @@ def _scaled_int_row(row, rhs):
     return out, fr.numerator
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 _MAX_PIVOTS = 200_000
+
+
+class _Tableau:
+    """Bounded-variable simplex tableau over exact rationals.
+
+    Columns are the problem's n structural columns followed by one
+    artificial column per row.  ``T`` is B^-1 A for the current basis,
+    ``xB[i]`` the value of the basic column ``basis[i]``, and every
+    nonbasic column sits at its lower bound, or at its upper bound when
+    ``at_upper`` says so.  Bounds ``lo``/``up`` (``up`` may be None) are
+    those of the problem; branch and bound tightens them in place.  ``d``
+    holds the phase-2 reduced costs once the cold solve has reached them.
+    """
+
+    __slots__ = ("n", "m", "T", "xB", "basis", "in_basis", "at_upper", "lo", "up", "d")
+
+    def __init__(self, n, m, T, xB, basis, in_basis, at_upper, lo, up, d):
+        self.n, self.m, self.T, self.xB = n, m, T, xB
+        self.basis, self.in_basis, self.at_upper = basis, in_basis, at_upper
+        self.lo, self.up, self.d = lo, up, d
+
+    @classmethod
+    def all_artificial(cls, p: LpProblem) -> "_Tableau":
+        """Rows scaled to integers and signed so that the artificial basis,
+        with every structural column at its lower bound, is feasible; an
+        artificial whose row starts balanced is fixed at zero."""
+        n, m = p.ncols, len(p.a_eq)
+        lo = [_exact(lo) for lo, _ in p.bounds] + [0] * m
+        up = [None if up is None else _exact(up) for _, up in p.bounds]
+        T, xB = [], []
+        for i in range(m):
+            row, b = _scaled_int_row(p.a_eq[i], p.b_eq[i])
+            b = _exact(b - sum(a * lo[j] for j, a in enumerate(row) if a and lo[j]))
+            if b < 0:
+                row, b = [-a for a in row], -b
+            T.append(row + [0] * m)
+            T[i][n + i] = 1
+            xB.append(b)
+            up.append(0 if b == 0 else None)
+        basis = list(range(n, n + m))
+        in_basis = [False] * n + [True] * m
+        return cls(n, m, T, xB, basis, in_basis, [False] * (n + m), lo, up, None)
+
+    def copy(self) -> "_Tableau":
+        return _Tableau(
+            self.n, self.m, [row[:] for row in self.T], self.xB[:], self.basis[:],
+            self.in_basis[:], self.at_upper[:], self.lo[:], self.up[:], self.d[:],
+        )
+
+    def values(self) -> list:
+        """Current value of every column, basic or not."""
+        vals = [u if at else lo for lo, u, at in zip(self.lo, self.up, self.at_upper)]
+        for i, j in enumerate(self.basis):
+            vals[j] = self.xB[i]
+        return vals
+
+    def solution(self, c) -> LpSolution:
+        values = tuple(_exact(v) for v in self.values()[: self.n])
+        objective = Fraction(sum(cj * v for cj, v in zip(c, values) if cj))
+        basis = tuple(sorted(j for j in self.basis if j < self.n))
+        return LpSolution("optimal", values, objective, basis)
+
+    def _exchange(self, r, q, t, d, leave_at_upper) -> None:
+        """Move nonbasic column q by t and pivot it into row r, whose basic
+        column leaves at its upper bound or its lower bound; the reduced
+        costs d are pivoted along."""
+        T, xB = self.T, self.xB
+        for i, row in enumerate(T):
+            if i != r and row[q]:
+                xB[i] -= row[q] * t
+        xB[r] = (self.up[q] if self.at_upper[q] else self.lo[q]) + t
+        leaving = self.basis[r]
+        self.in_basis[leaving] = False
+        self.at_upper[leaving] = leave_at_upper
+        self.in_basis[q] = True
+        self.at_upper[q] = False
+        self.basis[r] = q
+
+        prow = T[r]
+        piv = prow[q]
+        if piv != 1:
+            for jj, v in enumerate(prow):
+                if v:
+                    prow[jj] = _div(v, piv)
+        nz = [jj for jj, v in enumerate(prow) if v]
+        for i, row in enumerate(T):
+            k = row[q]
+            if k and i != r:
+                for jj in nz:
+                    row[jj] -= k * prow[jj]
+        k = d[q]
+        if k:
+            for jj in nz:
+                d[jj] -= k * prow[jj]
+
+    def primal(self, d) -> bool:
+        """Primal simplex on reduced costs d with Bland's rule, from a
+        primal-feasible basis: True at an optimum, False when unbounded."""
+        T, xB, basis, in_basis = self.T, self.xB, self.basis, self.in_basis
+        at_upper, lo, up = self.at_upper, self.lo, self.up
+        ncols = self.n + self.m
+        for _ in range(_MAX_PIVOTS):
+            enter = next(
+                (j for j in range(ncols)
+                 if not in_basis[j] and up[j] != lo[j]
+                 and (d[j] < 0 if at_upper[j] else d[j] > 0)),
+                -1,
+            )
+            if enter < 0:
+                return True
+            direction = -1 if at_upper[enter] else 1
+
+            best_t = None  # tightest row ratio
+            leave_row = -1
+            leave_to_upper = False
+            for i, row in enumerate(T):
+                ci = row[enter]
+                if not ci:
+                    continue
+                b = basis[i]
+                if (ci > 0) == (direction == 1):  # the basic column moves down
+                    ti = _div(xB[i] - lo[b], abs(ci))
+                    hits_upper = False
+                elif up[b] is None:
+                    continue
+                else:
+                    ti = _div(up[b] - xB[i], abs(ci))
+                    hits_upper = True
+                if best_t is None or ti < best_t:
+                    best_t, leave_row, leave_to_upper = ti, i, hits_upper
+                elif ti == best_t and b < basis[leave_row]:
+                    leave_row, leave_to_upper = i, hits_upper
+            flip_t = None if up[enter] is None else up[enter] - lo[enter]
+            if best_t is None and flip_t is None:
+                return False
+            if flip_t is not None and (
+                best_t is None or flip_t < best_t
+                or (flip_t == best_t and enter < basis[leave_row])
+            ):
+                # bound flip: no basis change
+                t = direction * flip_t
+                for i, row in enumerate(T):
+                    if row[enter]:
+                        xB[i] -= row[enter] * t
+                at_upper[enter] = not at_upper[enter]
+                continue
+            self._exchange(leave_row, enter, direction * best_t, d, leave_to_upper)
+        raise BudgetExceeded("pivot limit exceeded; Bland's rule should terminate")
+
+    def dual(self) -> bool:
+        """Dual simplex from a basis whose reduced costs ``d`` are optimal
+        but whose basic values may break their bounds: True at an optimum,
+        False when the bounds admit no feasible point.
+
+        The leaving row is the out-of-bounds row with the smallest basic
+        column; the entering column minimises |d_q / T[r][q]| among the
+        columns that move the leaving value towards its bound, ties to
+        the smallest index.  A row without such a column proves the
+        bounds infeasible.
+        """
+        T, xB, basis, in_basis = self.T, self.xB, self.basis, self.in_basis
+        at_upper, lo, up, d = self.at_upper, self.lo, self.up, self.d
+        ncols = self.n + self.m
+        for _ in range(_MAX_PIVOTS):
+            r = -1
+            for i, b in enumerate(basis):
+                v = xB[i]
+                if (v < lo[b] or (up[b] is not None and v > up[b])) and (r < 0 or b < basis[r]):
+                    r = i
+            if r < 0:
+                return True
+            b = basis[r]
+            below = xB[r] < lo[b]
+            row = T[r]
+            q, best = -1, None
+            for j in range(ncols):
+                a = row[j]
+                # the basic value moves by -a per unit of column j, which
+                # may rise from its lower bound or fall from its upper one
+                if not a or in_basis[j] or up[j] == lo[j] or (a > 0) != (at_upper[j] == below):
+                    continue
+                ratio = _div(abs(d[j]), abs(a))
+                if best is None or ratio < best:
+                    q, best = j, ratio
+            if q < 0:
+                return False
+            target = lo[b] if below else up[b]
+            self._exchange(r, q, _div(xB[r] - target, row[q]), d, not below)
+        raise BudgetExceeded("pivot limit exceeded; the dual Bland rule should terminate")
+
+    def tighten(self, j, lo, up) -> bool:
+        """Narrow column j's bounds to [lo, up], moving it along when it is
+        nonbasic; False when the new box is empty."""
+        if up is not None and up < lo:
+            return False
+        if not self.in_basis[j]:
+            old = self.up[j] if self.at_upper[j] else self.lo[j]
+            t = (up if self.at_upper[j] else lo) - old
+            if t:
+                for i, row in enumerate(self.T):
+                    if row[j]:
+                        self.xB[i] -= row[j] * t
+        self.lo[j], self.up[j] = lo, up
+        return True
+
+
+_INFEASIBLE = LpSolution("infeasible", (), None, ())
+
+
+def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
+    """Two-phase primal simplex from the all-artificial basis.  Returns
+    the solution and, when it is optimal, the final tableau."""
+    for lo, up in p.bounds:
+        if lo is None:
+            raise DimensionMismatch("lower bounds must be finite")
+        if up is not None and Fraction(up) < Fraction(lo):
+            return _INFEASIBLE, None
+    tab = _Tableau.all_artificial(p)
+    n, m, T = tab.n, tab.m, tab.T
+    ncols = n + m
+
+    # phase 1: drive positive artificials to zero
+    if any(b > 0 for b in tab.xB):
+        d1 = [0] * ncols
+        for i in range(m):
+            if tab.xB[i] > 0:
+                d1[n + i] = -1
+                for jj, v in enumerate(T[i]):
+                    if v:
+                        d1[jj] += v
+        if not tab.primal(d1):
+            raise LpFailure("phase 1 is bounded by zero yet ended unbounded")
+        if any(v != 0 for v in tab.values()[n:]):
+            return _INFEASIBLE, None
+    # artificials may stay basic at zero (rank deficiency); freeze them
+    for i in range(m):
+        tab.up[n + i] = 0
+
+    # phase 2
+    c2 = [_exact(v) for v in p.c] + [0] * m
+    d2 = list(c2)
+    for i, row in enumerate(T):
+        cb = c2[tab.basis[i]]
+        if cb:
+            for jj, v in enumerate(row):
+                if v:
+                    d2[jj] -= cb * v
+    tab.d = d2
+    if not tab.primal(d2):
+        return LpSolution("unbounded", (), None, ()), None
+    return tab.solution(p.c), tab
 
 
 def simplex_max(p: LpProblem) -> LpSolution:
@@ -122,198 +397,7 @@ def simplex_max(p: LpProblem) -> LpSolution:
     Lower bounds must be finite; upper bounds may be None.  The returned
     solution satisfies every constraint exactly.
     """
-    n, m = p.ncols, len(p.a_eq)
-    for lo, up in p.bounds:
-        if lo is None:
-            raise DimensionMismatch("lower bounds must be finite")
-        if up is not None and Fraction(up) < Fraction(lo):
-            return LpSolution("infeasible", (), None, ())
-
-    # shift variables to lo = 0: work with x' = x - lo
-    lo_shift = [Fraction(lo) for lo, _ in p.bounds]
-    span = []  # upper bound of shifted variable, None = +inf
-    for lo, up in p.bounds:
-        span.append(None if up is None else Fraction(up) - Fraction(lo))
-
-    rows = []
-    rhs = []
-    for i in range(m):
-        row, b = _scaled_int_row(list(p.a_eq[i]), p.b_eq[i])
-        shift = sum(row[j] * lo_shift[j] for j in range(n) if row[j] and lo_shift[j])
-        b = b - shift
-        if isinstance(b, Fraction) and b.denominator == 1:
-            b = b.numerator
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-
-    # artificial column per row; fixed at zero when the row starts balanced
-    ncols = n + m
-    T = []
-    for i in range(m):
-        T.append(rows[i] + [0] * m)
-        T[i][n + i] = 1
-    xB = list(rhs)
-    basis = [n + i for i in range(m)]
-    in_basis = [False] * ncols
-    for j in basis:
-        in_basis[j] = True
-    # status of nonbasic columns: True = at upper bound
-    at_upper = [False] * ncols
-    col_span = span + [Fraction(0) if rhs[i] == 0 else None for i in range(m)]
-
-    def current_value(j):
-        if in_basis[j]:
-            return xB[basis.index(j)]
-        if at_upper[j]:
-            return col_span[j]
-        return 0
-
-    def run_phase(d, obj) -> tuple:
-        """Pivot until optimal or unbounded; returns (status, obj)."""
-        for _ in range(_MAX_PIVOTS):
-            enter = -1
-            direction = 0
-            for j in range(ncols):
-                if in_basis[j]:
-                    continue
-                sp = col_span[j]
-                if sp is not None and sp == 0:
-                    continue  # fixed column
-                if not at_upper[j] and d[j] > 0:
-                    enter, direction = j, 1
-                    break
-                if at_upper[j] and d[j] < 0:
-                    enter, direction = j, -1
-                    break
-            if enter < 0:
-                return "optimal", obj
-
-            col = [T[i][enter] for i in range(m)]
-            best_t = None  # tightest row ratio
-            leave_row = -1
-            leave_to_upper = False
-            for i in range(m):
-                ci = col[i]
-                if not ci:
-                    continue
-                moves_down = (ci > 0) == (direction == 1)
-                if moves_down:
-                    ti = _div(xB[i], ci if direction == 1 else -ci)
-                    hits_upper = False
-                else:
-                    sp = col_span[basis[i]]
-                    if sp is None:
-                        continue
-                    ti = _div(sp - xB[i], -ci if direction == 1 else ci)
-                    hits_upper = True
-                if best_t is None or ti < best_t:
-                    best_t, leave_row, leave_to_upper = ti, i, hits_upper
-                elif ti == best_t and basis[i] < basis[leave_row]:
-                    leave_row, leave_to_upper = i, hits_upper
-            flip_t = col_span[enter]
-            if best_t is None and flip_t is None:
-                return "unbounded", obj
-            take_flip = flip_t is not None and (
-                best_t is None or flip_t < best_t
-                or (flip_t == best_t and enter < basis[leave_row])
-            )
-            theta = flip_t if take_flip else best_t
-
-            obj = obj + d[enter] * theta * direction
-            if take_flip:
-                # bound flip: no basis change
-                for i in range(m):
-                    if col[i]:
-                        xB[i] -= direction * col[i] * theta
-                at_upper[enter] = not at_upper[enter]
-                continue
-
-            # pivot: entering takes value, leaving goes to a bound
-            for i in range(m):
-                if i != leave_row and col[i]:
-                    xB[i] -= direction * col[i] * theta
-            enter_val = (col_span[enter] - theta) if at_upper[enter] else theta
-            leaving = basis[leave_row]
-            in_basis[leaving] = False
-            at_upper[leaving] = leave_to_upper
-            in_basis[enter] = True
-            at_upper[enter] = False
-            basis[leave_row] = enter
-            xB[leave_row] = enter_val
-
-            piv = T[leave_row][enter]
-            prow = T[leave_row]
-            if piv != 1:
-                for jj in range(ncols):
-                    if prow[jj]:
-                        prow[jj] = _div(prow[jj], piv)
-            nz = [jj for jj in range(ncols) if prow[jj]]
-            for i in range(m):
-                if i == leave_row:
-                    continue
-                k = T[i][enter]
-                if k:
-                    ri = T[i]
-                    for jj in nz:
-                        ri[jj] -= k * prow[jj]
-            k = d[enter]
-            if k:
-                for jj in nz:
-                    d[jj] -= k * prow[jj]
-        raise RuntimeError("pivot limit exceeded; Bland's rule should terminate")
-
-    # phase 1: drive positive artificials to zero
-    if any(rhs[i] > 0 for i in range(m)):
-        c1 = [0] * ncols
-        for i in range(m):
-            if rhs[i] > 0:
-                c1[n + i] = -1
-        d1 = c1[:]
-        obj1 = 0
-        for i in range(m):
-            if rhs[i] > 0:
-                for jj in range(ncols):
-                    if T[i][jj]:
-                        d1[jj] += T[i][jj]
-                obj1 -= xB[i]
-        status, obj1 = run_phase(d1, obj1)
-        assert status == "optimal"
-        if any(current_value(n + i) != 0 for i in range(m)):
-            return LpSolution("infeasible", (), None, ())
-    # artificials may stay basic at zero (rank deficiency); freeze them
-    for i in range(m):
-        col_span[n + i] = Fraction(0)
-
-    # phase 2
-    c2 = [Fraction(v) if not isinstance(v, int) else v for v in p.c] + [0] * m
-    d2 = list(c2)
-    obj2 = 0
-    for i in range(m):
-        cb = c2[basis[i]]
-        if cb:
-            for jj in range(ncols):
-                if T[i][jj]:
-                    d2[jj] -= cb * T[i][jj]
-            obj2 += cb * xB[i]
-    for j in range(ncols):
-        if not in_basis[j] and at_upper[j] and c2[j]:
-            obj2 += c2[j] * col_span[j]
-    status, obj2 = run_phase(d2, obj2)
-    if status == "unbounded":
-        return LpSolution("unbounded", (), None, ())
-
-    values = []
-    for j in range(n):
-        v = Fraction(current_value(j)) + lo_shift[j]
-        values.append(v.numerator if v.denominator == 1 else v)
-    objective = sum(Fraction(p.c[j]) * values[j] for j in range(n))
-    if objective.denominator == 1:
-        objective = Fraction(objective.numerator)
-    final_basis = tuple(sorted(j for j in basis if j < n))
-    return LpSolution("optimal", tuple(values), objective, final_basis)
+    return _solve_cold(p)[0]
 
 
 _MAX_BNB_NODES = 50_000
@@ -326,16 +410,21 @@ def solve_integral_max(
 ) -> LpSolution:
     """Exact maximum over the integral points of an LpProblem.
 
-    Branch and bound over the exact simplex: solve the relaxation, branch
-    on the smallest-index fractional column among ``integral_cols`` (all
-    columns by default), depth first, pruning nodes whose rounded-down
-    bound cannot beat the incumbent.  The objective must be integral on
-    ``integral_cols`` for the rounding to be valid.
+    Depth-first branch and bound on the smallest-index fractional column
+    among ``integral_cols`` (all columns by default), down branch first.
+    Only the root relaxation is solved cold; it comes back as the
+    ``relaxation`` of the result.  Each child copies its parent's optimal
+    tableau (the second child takes it over), tightens the branched
+    column's bound and re-optimises with the dual simplex.  A child whose
+    parent's rounded-down bound cannot beat the incumbent is dropped
+    before any pivot, a node whose own bound cannot is not branched.  The
+    objective must be integral on ``integral_cols`` for the rounding to
+    be valid.
 
     ``unbounded_cap`` replaces missing upper bounds on the branching
     columns (required for termination on unbounded problems); the cap
-    must not be active at the optimum and a RuntimeError flags it if it
-    is.
+    must not be active at the optimum and BudgetExceeded flags it if it
+    is.  Pivot and node limits raise BudgetExceeded as well.
     """
     cols = list(range(p.ncols)) if integral_cols is None else sorted(integral_cols)
     colset = set(cols)
@@ -343,57 +432,56 @@ def solve_integral_max(
         if p.c[j] and j not in colset:
             raise DimensionMismatch("objective touches a non-integral column")
 
-    root = list(p.bounds)
+    bounds = list(p.bounds)
     capped = []
     if unbounded_cap is not None:
         for j in cols:
-            lo, up = root[j]
+            lo, up = bounds[j]
             if up is None:
-                root[j] = (lo, unbounded_cap)
+                bounds[j] = (lo, unbounded_cap)
                 capped.append(j)
+    root, tab = _solve_cold(dataclasses.replace(p, bounds=tuple(bounds)) if capped else p)
+    if tab is None:
+        return dataclasses.replace(root, relaxation=root)
 
     best: Optional[LpSolution] = None
-    stack = [tuple(root)]
+    # (tableau, (column, lo, up) to impose, parent's bound, copy the tableau)
+    stack = [(tab, None, None, False)]
     nodes = 0
     while stack:
-        bounds = stack.pop()
+        tab, branch, parent_bound, copy = stack.pop()
+        if best is not None and parent_bound <= best.objective_value:
+            continue
         nodes += 1
         if nodes > _MAX_BNB_NODES:
-            raise RuntimeError("branch-and-bound node limit exceeded")
-        sol = simplex_max(dataclasses.replace(p, bounds=bounds))
-        if sol.status == "unbounded":
-            return LpSolution("unbounded", (), None, ())
-        if sol.status != "optimal":
-            continue
-        bound = sol.objective_value
-        if bound.denominator != 1:
-            bound = Fraction(bound.numerator // bound.denominator)
+            raise BudgetExceeded("branch-and-bound node limit exceeded")
+        if branch is None:
+            sol = root
+        else:
+            if copy:
+                tab = tab.copy()
+            if not (tab.tighten(*branch) and tab.dual()):
+                continue
+            sol = tab.solution(p.c)
+        bound = math.floor(sol.objective_value)
         if best is not None and bound <= best.objective_value:
             continue
-        frac = next(
-            (j for j in cols if Fraction(sol.values[j]).denominator != 1), None
-        )
+        frac = next((j for j in cols if not isinstance(sol.values[j], int)), None)
         if frac is None:
             best = sol
             continue
-        v = Fraction(sol.values[frac])
-        lo, up = bounds[frac]
-        floor_v = v.numerator // v.denominator
-        down = list(bounds)
-        down[frac] = (lo, floor_v)
-        upb = list(bounds)
-        upb[frac] = (floor_v + 1, up)
-        stack.append(tuple(upb))
-        stack.append(tuple(down))
+        floor_v = math.floor(sol.values[frac])
+        stack.append((tab, (frac, floor_v + 1, tab.up[frac]), bound, False))
+        stack.append((tab, (frac, tab.lo[frac], floor_v), bound, True))
 
     if best is None:
-        return LpSolution("infeasible", (), None, ())
+        return LpSolution("infeasible", (), None, (), relaxation=root)
     for j in capped:
-        if Fraction(best.values[j]) >= Fraction(root[j][1]):
-            raise RuntimeError(
+        if best.values[j] >= bounds[j][1]:
+            raise BudgetExceeded(
                 "integral optimum pinned at the artificial cap; raise unbounded_cap"
             )
-    return best
+    return dataclasses.replace(best, relaxation=root)
 
 
 # ---------------------------------------------------------------------------

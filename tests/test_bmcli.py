@@ -1,14 +1,28 @@
+import dataclasses
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from bimenger import LoopRejected, UnknownVertex
+from bimenger import (
+    DualInfeasible,
+    InvalidDerivedLink,
+    LoopRejected,
+    LpSolution,
+    NotBalanced,
+    NotIntegral,
+    UnknownVertex,
+    UnmappableEdge,
+    certify,
+    ratlp,
+    solve_integral_max,
+)
 from bimenger.bmcli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SEPARATOR_INFINITE,
+    EXIT_VERIFY,
     GenParams,
     InstanceSyntaxError,
     InvalidParams,
@@ -215,3 +229,66 @@ def test_cli_selfcheck_reproducible():
 def test_selfcheck_engine_batch_order_independence():
     out = io.StringIO()
     assert run_selfcheck(5, 123, 6, out)
+
+
+# an edgeless graph whose relaxation is fractional: solving it branches
+GAP_INSTANCE = "vertex x\nvertex y\nset X x\nset Y y\n"
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_node_limit_exits_verify(tmp_path, monkeypatch):
+    p = tmp_path / "gap.bg"
+    p.write_text(GAP_INSTANCE)
+    monkeypatch.setattr(ratlp, "_MAX_BNB_NODES", 1)
+    rc, out, err = cli("solve", "--input", str(p), "--json")
+    assert rc == EXIT_VERIFY
+    assert out == ""
+    assert _one_error_line(err)
+    assert "node limit" in err
+
+
+def test_cli_pivot_limit_exits_verify(monkeypatch):
+    monkeypatch.setattr(ratlp, "_MAX_PIVOTS", 1)
+    rc, out, err = cli("solve", "--input", str(FIXTURES / "fig1a.bg"))
+    assert rc == EXIT_VERIFY
+    assert out == ""
+    assert _one_error_line(err)
+    assert "pivot limit" in err
+
+
+def _unbounded(*args, **kwargs):
+    return LpSolution("unbounded", (), None, ())
+
+
+def _unbounded_relaxation(*args, **kwargs):
+    return dataclasses.replace(solve_integral_max(*args, **kwargs), relaxation=_unbounded())
+
+
+@pytest.mark.parametrize(
+    "attr, fake", [("simplex_max", _unbounded), ("solve_integral_max", _unbounded_relaxation)]
+)
+def test_cli_non_optimal_lp_status_exits_verify(monkeypatch, attr, fake):
+    monkeypatch.setattr(certify, attr, fake)
+    rc, out, err = cli("solve", "--input", str(FIXTURES / "fig1a.bg"), "--json")
+    assert rc == EXIT_VERIFY
+    assert out == ""
+    assert _one_error_line(err)
+    assert "LpFailure" in err and "unbounded" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [NotBalanced, NotIntegral, DualInfeasible, InvalidDerivedLink, UnmappableEdge]
+)
+def test_cli_solver_failures_exit_verify(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(certify, "extract_cut", fail)
+    rc, out, err = cli("solve", "--input", str(FIXTURES / "fig1a.bg"), "--json")
+    assert rc == EXIT_VERIFY
+    assert out == ""
+    assert err == f"error: {exc.__name__}: injected\n"

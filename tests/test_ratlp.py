@@ -1,8 +1,12 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from bimenger import (
+    BudgetExceeded,
     DimensionMismatch,
     LpProblem,
     build_dual,
@@ -13,12 +17,13 @@ from bimenger import (
     is_integral,
     oracle_max_links,
     ratio_str,
+    ratlp,
     simplex_max,
     solve_integral_max,
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.fixtures import fig1a
-from bimenger.ratlp import dual_vectors, primal_vectors
+from bimenger.ratlp import _solve_cold, dual_vectors, primal_vectors
 from bimenger.reduce import attach_terminals, split_and_close
 
 from .conftest import random_graph, random_sets
@@ -269,3 +274,128 @@ def test_ratio_str():
     assert ratio_str(Fraction(1, 2)) == "1/2"
     assert ratio_str(Fraction(4, 2)) == "2"
     assert ratio_str(3) == "3"
+
+
+# ---------------------------------------------------------------------------
+# branch and bound: cold root, warm-started children
+
+
+def _integral_box_optimum(problem, cap=None):
+    """Brute-force maximum over the integer points of the box (missing
+    upper bounds replaced by cap): (value or None, optimal points)."""
+    ranges = [range(lo, (cap if up is None else math.floor(up)) + 1) for lo, up in problem.bounds]
+    best, points = None, []
+    for x in itertools.product(*ranges):
+        if any(sum(a * v for a, v in zip(row, x)) != b for row, b in zip(problem.a_eq, problem.b_eq)):
+            continue
+        val = sum(c * v for c, v in zip(problem.c, x))
+        if best is None or val > best:
+            best, points = val, [x]
+        elif val == best:
+            points.append(x)
+    return best, points
+
+
+def _random_bounded_lp(rng, unbounded=False):
+    n = rng.randrange(2, 7)
+    m = rng.randrange(1, 4)
+    coef = (0, 0, Fraction(1, 2), Fraction(-1, 2), 1, -1)
+    a = [[rng.choice(coef) for _ in range(n)] for _ in range(m)]
+    c = [rng.randrange(-2, 4) for _ in range(n)]
+    bounds = []
+    for _ in range(n):
+        lo = rng.randrange(-1, 1)
+        up = None if unbounded and rng.randrange(2) else lo + rng.randrange(0, 3)
+        if up is not None and not rng.randrange(4):
+            up += Fraction(1, 2)  # a fractional bound can leave a branched column nonbasic
+        bounds.append((lo, up))
+    if rng.randrange(3):
+        # right-hand side of an integral point of the box: feasible
+        x = [rng.randrange(lo, (lo + 2 if up is None else math.floor(up)) + 1) for lo, up in bounds]
+        b = [sum(aij * v for aij, v in zip(row, x)) for row in a]
+    else:
+        b = [Fraction(rng.randrange(-2, 5), 2) for _ in range(m)]
+    return lp(c, a, b, bounds)
+
+
+def _check_integral_solution(problem, sol, expected):
+    assert sol.status == "optimal"
+    assert sol.objective_value == expected
+    assert is_integral(sol.values)
+    for row, rhs in zip(problem.a_eq, problem.b_eq):
+        assert sum(a * v for a, v in zip(row, sol.values)) == rhs
+    assert sol.objective_value == sum(c * v for c, v in zip(problem.c, sol.values))
+
+
+def test_integral_search_matches_box_enumeration():
+    rng = random.Random(4242)
+    outcomes = {"optimal": 0, "infeasible": 0, "branched": 0}
+    for _ in range(300):
+        problem = _random_bounded_lp(rng)
+        expected, _ = _integral_box_optimum(problem)
+        sol = solve_integral_max(problem)
+        assert sol.relaxation == simplex_max(problem)
+        if expected is None:
+            assert sol.status == "infeasible"
+        else:
+            _check_integral_solution(problem, sol, expected)
+            assert all(lo <= v <= up for (lo, up), v in zip(problem.bounds, sol.values))
+        outcomes[sol.status] += 1
+        outcomes["branched"] += sol.relaxation.status == "optimal" and not is_integral(
+            sol.relaxation.values
+        )
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_capped_integral_search_matches_box_enumeration():
+    rng = random.Random(777)
+    cap = 3
+    outcomes = {"optimal": 0, "infeasible": 0, "pinned": 0}
+    for _ in range(150):
+        problem = _random_bounded_lp(rng, unbounded=True)
+        expected, points = _integral_box_optimum(problem, cap)
+        capped = [j for j, (_, up) in enumerate(problem.bounds) if up is None]
+        try:
+            sol = solve_integral_max(problem, unbounded_cap=cap)
+        except BudgetExceeded:
+            # only when some optimum of the capped box sits at the cap
+            assert any(x[j] == cap for x in points for j in capped)
+            outcomes["pinned"] += 1
+            continue
+        if expected is None:
+            assert sol.status == "infeasible"
+        else:
+            _check_integral_solution(problem, sol, expected)
+            assert all(sol.values[j] < cap for j in capped)
+        outcomes[sol.status] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_branch_that_empties_a_child_is_infeasible():
+    # x + y = 3/2 with x, y in [0, 1]: the relaxation takes x = 1, y = 1/2;
+    # y <= 0 forces x = 3/2 > 1, which the dual simplex must detect
+    problem = lp([1, 0], [[1, 1]], [Fraction(3, 2)], [(0, 1), (0, 1)])
+    root, tab = _solve_cold(problem)
+    assert root.values == (1, Fraction(1, 2))
+    child = tab.copy()
+    assert child.tighten(1, 0, 0)
+    assert not child.dual()
+    assert simplex_max(lp([1, 0], [[1, 1]], [Fraction(3, 2)], [(0, 1), (0, 0)])).status == "infeasible"
+    # the other branch y >= 1 leaves x = 1/2, and no integral point exists
+    assert tab.tighten(1, 1, 1) and tab.dual()
+    assert tab.solution(problem.c).values == (Fraction(1, 2), 1)
+    sol = solve_integral_max(problem)
+    assert sol.status == "infeasible"
+    assert sol.relaxation == root
+
+
+def test_node_limit_raises(monkeypatch):
+    # x - y = 1/2 has no integral point; proving it takes several nodes
+    problem = lp([1, 0], [[1, -1]], [Fraction(1, 2)], [(0, 3), (0, 3)])
+    assert solve_integral_max(problem).status == "infeasible"
+    monkeypatch.setattr(ratlp, "_MAX_BNB_NODES", 2)
+    with pytest.raises(BudgetExceeded, match="node limit"):
+        solve_integral_max(problem)
+    monkeypatch.setattr(ratlp, "_MAX_BNB_NODES", 1)
+    with pytest.raises(BudgetExceeded, match="node limit"):
+        solve_integral_max(problem)
