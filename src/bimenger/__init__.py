@@ -21,6 +21,7 @@ from .bigraph import (
     LoopRejected,
     Sign,
     UnknownVertex,
+    VerificationFailure,
     build_graph,
     delete_vertices,
     incidence_matrix,
@@ -75,6 +76,7 @@ from .ratlp import (
     solve_integral_max,
 )
 from .certify import (
+    REQUIRED_CHECKS,
     DualInfeasible,
     EdgeCut,
     MengerCertificate,
@@ -83,6 +85,7 @@ from .certify import (
     check_no_turnaround_equality,
     decompose_packing,
     extract_cut,
+    failed_checks,
     solve_menger,
     solve_st,
     solve_xpaths,

@@ -31,6 +31,11 @@ class DuplicateVertexId(GraphError):
     """The same vertex id was declared twice."""
 
 
+class VerificationFailure(Exception):
+    """A solver step produced something its own checks reject; the base of
+    the typed failures of the reductions and the certificate pipelines."""
+
+
 class Sign(Enum):
     PLUS = "+"
     MINUS = "-"

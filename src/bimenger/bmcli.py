@@ -30,18 +30,11 @@ from .bigraph import (
     GraphError,
     Sign,
     UnknownVertex,
+    VerificationFailure,
     build_graph,
     vertex_sort_key,
 )
-from .certify import (
-    DualInfeasible,
-    MengerCertificate,
-    NotBalanced,
-    NotIntegral,
-    solve_menger,
-    solve_st,
-    solve_xpaths,
-)
+from .certify import MengerCertificate, failed_checks, solve_menger, solve_st, solve_xpaths
 from .oracle import (
     SizeBoundExceeded,
     oracle_max_links,
@@ -49,14 +42,15 @@ from .oracle import (
     oracle_st,
     oracle_xpaths,
 )
-from .ratlp import LpFailure, ratio_str
-from .reduce import DirectTerminalEdge, EqualTerminals, InvalidDerivedLink, UnmappableEdge
+from .ratlp import BudgetExceeded, LpFailure, ratio_str
+from .reduce import DirectTerminalEdge, EqualTerminals
 from .walks import Link
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_SEPARATOR_INFINITE = 3
+EXIT_BUDGET = 4
 
 
 class InstanceSyntaxError(Exception):
@@ -233,14 +227,7 @@ def check_instance(inst: InstanceFile) -> list[str]:
     cert = solve_menger(g, X, Y)
     if cert.value != pk.value:
         failures.append(f"certificate value {cert.value} != oracle {pk.value}")
-    if len(cert.separator) > cert.value:
-        failures.append("separator larger than the packing value")
-    if cert.checks.get("separator_verified") is not True:
-        failures.append("separator failed oracle re-verification")
-    for key in ("duality", "balance", "cut_f_excluded", "cut_bound",
-                "links_classified", "links_disjoint"):
-        if not cert.checks.get(key, False):
-            failures.append(f"check {key} failed")
+    failures.extend(f"check {key} failed" for key in failed_checks(cert, "menger"))
     return failures
 
 
@@ -305,23 +292,13 @@ def _print_certificate(cert: MengerCertificate, as_json: bool, out: TextIO) -> N
         out.write(f"check {key}: {val}\n")
 
 
-def _verification_flags_ok(cert: MengerCertificate) -> bool:
-    required = [
-        "duality",
-        "balance",
-        "cut_f_excluded",
-        "cut_bound",
-        "links_classified",
-        "links_disjoint",
-        "separator_within_value",
-    ]
-    if any(not cert.checks.get(k, False) for k in required):
-        return False
-    return cert.checks.get("separator_verified") is not False
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _report(cert: MengerCertificate, pipeline: str, as_json: bool, out: TextIO) -> int:
+    _print_certificate(cert, as_json, out)
+    return EXIT_VERIFY if failed_checks(cert, pipeline) else EXIT_OK
 
 
 def _load(path: str) -> InstanceFile:
@@ -337,8 +314,7 @@ def _cmd_solve(args, out: TextIO, err: TextIO) -> int:
         if pk.value != cert.value:
             err.write(f"oracle disagrees: {pk.value} != {cert.value}\n")
             return EXIT_VERIFY
-    _print_certificate(cert, args.json, out)
-    return EXIT_OK if _verification_flags_ok(cert) else EXIT_VERIFY
+    return _report(cert, "menger", args.json, out)
 
 
 def _cmd_solve_st(args, out: TextIO, err: TextIO) -> int:
@@ -348,17 +324,12 @@ def _cmd_solve_st(args, out: TextIO, err: TextIO) -> int:
     if s is None or t is None:
         err.write("solve-st needs terminals (flags --s/--t or terminal lines)\n")
         return EXIT_INPUT
-    cert = solve_st(inst.graph, s, t)
-    _print_certificate(cert, args.json, out)
-    return EXIT_OK if _verification_flags_ok(cert) else EXIT_VERIFY
+    return _report(solve_st(inst.graph, s, t), "st", args.json, out)
 
 
 def _cmd_xpaths(args, out: TextIO, err: TextIO) -> int:
     inst = _load(args.input)
-    cert = solve_xpaths(inst.graph, inst.X)
-    _print_certificate(cert, args.json, out)
-    ok = cert.checks.get("cor15_bound", True) and cert.checks.get("separator_verified") is not False
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _report(solve_xpaths(inst.graph, inst.X), "xpaths", args.json, out)
 
 
 def _cmd_oracle(args, out: TextIO, err: TextIO) -> int:
@@ -484,13 +455,9 @@ def run_cli(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     except DirectTerminalEdge as exc:
         err.write(f"error: {exc} (separator is infinite)\n")
         return EXIT_SEPARATOR_INFINITE
-    except (LpFailure, NotBalanced, NotIntegral, DualInfeasible, InvalidDerivedLink,
-            UnmappableEdge) as exc:
+    except (LpFailure, VerificationFailure) as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_VERIFY
-    except AssertionError as exc:
-        err.write(f"internal verification failure: {exc}\n")
-        return EXIT_VERIFY
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_VERIFY
 
 
 def main() -> None:

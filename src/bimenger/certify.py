@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .bigraph import BidirectedGraph, EdgeId, VertexId, delete_vertices
+from .bigraph import BidirectedGraph, EdgeId, VerificationFailure, VertexId, delete_vertices
 from .oracle import (
     DEFAULT_MAX_EDGES,
     DEFAULT_MAX_VERTICES,
+    SeparatorResult,
     _exists_path,
     has_st_link,
     has_xy_link,
@@ -62,15 +63,15 @@ from .reduce import (
 from .walks import Link, Walk, classify_link, enumerate_xy_links, path_link
 
 
-class NotBalanced(Exception):
+class NotBalanced(VerificationFailure):
     """The selected subgraph is not balanced at some vertex."""
 
 
-class NotIntegral(Exception):
+class NotIntegral(VerificationFailure):
     """The primal solution handed to the decomposer is not 0/1-integral."""
 
 
-class DualInfeasible(Exception):
+class DualInfeasible(VerificationFailure):
     """The (z, y) pair violates the dual constraints."""
 
 
@@ -236,7 +237,7 @@ def decompose_packing(
 def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict) -> EdgeCut:
     """F = {e = uv : sigma(u,e) z*_u + sigma(v,e) z*_v < 0}.
 
-    Requires (z*, y*) feasible for the dual; asserts that f stays out of
+    Requires (z*, y*) feasible for the dual; checks that f stays out of
     the cut and that every cut edge carries y* >= 1, which bounds |F| by
     the dual objective.
     """
@@ -258,8 +259,8 @@ def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict)
             if ye < 1:
                 raise DualInfeasible(f"cut edge {e.eid} has y* = {ye} < 1")
             cut.add(e.eid)
-    assert f not in cut
-    assert len(cut) <= total_y
+    if f in cut or len(cut) > total_y:
+        raise VerificationFailure("the cut holds f or outgrows the dual objective")
     return EdgeCut(frozenset(cut))
 
 
@@ -321,29 +322,31 @@ def _solve_lps(g_prime: BidirectedGraph, f: EdgeId) -> _LpBundle:
     return _LpBundle(plp, dlp, x, xf, z, y, primal_integral_raw, dual_integral_raw)
 
 
-def _trivial_certificate() -> MengerCertificate:
-    return MengerCertificate(
-        value=0,
-        links=(),
-        separator=frozenset(),
-        primal_value=Fraction(0),
-        dual_value=Fraction(0),
-        checks={
-            "duality": True,
-            "primal_integral_raw": True,
-            "dual_integral_raw": True,
-            "lp_tight": True,
-            "balance": True,
-            "links_classified": True,
-            "links_disjoint": True,
-            "cut_f_excluded": True,
-            "cut_bound": True,
-            "slack_cycles": 0,
-            "separator_from_oracle": False,
-            "separator_within_value": True,
-            "separator_verified": True,
-        },
-    )
+# The checks a certificate must pass before bmcli exits 0, per pipeline.
+# The last one is the separator bound the pipeline proves: |S| <= value
+# (the theorem), or |S| <= 2 value for X-paths (Cor. 15).  A check fails
+# when it is missing or False; None marks a check that cannot run at this
+# size (the exhaustive separator test above the oracle limits) and passes.
+_PACKING_CHECKS = ("duality", "balance", "cut_f_excluded", "cut_bound",
+                   "links_classified", "links_disjoint", "separator_verified")
+REQUIRED_CHECKS = {
+    "menger": _PACKING_CHECKS + ("separator_within_value",),
+    "st": _PACKING_CHECKS + ("separator_within_value",),
+    "xpaths": _PACKING_CHECKS + ("cor15_bound",),
+}
+
+
+def failed_checks(cert: MengerCertificate, pipeline: str) -> list[str]:
+    """The required checks of ``pipeline`` that ``cert`` fails."""
+    return [key for key in REQUIRED_CHECKS[pipeline] if cert.checks.get(key, False) is False]
+
+
+def _trivial_certificate(pipeline: str) -> MengerCertificate:
+    """Value 0, no links, empty separator: every check holds."""
+    checks = dict.fromkeys(REQUIRED_CHECKS[pipeline], True)
+    checks.update(primal_integral_raw=True, dual_integral_raw=True, lp_tight=True,
+                  separator_within_value=True, slack_cycles=0, separator_from_oracle=False)
+    return MengerCertificate(0, (), frozenset(), Fraction(0), Fraction(0), checks)
 
 
 def _pairwise_disjoint(links: Iterable[Link], ignore: frozenset = frozenset()) -> bool:
@@ -354,6 +357,54 @@ def _pairwise_disjoint(links: Iterable[Link], ignore: frozenset = frozenset()) -
             return False
         seen |= vs
     return True
+
+
+def _certify(
+    cert: MengerCertificate,
+    g: BidirectedGraph,
+    ends: tuple[set, set],
+    candidates: Iterable[frozenset],
+    separates: Optional[Callable[[frozenset], bool]],
+    oracle_search: Optional[Callable[[], SeparatorResult]],
+    bound: tuple[str, int],
+    terminals: frozenset = frozenset(),
+) -> MengerCertificate:
+    """Choose and verify the separator of ``cert`` and check its links.
+
+    ``separates(S)`` tells whether no link of ``g`` between ``ends``
+    avoids S; the separator is the first candidate, smallest first, that it
+    confirms, else the smallest.  A separator larger than ``cert.value``
+    gives way to the minimum that ``oracle_search`` finds.  Either search
+    is None where it cannot run (exhaustive search above the oracle
+    limits).  ``bound`` is the check key and the limit of the separator
+    bound the pipeline proves.  ``terminals`` (s and t of the two-terminal
+    version) lie on every link and never in the separator.
+    """
+    checks = dict(cert.checks)
+    ordered = sorted(candidates, key=len)
+    separator, verified = ordered[0], False
+    for cand in ordered:
+        verdict = separates(cand) if separates else None
+        if verdict is not False:
+            separator, verified = cand, verdict
+            break
+    if len(separator) > cert.value and oracle_search is not None:
+        found = oracle_search()
+        if found.is_infinite:
+            raise VerificationFailure("the oracle found no finite separator")
+        separator, verified = found.vertices, True
+        checks["separator_from_oracle"] = True
+    if separator & terminals:
+        raise VerificationFailure("the separator contains a terminal")
+    key, limit = bound
+    checks.update(
+        separator_verified=verified,
+        separator_within_value=len(separator) <= cert.value,
+        links_classified=all(classify_link(g, lk, *ends).kind == lk.kind for lk in cert.links),
+        links_disjoint=_pairwise_disjoint(cert.links, terminals),
+    )
+    checks[key] = len(separator) <= limit
+    return dataclasses.replace(cert, separator=separator, checks=checks)
 
 
 def solve_menger(
@@ -373,34 +424,21 @@ def solve_menger(
     """
     X, Y = set(X), set(Y)
     if not X or not Y:
-        return _trivial_certificate()
+        return _trivial_certificate("menger")
     g_hat, s, t, tmap = attach_terminals(g, X, Y)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    chain = [tmap, smap]
-    cert = _finish_certificate(g, chain, g_prime, f, keep_internals)
-
-    in_bounds = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
-    checks = cert.checks
-    separator = cert.separator
-    if len(separator) > cert.value and in_bounds:
-        separator = oracle_min_separator(
-            g, X, Y, max_vertices=max_oracle_vertices, max_edges=max_oracle_edges
-        ).vertices
-        checks["separator_from_oracle"] = True
-    checks["separator_within_value"] = len(separator) <= cert.value
-    if in_bounds:
-        checks["separator_verified"] = not has_xy_link(delete_vertices(g, separator), X, Y)
-    else:
-        checks["separator_verified"] = None
-    checks["links_classified"] = all(
-        classify_link(g, link, X, Y).kind == link.kind for link in cert.links
+    cert = _finish_certificate([tmap, smap], g_prime, f, keep_internals)
+    checkable = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
+    limits = (max_oracle_vertices, max_oracle_edges)
+    return _certify(
+        cert, g, (X, Y), [cert.separator],
+        (lambda S: not has_xy_link(delete_vertices(g, S), X, Y)) if checkable else None,
+        (lambda: oracle_min_separator(g, X, Y, *limits)) if checkable else None,
+        ("separator_within_value", cert.value),
     )
-    checks["links_disjoint"] = _pairwise_disjoint(cert.links)
-    return dataclasses.replace(cert, separator=separator, checks=checks)
 
 
 def _finish_certificate(
-    original: BidirectedGraph,
     chain: list[ReductionMap],
     g_prime: BidirectedGraph,
     f: EdgeId,
@@ -453,37 +491,22 @@ def solve_st(
     t: VertexId,
     max_oracle_vertices: int = DEFAULT_MAX_VERTICES,
     max_oracle_edges: int = DEFAULT_MAX_EDGES,
-    keep_internals: bool = False,
 ) -> MengerCertificate:
     """Maximum internally vertex-disjoint s-t link packing; the separator
     avoids both terminals.  A direct s-t edge is refused, since no
     internal vertex set can separate it."""
     gn = normalize_terminals(g, s, t)
     g_prime, f, smap = split_and_close(gn, s, t)
-    chain = [smap]
-    cert = _finish_certificate(g, chain, g_prime, f, keep_internals)
-
-    in_bounds = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
-    checks = cert.checks
-    separator = cert.separator
-    if len(separator) > cert.value and in_bounds:
-        _, osep = oracle_st(
-            g, s, t, max_vertices=max_oracle_vertices, max_edges=max_oracle_edges
-        )
-        assert not osep.is_infinite  # a direct edge was refused above
-        separator = osep.vertices
-        checks["separator_from_oracle"] = True
-    checks["separator_within_value"] = len(separator) <= cert.value
-    if in_bounds:
-        checks["separator_verified"] = not has_st_link(delete_vertices(g, separator), s, t)
-    else:
-        checks["separator_verified"] = None
-    checks["links_classified"] = all(
-        classify_link(g, link, {s}, {t}).kind == link.kind for link in cert.links
+    cert = _finish_certificate([smap], g_prime, f)
+    checkable = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
+    limits = (max_oracle_vertices, max_oracle_edges)
+    return _certify(
+        cert, g, ({s}, {t}), [cert.separator],
+        (lambda S: not has_st_link(delete_vertices(g, S), s, t)) if checkable else None,
+        (lambda: oracle_st(g, s, t, *limits)[1]) if checkable else None,
+        ("separator_within_value", cert.value),
+        terminals=frozenset({s, t}),
     )
-    checks["links_disjoint"] = _pairwise_disjoint(cert.links, ignore=frozenset({s, t}))
-    assert s not in separator and t not in separator
-    return dataclasses.replace(cert, separator=separator, checks=checks)
 
 
 def solve_xpaths(
@@ -501,17 +524,12 @@ def solve_xpaths(
     """
     X = set(X)
     if not X:
-        return _trivial_certificate()
+        return _trivial_certificate("xpaths")
     g2, X1, X2, dmap = double_for_xpaths(g, X)
-    cert2 = solve_menger(
-        g2,
-        X1,
-        X2,
-        max_oracle_vertices=max(2 * g.n, max_oracle_vertices),
-        max_oracle_edges=max(2 * g.m, max_oracle_edges),
-    )
-    assert cert2.value % 2 == 0
-    assert all(link.kind == "turnaround" for link in cert2.links)
+    limits = (max(2 * g.n, max_oracle_vertices), max(2 * g.m, max_oracle_edges))
+    cert2 = solve_menger(g2, X1, X2, *limits)
+    if cert2.value % 2 or any(link.kind != "turnaround" for link in cert2.links):
+        raise VerificationFailure("the doubled packing is not made of turnarounds")
 
     back_v = dmap.special["back_vertex"]
     back_e = dmap.special["back_edge"]
@@ -523,42 +541,15 @@ def solve_xpaths(
         )
 
     links = tuple(path_link(back_walk(link.ss_part)) for link in cert2.links)
-    value = len(links)
-
     copy1 = set(dmap.special["copy1"].values())
     s1 = frozenset(back_v[v] for v in cert2.separator if v in copy1)
     s2 = frozenset(back_v[v] for v in cert2.separator if v not in copy1)
-    separator = None
-    for cand in sorted((s1, s2), key=len):
-        if not _exists_path(delete_vertices(g, cand), X, X, nontrivial_only=True):
-            separator = cand
-            break
-    checks = dict(cert2.checks)
-    in_bounds = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
-    if separator is None:
-        # the doubled separator failed to kill either copy (possible only
-        # when it was itself unverifiable); keep the smaller projection
-        separator = min((s1, s2), key=len)
-        checks["separator_verified"] = False
-    else:
-        checks["separator_verified"] = True
-    if len(separator) > value and in_bounds:
-        separator = min_xpath_hitting_set(g, X).vertices
-        checks["separator_from_oracle"] = True
-        checks["separator_verified"] = True
-    checks["cor15_bound"] = len(separator) <= 2 * value
-    checks["separator_within_value"] = len(separator) <= value
-    checks["links_disjoint"] = _pairwise_disjoint(links)
-    checks["links_classified"] = all(
-        classify_link(g, link, X, X).kind == "path" for link in links
-    )
-    return MengerCertificate(
-        value=value,
-        links=links,
-        separator=separator,
-        primal_value=cert2.primal_value,
-        dual_value=cert2.dual_value,
-        checks=checks,
+    checkable = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
+    return _certify(
+        dataclasses.replace(cert2, value=len(links), links=links), g, (X, X), (s1, s2),
+        lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
+        (lambda: min_xpath_hitting_set(g, X)) if checkable else None,
+        ("cor15_bound", 2 * len(links)),
     )
 
 
@@ -587,10 +578,6 @@ def check_no_turnaround_equality(
         return EqualityVerdict(False, None, None, None)
     pack = oracle_max_links(g, X, Y, max_vertices=max_oracle_vertices, max_edges=max_oracle_edges)
     sep = oracle_min_separator(g, X, Y, max_vertices=max_oracle_vertices, max_edges=max_oracle_edges)
-    cert = (
-        solve_menger(g, X, Y, max_oracle_vertices, max_oracle_edges)
-        if X and Y
-        else _trivial_certificate()
-    )
+    cert = solve_menger(g, X, Y, max_oracle_vertices, max_oracle_edges)
     holds = pack.value == sep.size == cert.value
     return EqualityVerdict(True, holds, pack.value, int(sep.size))

@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import Iterable
 
-from .bigraph import BidirectedGraph, VertexId, delete_vertices, vertex_sort_key
+from .bigraph import BidirectedGraph, VerificationFailure, VertexId, delete_vertices, vertex_sort_key
 from .reduce import EqualTerminals
 from .walks import (
     Link,
@@ -97,6 +97,24 @@ def _dedupe_by_footprint(pairs: Iterable[tuple[frozenset, Link]]) -> list[tuple[
     return [(w, fs, link) for fs, (w, link) in best.items()]
 
 
+def _alternating_reach(g, cur, last_sign, visited, targets, forbidden) -> bool:
+    """Whether a sign-alternating path leaves ``cur`` (entered with
+    ``last_sign``) through unvisited, unforbidden vertices into ``targets``."""
+    for e in g.incident(cur):
+        if e.sign_at(cur) == last_sign:
+            continue
+        w = e.other(cur)
+        if w in visited or w in forbidden:
+            continue
+        if w in targets:
+            return True
+        visited.add(w)
+        if _alternating_reach(g, w, e.sign_at(w), visited, targets, forbidden):
+            return True
+        visited.discard(w)
+    return False
+
+
 def _exists_path(g, A, Bset, forbidden=frozenset(), nontrivial_only=False) -> bool:
     A = {a for a in A if a in g.vertex_set and a not in forbidden}
     Bset = {b for b in Bset if b in g.vertex_set and b not in forbidden}
@@ -104,51 +122,17 @@ def _exists_path(g, A, Bset, forbidden=frozenset(), nontrivial_only=False) -> bo
         return False
     if not nontrivial_only and A & Bset:
         return True
-
-    def dfs(v, last_sign, visited) -> bool:
-        for e in g.incident(v):
-            if last_sign is not None and e.sign_at(v) == last_sign:
-                continue
-            w = e.other(v)
-            if w in visited or w in forbidden:
-                continue
-            if w in Bset:
-                return True
-            visited.add(w)
-            if dfs(w, e.sign_at(w), visited):
-                return True
-            visited.discard(w)
-        return False
-
-    return any(dfs(a, None, {a}) for a in A)
+    return any(_alternating_reach(g, a, None, {a}, Bset, forbidden) for a in A)
 
 
 def _exists_almost_path(g, v, forbidden=frozenset()) -> bool:
+    """A closed trail at v: leave v by one edge, come back by another (the
+    way back along the first edge breaks alternation)."""
     if v in forbidden or v not in g.vertex_set:
         return False
-
-    def dfs(cur, last_sign, visited, used) -> bool:
-        for e in g.incident(cur):
-            if e.sign_at(cur) == last_sign or e.eid in used:
-                continue
-            w = e.other(cur)
-            if w == v:
-                return True
-            if w in visited or w in forbidden:
-                continue
-            visited.add(w)
-            used.add(e.eid)
-            if dfs(w, e.sign_at(w), visited, used):
-                return True
-            used.discard(e.eid)
-            visited.discard(w)
-        return False
-
     for e in g.incident(v):
         w = e.other(v)
-        if w in forbidden:
-            continue
-        if dfs(w, e.sign_at(w), {v, w}, {e.eid}):
+        if w not in forbidden and _alternating_reach(g, w, e.sign_at(w), {w}, {v}, forbidden):
             return True
     return False
 
@@ -206,8 +190,7 @@ def oracle_min_separator(
         for S in itertools.combinations(ordered, k):
             if not has_xy_link(delete_vertices(g, S), X, Y):
                 return SeparatorResult(k, frozenset(S))
-    # deleting everything always works, so we never get here
-    raise AssertionError("unreachable: full vertex set is always a separator")
+    raise VerificationFailure("no vertex set separates X from Y, not even the full one")
 
 
 def oracle_st(
@@ -235,19 +218,13 @@ def oracle_st(
     packing = PackingResult(value + len(direct), tuple(direct) + tuple(sel))
 
     if direct:
-        separator = SeparatorResult(math.inf, frozenset())
-    else:
-        separator = None
-        ordered = sorted((v for v in g.vertices if v not in (s, t)), key=vertex_sort_key)
-        for k in range(len(ordered) + 1):
-            for S in itertools.combinations(ordered, k):
-                if not has_st_link(delete_vertices(g, S), s, t):
-                    separator = SeparatorResult(k, frozenset(S))
-                    break
-            if separator is not None:
-                break
-        assert separator is not None
-    return packing, separator
+        return packing, SeparatorResult(math.inf, frozenset())
+    ordered = sorted((v for v in g.vertices if v not in (s, t)), key=vertex_sort_key)
+    for k in range(len(ordered) + 1):
+        for S in itertools.combinations(ordered, k):
+            if not has_st_link(delete_vertices(g, S), s, t):
+                return packing, SeparatorResult(k, frozenset(S))
+    raise VerificationFailure("no internal vertex set separates s from t, yet no edge joins them")
 
 
 def min_xpath_hitting_set(g: BidirectedGraph, X: Iterable) -> SeparatorResult:
@@ -258,7 +235,7 @@ def min_xpath_hitting_set(g: BidirectedGraph, X: Iterable) -> SeparatorResult:
         for S in itertools.combinations(ordered, k):
             if not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True):
                 return SeparatorResult(k, frozenset(S))
-    raise AssertionError("unreachable: full vertex set always hits")
+    raise VerificationFailure("no vertex set hits every X-path, not even the full one")
 
 
 def oracle_xpaths(

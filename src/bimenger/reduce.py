@@ -33,6 +33,7 @@ from .bigraph import (
     EdgeId,
     Sign,
     UnknownVertex,
+    VerificationFailure,
     VertexId,
     vertex_sort_key,
 )
@@ -51,11 +52,11 @@ class DirectTerminalEdge(Exception):
     """A direct s-t edge makes every internal separator infinite."""
 
 
-class InvalidDerivedLink(Exception):
+class InvalidDerivedLink(VerificationFailure):
     """A link handed to a backward map does not fit the construction."""
 
 
-class UnmappableEdge(Exception):
+class UnmappableEdge(VerificationFailure):
     """A cut edge with no original vertex to charge (the closing edge f)."""
 
 

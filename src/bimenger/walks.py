@@ -120,18 +120,20 @@ class Link:
 
     @property
     def path(self) -> Walk:
-        assert self.kind == "path"
-        return self.walks[0]
+        return self._part("path", 0)
 
     @property
     def ss_part(self) -> Walk:
-        assert self.kind == "turnaround"
-        return self.walks[0]
+        return self._part("turnaround", 0)
 
     @property
     def tt_part(self) -> Walk:
-        assert self.kind == "turnaround"
-        return self.walks[1]
+        return self._part("turnaround", 1)
+
+    def _part(self, kind: str, i: int) -> Walk:
+        if self.kind != kind:
+            raise ValueError(f"a {self.kind} link has no {kind} part")
+        return self.walks[i]
 
     def vertex_set(self) -> frozenset:
         return frozenset(v for w in self.walks for v in w.vertices)

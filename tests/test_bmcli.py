@@ -14,11 +14,13 @@ from bimenger import (
     NotIntegral,
     UnknownVertex,
     UnmappableEdge,
+    VerificationFailure,
     certify,
     ratlp,
     solve_integral_max,
 )
 from bimenger.bmcli import (
+    EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SEPARATOR_INFINITE,
@@ -240,21 +242,21 @@ def _one_error_line(err):
     return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
 
 
-def test_cli_node_limit_exits_verify(tmp_path, monkeypatch):
+def test_cli_node_limit_exits_budget(tmp_path, monkeypatch):
     p = tmp_path / "gap.bg"
     p.write_text(GAP_INSTANCE)
     monkeypatch.setattr(ratlp, "_MAX_BNB_NODES", 1)
     rc, out, err = cli("solve", "--input", str(p), "--json")
-    assert rc == EXIT_VERIFY
+    assert rc == EXIT_BUDGET
     assert out == ""
     assert _one_error_line(err)
     assert "node limit" in err
 
 
-def test_cli_pivot_limit_exits_verify(monkeypatch):
+def test_cli_pivot_limit_exits_budget(monkeypatch):
     monkeypatch.setattr(ratlp, "_MAX_PIVOTS", 1)
     rc, out, err = cli("solve", "--input", str(FIXTURES / "fig1a.bg"))
-    assert rc == EXIT_VERIFY
+    assert rc == EXIT_BUDGET
     assert out == ""
     assert _one_error_line(err)
     assert "pivot limit" in err
@@ -292,3 +294,58 @@ def test_cli_solver_failures_exit_verify(monkeypatch, exc):
     assert rc == EXIT_VERIFY
     assert out == ""
     assert err == f"error: {exc.__name__}: injected\n"
+
+
+ST_INSTANCE = "vertex s\nvertex v\nvertex t\nedge s v -+\nedge v t -+\nterminal s s\nterminal t t\n"
+TRIANGLE = (
+    "vertex x1\nvertex x2\nvertex x3\n"
+    "edge x1 x2 ++\nedge x2 x3 ++\nedge x3 x1 ++\n"
+    "set X x1 x2 x3\n"
+)
+DIRECT_EDGE = "vertex s\nvertex t\nedge s t ++\nterminal s s\nterminal t t\n"
+EXIT_INSTANCES = {
+    "solve": (FIXTURES / "fig1a.bg").read_text(),
+    "solve-st": ST_INSTANCE,
+    "xpaths": TRIANGLE,
+}
+
+
+def _inject_verification_failure(*args, **kwargs):
+    raise VerificationFailure("injected")
+
+
+@pytest.mark.parametrize(
+    "command, case, code",
+    [
+        (command, case, code)
+        for command in EXIT_INSTANCES
+        for case, code in [
+            ("ok", EXIT_OK),
+            ("missing_input", EXIT_INPUT),
+            ("failed_check", EXIT_VERIFY),
+            ("verification_failure", EXIT_VERIFY),
+            ("budget", EXIT_BUDGET),
+        ]
+    ]
+    # attaching terminals and doubling never create a direct s-t edge
+    + [("solve-st", "direct_edge", EXIT_SEPARATOR_INFINITE)],
+)
+def test_cli_exit_paths(tmp_path, monkeypatch, command, case, code):
+    p = tmp_path / "in.bg"
+    p.write_text(DIRECT_EDGE if case == "direct_edge" else EXIT_INSTANCES[command])
+    if case == "missing_input":
+        p = tmp_path / "missing.bg"
+    elif case == "failed_check":
+        monkeypatch.setattr(certify, "_pairwise_disjoint", lambda *args: False)
+    elif case == "verification_failure":
+        monkeypatch.setattr(certify, "extract_cut", _inject_verification_failure)
+    elif case == "budget":
+        monkeypatch.setattr(ratlp, "_MAX_PIVOTS", 1)
+    rc, out, err = cli(command, "--input", str(p), "--json")
+    assert rc == code
+    if case in ("ok", "failed_check"):
+        assert err == ""
+        assert json.loads(out)["checks"]["links_disjoint"] is (case == "ok")
+    else:
+        assert out == ""
+        assert _one_error_line(err)

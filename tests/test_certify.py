@@ -6,6 +6,7 @@ from bimenger import (
     DualInfeasible,
     NotBalanced,
     NotIntegral,
+    VerificationFailure,
     build_graph,
     check_no_turnaround_equality,
     classify_link,
@@ -13,6 +14,7 @@ from bimenger import (
     delete_vertices,
     enumerate_st_links,
     extract_cut,
+    failed_checks,
     oracle_max_links,
     oracle_min_separator,
     oracle_st,
@@ -22,9 +24,9 @@ from bimenger import (
     solve_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.certify import link_sigma_sum
+from bimenger.certify import _certify, _solve_lps, link_sigma_sum
 from bimenger.fixtures import fig1a, fig1b, x_triangle
-from bimenger.oracle import has_xy_link
+from bimenger.oracle import SeparatorResult, has_xy_link
 from bimenger.ratlp import build_primal, primal_vectors, simplex_max, solve_integral_max
 from bimenger.reduce import DirectTerminalEdge, normalize_terminals, split_and_close
 
@@ -133,18 +135,15 @@ def test_extract_cut_rejects_zero_dual():
 
 
 def test_cut_on_three_vertex_path():
-    cert = solve_st(
-        build_graph(
-            ["s", "v", "t"],
-            [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
-        ),
-        "s",
-        "t",
-        keep_internals=True,
+    g = build_graph(
+        ["s", "v", "t"],
+        [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
-    cut = cert.internals["cut"]
+    g_prime, f, _, _, _ = st_pipeline(g, "s", "t")
+    lps = _solve_lps(g_prime, f)
+    cut = extract_cut(g_prime, f, lps.z, lps.y)
     assert len(cut.edges) == 1
-    assert cert.separator == {"v"}
+    assert solve_st(g, "s", "t").separator == {"v"}
 
 
 def _assert_cut_soundness(cert):
@@ -366,3 +365,66 @@ def test_certificate_chain_randomized(rng):
         if X and Y:
             assert cert.checks["separator_verified"] is True
             assert cert.value == sum(l.weight for l in cert.links)
+
+
+# _certify on the path x-v-y (value 1), with stand-in searches
+SMALL, BIG = frozenset({"v"}), frozenset({"x", "v"})
+
+
+def _certify_path(candidates, separates, oracle_search=None, terminals=frozenset()):
+    g = build_graph(["x", "v", "y"], [("x", "v", PLUS, MINUS), ("v", "y", PLUS, MINUS)])
+    cert = solve_menger(g, {"x"}, {"y"})
+    assert cert.value == 1
+    return _certify(
+        cert, g, ({"x"}, {"y"}), candidates, separates, oracle_search,
+        ("separator_within_value", cert.value), terminals,
+    )
+
+
+@pytest.mark.parametrize(
+    "separates, separator, verified, failed",
+    [
+        (lambda S: True, SMALL, True, []),  # smallest confirmed candidate first
+        (lambda S: S == BIG, BIG, True, ["separator_within_value"]),
+        (lambda S: False, SMALL, False, ["separator_verified"]),
+        (None, SMALL, None, []),  # cannot tell at this size: passes
+    ],
+)
+def test_certify_picks_the_smallest_confirmed_candidate(separates, separator, verified, failed):
+    cert = _certify_path((BIG, SMALL), separates)
+    assert cert.separator == separator
+    assert cert.checks["separator_verified"] is verified
+    assert cert.checks["separator_from_oracle"] is False
+    assert failed_checks(cert, "menger") == failed
+
+
+def test_certify_falls_back_to_the_oracle_above_value():
+    cert = _certify_path((BIG,), lambda S: False, lambda: SeparatorResult(1, SMALL))
+    assert cert.separator == SMALL
+    assert cert.checks["separator_verified"] is True
+    assert cert.checks["separator_from_oracle"] is True
+    assert failed_checks(cert, "menger") == []
+
+
+def test_certify_keeps_a_separator_within_value():
+    def oracle():
+        pytest.fail("the oracle runs only above value")
+
+    assert _certify_path((SMALL,), lambda S: True, oracle).separator == SMALL
+
+
+def test_certify_rejects_an_infinite_oracle_separator():
+    with pytest.raises(VerificationFailure):
+        _certify_path((BIG,), lambda S: True, lambda: SeparatorResult(float("inf"), frozenset()))
+
+
+def test_certify_rejects_a_terminal_in_the_separator():
+    with pytest.raises(VerificationFailure):
+        _certify_path((SMALL,), lambda S: True, terminals=frozenset({"v"}))
+
+
+def test_failed_checks_needs_every_required_key():
+    g = build_graph(["s", "v", "t"], [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)])
+    cert = solve_st(g, "s", "t")
+    assert failed_checks(cert, "st") == []
+    assert failed_checks(cert, "xpaths") == ["cor15_bound"]
