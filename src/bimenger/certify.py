@@ -99,7 +99,6 @@ class MengerCertificate:
     primal_value: Fraction
     dual_value: Fraction
     checks: dict
-    internals: Optional[dict] = None  # split graph, f, duals, cut (on request)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,14 +406,12 @@ def _certify(
     return dataclasses.replace(cert, separator=separator, checks=checks)
 
 
-def solve_menger(
-    g: BidirectedGraph,
-    X: Iterable,
-    Y: Iterable,
-    max_oracle_vertices: int = DEFAULT_MAX_VERTICES,
-    max_oracle_edges: int = DEFAULT_MAX_EDGES,
-    keep_internals: bool = False,
-) -> MengerCertificate:
+def _checkable(g: BidirectedGraph) -> bool:
+    """Whether the exhaustive separator test and search can run on ``g``."""
+    return g.n <= DEFAULT_MAX_VERTICES and g.m <= DEFAULT_MAX_EDGES
+
+
+def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertificate:
     """Maximum vertex-disjoint X-Y link packing with a vertex separator.
 
     Pipeline: attach terminals, split and close, exact primal optimum,
@@ -425,24 +422,26 @@ def solve_menger(
     X, Y = set(X), set(Y)
     if not X or not Y:
         return _trivial_certificate("menger")
-    g_hat, s, t, tmap = attach_terminals(g, X, Y)
-    g_prime, f, smap = split_and_close(g_hat, s, t)
-    cert = _finish_certificate([tmap, smap], g_prime, f, keep_internals)
-    checkable = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
-    limits = (max_oracle_vertices, max_oracle_edges)
+    cert = _menger_lp(g, X, Y)
+    checkable = _checkable(g)
     return _certify(
         cert, g, (X, Y), [cert.separator],
         (lambda S: not has_xy_link(delete_vertices(g, S), X, Y)) if checkable else None,
-        (lambda: oracle_min_separator(g, X, Y, *limits)) if checkable else None,
+        (lambda: oracle_min_separator(g, X, Y)) if checkable else None,
         ("separator_within_value", cert.value),
     )
 
 
+def _menger_lp(g: BidirectedGraph, X: set, Y: set) -> MengerCertificate:
+    """The LP part of ``solve_menger``, before ``_certify``: the packing,
+    its links mapped back to ``g`` and the mapped cut as the separator."""
+    g_hat, s, t, tmap = attach_terminals(g, X, Y)
+    g_prime, f, smap = split_and_close(g_hat, s, t)
+    return _finish_certificate([tmap, smap], g_prime, f)
+
+
 def _finish_certificate(
-    chain: list[ReductionMap],
-    g_prime: BidirectedGraph,
-    f: EdgeId,
-    keep_internals: bool = False,
+    chain: list[ReductionMap], g_prime: BidirectedGraph, f: EdgeId
 ) -> MengerCertificate:
     bundle = _solve_lps(g_prime, f)
     dec = decompose_packing(g_prime, f, bundle.x, bundle.xf)
@@ -462,18 +461,6 @@ def _finish_certificate(
         "slack_cycles": dec.slack_cycles,
         "separator_from_oracle": False,
     }
-    internals = None
-    if keep_internals:
-        internals = {
-            "g_prime": g_prime,
-            "f": f,
-            "chain": tuple(chain),
-            "x": bundle.x,
-            "xf": bundle.xf,
-            "z": bundle.z,
-            "y": bundle.y,
-            "cut": cut,
-        }
     return MengerCertificate(
         value=bundle.xf,
         links=tuple(links),
@@ -481,53 +468,41 @@ def _finish_certificate(
         primal_value=primal_value,
         dual_value=dual_value,
         checks=checks,
-        internals=internals,
     )
 
 
-def solve_st(
-    g: BidirectedGraph,
-    s: VertexId,
-    t: VertexId,
-    max_oracle_vertices: int = DEFAULT_MAX_VERTICES,
-    max_oracle_edges: int = DEFAULT_MAX_EDGES,
-) -> MengerCertificate:
+def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     """Maximum internally vertex-disjoint s-t link packing; the separator
     avoids both terminals.  A direct s-t edge is refused, since no
     internal vertex set can separate it."""
     gn = normalize_terminals(g, s, t)
     g_prime, f, smap = split_and_close(gn, s, t)
     cert = _finish_certificate([smap], g_prime, f)
-    checkable = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
-    limits = (max_oracle_vertices, max_oracle_edges)
+    checkable = _checkable(g)
     return _certify(
         cert, g, ({s}, {t}), [cert.separator],
         (lambda S: not has_st_link(delete_vertices(g, S), s, t)) if checkable else None,
-        (lambda: oracle_st(g, s, t, *limits)[1]) if checkable else None,
+        (lambda: oracle_st(g, s, t)[1]) if checkable else None,
         ("separator_within_value", cert.value),
         terminals=frozenset({s, t}),
     )
 
 
-def solve_xpaths(
-    g: BidirectedGraph,
-    X: Iterable,
-    max_oracle_vertices: int = DEFAULT_MAX_VERTICES,
-    max_oracle_edges: int = DEFAULT_MAX_EDGES,
-) -> MengerCertificate:
+def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     """Maximum vertex-disjoint nontrivial X-X path packing.
 
-    Doubles the graph, packs turnarounds between the two copies (each
-    one pairs an X-path from each copy), reports one copy's paths, and
-    projects the doubled separator into whichever copy it kills.  The
+    Doubles the graph and solves the LP part of the set version between
+    the two copies of X: each packed turnaround pairs an X-path from each
+    copy.  Reports one copy's paths and projects the doubled cut into
+    whichever copy it kills; when neither projection is within the packing
+    value, the separator is a minimum X-path hitting set of ``g``.  The
     guarantee here is |separator| <= 2 * value (checks key cor15_bound).
     """
     X = set(X)
     if not X:
         return _trivial_certificate("xpaths")
     g2, X1, X2, dmap = double_for_xpaths(g, X)
-    limits = (max(2 * g.n, max_oracle_vertices), max(2 * g.m, max_oracle_edges))
-    cert2 = solve_menger(g2, X1, X2, *limits)
+    cert2 = _menger_lp(g2, X1, X2)
     if cert2.value % 2 or any(link.kind != "turnaround" for link in cert2.links):
         raise VerificationFailure("the doubled packing is not made of turnarounds")
 
@@ -544,11 +519,10 @@ def solve_xpaths(
     copy1 = set(dmap.special["copy1"].values())
     s1 = frozenset(back_v[v] for v in cert2.separator if v in copy1)
     s2 = frozenset(back_v[v] for v in cert2.separator if v not in copy1)
-    checkable = g.n <= max_oracle_vertices and g.m <= max_oracle_edges
     return _certify(
         dataclasses.replace(cert2, value=len(links), links=links), g, (X, X), (s1, s2),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
-        (lambda: min_xpath_hitting_set(g, X)) if checkable else None,
+        lambda: min_xpath_hitting_set(g, X),
         ("cor15_bound", 2 * len(links)),
     )
 
@@ -560,13 +534,7 @@ class EqualityVerdict(NamedTuple):
     min_separator: Optional[int]
 
 
-def check_no_turnaround_equality(
-    g: BidirectedGraph,
-    X: Iterable,
-    Y: Iterable,
-    max_oracle_vertices: int = DEFAULT_MAX_VERTICES,
-    max_oracle_edges: int = DEFAULT_MAX_EDGES,
-) -> EqualityVerdict:
+def check_no_turnaround_equality(g: BidirectedGraph, X: Iterable, Y: Iterable) -> EqualityVerdict:
     """When no X-Y turnaround exists, max paths must equal min separator.
 
     The precondition is verified by enumeration; on instances with a
@@ -576,8 +544,8 @@ def check_no_turnaround_equality(
     links = enumerate_xy_links(g, X, Y)
     if any(link.kind == "turnaround" for link in links):
         return EqualityVerdict(False, None, None, None)
-    pack = oracle_max_links(g, X, Y, max_vertices=max_oracle_vertices, max_edges=max_oracle_edges)
-    sep = oracle_min_separator(g, X, Y, max_vertices=max_oracle_vertices, max_edges=max_oracle_edges)
-    cert = solve_menger(g, X, Y, max_oracle_vertices, max_oracle_edges)
+    pack = oracle_max_links(g, X, Y)
+    sep = oracle_min_separator(g, X, Y)
+    cert = solve_menger(g, X, Y)
     holds = pack.value == sep.size == cert.value
     return EqualityVerdict(True, holds, pack.value, int(sep.size))

@@ -86,21 +86,14 @@ class LpProblem:
     def ncols(self) -> int:
         return len(self.c)
 
-    def column(self, name: str) -> int:
-        return self.names.index(name)
-
 
 @dataclasses.dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: tuple
     objective_value: Optional[Fraction]
-    basis: tuple
     # the root LP relaxation, on results of solve_integral_max
     relaxation: Optional["LpSolution"] = None
-
-    def value_of(self, problem: LpProblem, name: str):
-        return self.values[problem.column(name)]
 
 
 def _div(a, b):
@@ -122,19 +115,8 @@ def _exact(v):
 
 def _scaled_int_row(row, rhs):
     """Clear denominators of one equality row (same solution set)."""
-    den = 1
-    for v in itertools.chain(row, (rhs,)):
-        if not isinstance(v, int):
-            f = Fraction(v)
-            den = den * f.denominator // math.gcd(den, f.denominator)
-    if den == 1:
-        return [int(v) if isinstance(v, int) else v.numerator for v in row], int(rhs) if isinstance(rhs, int) else rhs.numerator
-    out = []
-    for v in row:
-        f = Fraction(v) * den
-        out.append(f.numerator)
-    fr = Fraction(rhs) * den
-    return out, fr.numerator
+    den = math.lcm(*(v.denominator for v in (*row, rhs) if not isinstance(v, int)))
+    return [int(v * den) for v in row], int(rhs * den)
 
 
 _MAX_PIVOTS = 200_000
@@ -197,8 +179,7 @@ class _Tableau:
     def solution(self, c) -> LpSolution:
         values = tuple(_exact(v) for v in self.values()[: self.n])
         objective = Fraction(sum(cj * v for cj, v in zip(c, values) if cj))
-        basis = tuple(sorted(j for j in self.basis if j < self.n))
-        return LpSolution("optimal", values, objective, basis)
+        return LpSolution("optimal", values, objective)
 
     def _exchange(self, r, q, t, d, leave_at_upper) -> None:
         """Move nonbasic column q by t and pivot it into row r, whose basic
@@ -344,7 +325,7 @@ class _Tableau:
         return True
 
 
-_INFEASIBLE = LpSolution("infeasible", (), None, ())
+_INFEASIBLE = LpSolution("infeasible", (), None)
 
 
 def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
@@ -387,7 +368,7 @@ def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
                     d2[jj] -= cb * v
     tab.d = d2
     if not tab.primal(d2):
-        return LpSolution("unbounded", (), None, ()), None
+        return LpSolution("unbounded", (), None), None
     return tab.solution(p.c), tab
 
 
@@ -475,7 +456,7 @@ def solve_integral_max(
         stack.append((tab, (frac, tab.lo[frac], floor_v), bound, True))
 
     if best is None:
-        return LpSolution("infeasible", (), None, (), relaxation=root)
+        return LpSolution("infeasible", (), None, relaxation=root)
     for j in capped:
         if best.values[j] >= bounds[j][1]:
             raise BudgetExceeded(

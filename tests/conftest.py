@@ -4,8 +4,10 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from bimenger import build_graph
+from bimenger import build_graph, extract_cut
 from bimenger.bigraph import MINUS, PLUS
+from bimenger.certify import _solve_lps
+from bimenger.reduce import attach_terminals, split_and_close
 
 # enumeration-heavy properties can exceed the default per-example deadline
 # on slow machines; example counts stay the default
@@ -33,6 +35,14 @@ def random_sets(rng: random.Random, g, max_size=3, overlap=False):
     pool = vs if overlap else [v for v in vs if v not in X]
     Y = set(rng.sample(pool, min(ys, len(pool))))
     return X, Y
+
+
+def pipeline_cut(g, X, Y):
+    """(g_prime, f, z, y, cut edges) from the set pipeline's own steps."""
+    g_hat, s, t, _ = attach_terminals(g, X, Y)
+    g_prime, f, _ = split_and_close(g_hat, s, t)
+    lps = _solve_lps(g_prime, f)
+    return g_prime, f, lps.z, lps.y, extract_cut(g_prime, f, lps.z, lps.y).edges
 
 
 @st.composite

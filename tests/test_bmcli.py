@@ -263,7 +263,7 @@ def test_cli_pivot_limit_exits_budget(monkeypatch):
 
 
 def _unbounded(*args, **kwargs):
-    return LpSolution("unbounded", (), None, ())
+    return LpSolution("unbounded", (), None)
 
 
 def _unbounded_relaxation(*args, **kwargs):

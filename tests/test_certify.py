@@ -8,6 +8,7 @@ from bimenger import (
     NotIntegral,
     VerificationFailure,
     build_graph,
+    certify,
     check_no_turnaround_equality,
     classify_link,
     decompose_packing,
@@ -24,13 +25,19 @@ from bimenger import (
     solve_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS
+from bimenger.bmcli import _trial_params, random_instance
 from bimenger.certify import _certify, _solve_lps, link_sigma_sum
 from bimenger.fixtures import fig1a, fig1b, x_triangle
 from bimenger.oracle import SeparatorResult, has_xy_link
 from bimenger.ratlp import build_primal, primal_vectors, simplex_max, solve_integral_max
-from bimenger.reduce import DirectTerminalEdge, normalize_terminals, split_and_close
+from bimenger.reduce import (
+    DirectTerminalEdge,
+    double_for_xpaths,
+    normalize_terminals,
+    split_and_close,
+)
 
-from .conftest import random_graph, random_sets
+from .conftest import pipeline_cut, random_graph, random_sets
 
 
 def st_pipeline(g, s, t):
@@ -146,11 +153,8 @@ def test_cut_on_three_vertex_path():
     assert solve_st(g, "s", "t").separator == {"v"}
 
 
-def _assert_cut_soundness(cert):
-    g_prime = cert.internals["g_prime"]
-    f = cert.internals["f"]
-    z, y = cert.internals["z"], cert.internals["y"]
-    cut = cert.internals["cut"].edges
+def _assert_cut_soundness(g, X, Y):
+    g_prime, f, z, y, cut = pipeline_cut(g, X, Y)
     fe = g_prime.edge(f)
     s, t = fe.u, fe.v
     assert f not in cut
@@ -166,9 +170,7 @@ def _assert_cut_soundness(cert):
 
 
 def test_cut_soundness_fig1a():
-    g, X, Y = fig1a()
-    cert = solve_menger(g, X, Y, keep_internals=True)
-    _assert_cut_soundness(cert)
+    _assert_cut_soundness(*fig1a())
 
 
 def test_cut_soundness_randomized(rng):
@@ -178,8 +180,7 @@ def test_cut_soundness_randomized(rng):
         X, Y = random_sets(rng, g, max_size=2, overlap=bool(rng.randrange(2)))
         if not X or not Y:
             continue
-        cert = solve_menger(g, X, Y, keep_internals=True)
-        _assert_cut_soundness(cert)
+        _assert_cut_soundness(g, X, Y)
         done += 1
     assert done >= 6
 
@@ -302,6 +303,38 @@ def test_xpaths_matches_oracle_randomized(rng):
         assert cert.value == packing
         assert 2 * cert.value >= hitting
         assert 2 * cert.value >= len(cert.separator)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("solve_xpaths ran a set-version separator search")
+
+
+def test_xpaths_runs_no_set_version_separator_search(monkeypatch):
+    monkeypatch.setattr(certify, "oracle_min_separator", _raise)
+    monkeypatch.setattr(certify, "has_xy_link", _raise)
+    instances = [x_triangle()]
+    for i in range(20):
+        inst = random_instance(_trial_params(301, i, 7))
+        if inst.X:
+            instances.append((inst.graph, inst.X))
+    for g, X in instances:
+        cert = solve_xpaths(g, X)
+        assert cert.value == oracle_xpaths(g, X)[0]
+        assert failed_checks(cert, "xpaths") == []
+
+
+def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
+    inst = random_instance(_trial_params(301, 0, 7))  # suite200 instance 0
+    g, X = inst.graph, inst.X
+    cert = solve_xpaths(g, X)
+    g2, X1, X2, dmap = double_for_xpaths(g, X)
+    cut = certify._menger_lp(g2, X1, X2).separator
+    back, copy1 = dmap.special["back_vertex"], set(dmap.special["copy1"].values())
+    projections = {
+        frozenset(back[v] for v in cut if (v in copy1) == first) for first in (True, False)
+    }
+    assert cert.separator in projections
+    assert cert.checks["separator_from_oracle"] is False
 
 
 def test_no_turnaround_equality_on_dag_encoding():
