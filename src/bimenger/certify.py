@@ -495,8 +495,11 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     the two copies of X: each packed turnaround pairs an X-path from each
     copy.  Reports one copy's paths and projects the doubled cut into
     whichever copy it kills; when neither projection is within the packing
-    value, the separator is a minimum X-path hitting set of ``g``.  The
-    guarantee here is |separator| <= 2 * value (checks key cor15_bound).
+    value, the separator is a minimum X-path hitting set of ``g``.  That
+    search is exhaustive, so above the oracle limits it runs only when the
+    doubled cut exceeds the doubled value; otherwise each projection is
+    within 2 * value already.  The guarantee here is |separator| <=
+    2 * value (checks key cor15_bound).
     """
     X = set(X)
     if not X:
@@ -519,10 +522,11 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     copy1 = set(dmap.special["copy1"].values())
     s1 = frozenset(back_v[v] for v in cert2.separator if v in copy1)
     s2 = frozenset(back_v[v] for v in cert2.separator if v not in copy1)
+    searchable = _checkable(g) or len(cert2.separator) > cert2.value
     return _certify(
         dataclasses.replace(cert2, value=len(links), links=links), g, (X, X), (s1, s2),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
-        lambda: min_xpath_hitting_set(g, X),
+        (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
         ("cor15_bound", 2 * len(links)),
     )
 

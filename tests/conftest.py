@@ -1,13 +1,12 @@
+import contextlib
 import random
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from bimenger import build_graph, extract_cut
+from bimenger import build_graph, certify
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.certify import _solve_lps
-from bimenger.reduce import attach_terminals, split_and_close
 
 # enumeration-heavy properties can exceed the default per-example deadline
 # on slow machines; example counts stay the default
@@ -37,12 +36,21 @@ def random_sets(rng: random.Random, g, max_size=3, overlap=False):
     return X, Y
 
 
-def pipeline_cut(g, X, Y):
-    """(g_prime, f, z, y, cut edges) from the set pipeline's own steps."""
-    g_hat, s, t, _ = attach_terminals(g, X, Y)
-    g_prime, f, _ = split_and_close(g_hat, s, t)
-    lps = _solve_lps(g_prime, f)
-    return g_prime, f, lps.z, lps.y, extract_cut(g_prime, f, lps.z, lps.y).edges
+@contextlib.contextmanager
+def recording_cuts():
+    """Record (g_prime, f, z, y, cut edges) of each `certify.extract_cut`
+    call the pipelines make inside the block."""
+    calls = []
+    extract = certify.extract_cut
+
+    def record(g_prime, f, z, y):
+        cut = extract(g_prime, f, z, y)
+        calls.append((g_prime, f, z, y, cut.edges))
+        return cut
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "extract_cut", record)
+        yield calls
 
 
 @st.composite

@@ -38,7 +38,7 @@ from bimenger.fixtures import x_triangle
 from bimenger.oracle import has_xy_link
 from bimenger.walks import enumerate_st_links
 
-from .conftest import pipeline_cut
+from .conftest import recording_cuts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
@@ -64,7 +64,8 @@ def cli_json(*argv):
 @pytest.fixture(scope="module")
 def suite200():
     """Criterion 3's instance family: 200 seeded random instances with
-    n <= 7, m <= 14, |X|,|Y| <= 3."""
+    n <= 7, m <= 14, |X|,|Y| <= 3.  Each record keeps the split graph, f,
+    duals and cut of its solve (None where X or Y is empty)."""
     records = []
     t0 = time.monotonic()
     for i in range(200):
@@ -72,8 +73,9 @@ def suite200():
         g, X, Y = inst.graph, inst.X, inst.Y
         pk = oracle_max_links(g, X, Y)
         sep = oracle_min_separator(g, X, Y)
-        cert = solve_menger(g, X, Y)
-        records.append((inst, pk, sep, cert))
+        with recording_cuts() as cuts:
+            cert = solve_menger(g, X, Y)
+        records.append((inst, pk, sep, cert, cuts[0] if cuts else None))
     return records, time.monotonic() - t0
 
 
@@ -112,7 +114,7 @@ def test_criterion_2_fig1b_strictness():
 def test_criterion_3_oracle_equivalence(suite200):
     records, gen_time = suite200
     assert len(records) >= 200
-    for inst, pk, sep, cert in records:
+    for inst, pk, sep, cert, _ in records:
         assert cert.value == pk.value
         assert len(cert.separator) <= cert.value
         if inst.X and inst.Y:
@@ -127,7 +129,7 @@ def test_criterion_3_oracle_equivalence(suite200):
 
 def test_criterion_4_strong_duality(suite200):
     records, _ = suite200
-    for inst, _, _, cert in records:
+    for inst, _, _, cert, _ in records:
         assert cert.checks["duality"], "primal and dual LP optima differ"
         assert cert.primal_value == cert.dual_value
     report("criterion 4 (duality): PASS - primal LP optimum = dual LP optimum on all 200")
@@ -142,7 +144,7 @@ def test_criterion_4_raw_relaxation_integrality(suite200):
     records, _ = suite200
     bad = sum(
         1
-        for _, _, _, cert in records
+        for _, _, _, cert, _ in records
         if not (cert.checks["primal_integral_raw"] and cert.checks["dual_integral_raw"])
     )
     report(
@@ -182,11 +184,11 @@ def test_criterion_6_cut_soundness(suite200):
     records, _ = suite200
     t0 = time.monotonic()
     instances = links_seen = 0
-    for inst, _, _, _ in records:
-        if not (inst.X and inst.Y):
+    for _, _, _, _, internals in records:
+        if internals is None:
             continue
         instances += 1
-        g_prime, f, z, y, cut = pipeline_cut(inst.graph, inst.X, inst.Y)
+        g_prime, f, z, y, cut = internals
         fe = g_prime.edge(f)
         s, t = fe.u, fe.v
         assert f not in cut

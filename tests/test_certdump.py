@@ -18,7 +18,7 @@ def _load_tool():
 def test_certdump_writes_one_line_per_run():
     certdump = _load_tool()
     out = io.StringIO()
-    assert certdump.main(["--limit", "3"], out) == 0
+    certdump.dump(certdump.runs(3), out)
     records = [json.loads(line) for line in out.getvalue().splitlines()]
     expected = [(name, command) for name, command, _ in certdump.runs(3)]
     assert [(r["instance"], r["command"]) for r in records] == expected

@@ -37,7 +37,7 @@ from bimenger.reduce import (
     split_and_close,
 )
 
-from .conftest import pipeline_cut, random_graph, random_sets
+from .conftest import random_graph, random_sets, recording_cuts
 
 
 def st_pipeline(g, s, t):
@@ -154,7 +154,9 @@ def test_cut_on_three_vertex_path():
 
 
 def _assert_cut_soundness(g, X, Y):
-    g_prime, f, z, y, cut = pipeline_cut(g, X, Y)
+    with recording_cuts() as cuts:
+        solve_menger(g, X, Y)
+    [(g_prime, f, z, y, cut)] = cuts
     fe = g_prime.edge(f)
     s, t = fe.u, fe.v
     assert f not in cut
@@ -306,7 +308,7 @@ def test_xpaths_matches_oracle_randomized(rng):
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("solve_xpaths ran a set-version separator search")
+    raise AssertionError("solve_xpaths ran a separator search it should not need")
 
 
 def test_xpaths_runs_no_set_version_separator_search(monkeypatch):
@@ -335,6 +337,33 @@ def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
     }
     assert cert.separator in projections
     assert cert.checks["separator_from_oracle"] is False
+
+
+def _above_oracle_limits(g):
+    """``g`` with isolated vertices added up to 11, above the oracle limits."""
+    pad = tuple(f"pad{i}" for i in range(11 - g.n))
+    return build_graph(g.vertices + pad, [(e.u, e.v, e.sign_u, e.sign_v) for e in g.edges])
+
+
+def test_xpaths_above_oracle_limits_keeps_a_projection_within_cor15(monkeypatch):
+    # suite200 instance 18: the doubled cut is as large as the doubled value
+    # (2), so each projection is within the Cor. 15 bound of 2 * value
+    inst = random_instance(_trial_params(301, 18, 7))
+    monkeypatch.setattr(certify, "min_xpath_hitting_set", _raise)
+    cert = solve_xpaths(_above_oracle_limits(inst.graph), inst.X)
+    assert (cert.value, len(cert.separator)) == (1, 2)
+    assert cert.checks["separator_from_oracle"] is False
+    assert failed_checks(cert, "xpaths") == []
+
+
+def test_xpaths_above_oracle_limits_searches_when_the_doubled_cut_is_large():
+    # suite200 instance 3: a doubled cut of 3 against a doubled value of 2
+    inst = random_instance(_trial_params(301, 3, 7))
+    small = solve_xpaths(inst.graph, inst.X)
+    cert = solve_xpaths(_above_oracle_limits(inst.graph), inst.X)
+    assert cert.checks["separator_from_oracle"] is True
+    assert (cert.value, cert.separator) == (small.value, small.separator)
+    assert failed_checks(cert, "xpaths") == []
 
 
 def test_no_turnaround_equality_on_dag_encoding():

@@ -16,34 +16,33 @@ compared line by line:
     python3 tools/certdump.py > after.jsonl
     diff before.jsonl after.jsonl
 
-Standard library only.  `--limit N` keeps the first N instances of each set.
+Standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 from bimenger.bigraph import vertex_sort_key  # noqa: E402
 from bimenger.bmcli import _trial_params, random_instance, run_cli, serialize_instance  # noqa: E402
-from families import FAMILIES  # noqa: E402
+from families import FAMILIES, SUITE_SEED  # noqa: E402
 
-SUITE_SEED = 301
 SUITE_SIZE = 200
 BENCH_SEEDS = (101, 102, 103)
 
 
 def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
-    """(instance name, argv without the input, instance text) of every run."""
-    suite = [random_instance(_trial_params(SUITE_SEED, i, 7)) for i in range(SUITE_SIZE)][:limit]
+    """(instance name, argv without the input, instance text) of every
+    run; ``limit`` keeps the first instances of each set."""
+    suite = [random_instance(_trial_params(SUITE_SEED, i, 7)) for i in range(SUITE_SIZE)[:limit]]
     for command in ("solve", "xpaths"):
         for i, inst in enumerate(suite):
             yield f"suite200/{i:03d}", [command], serialize_instance(inst)
@@ -59,14 +58,11 @@ def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
                 yield f"{family.name}/{seed}/{i:04d}", [family.command], text
 
 
-def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
-    out = out if out is not None else sys.stdout
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--limit", type=int, default=None, help="first N instances of each set")
-    args = ap.parse_args(argv)
+def dump(run_list: Iterable[tuple[str, list[str], str]], out: TextIO) -> None:
+    """Run each of ``run_list`` and write its JSON line to ``out``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.bg"
-        for name, command, text in runs(args.limit):
+        for name, command, text in run_list:
             path.write_text(text, encoding="utf-8")
             stdout, stderr = io.StringIO(), io.StringIO()
             cli_argv = [command[0], "--input", str(path), *command[1:], "--json"]
@@ -74,8 +70,7 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
             record = {"command": command, "instance": name, "exit": code,
                       "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
             out.write(json.dumps(record) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    dump(runs(), sys.stdout)
