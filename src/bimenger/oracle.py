@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .bigraph import BidirectedGraph, VerificationFailure, VertexId, delete_vertices, vertex_sort_key
 from .reduce import EqualTerminals
@@ -175,6 +175,18 @@ def oracle_max_links(
     return PackingResult(value, tuple(sel))
 
 
+def min_separator(g: BidirectedGraph, pool: Iterable, has_link: Callable) -> SeparatorResult:
+    """Smallest subset of ``pool`` whose deletion from ``g`` leaves a graph
+    on which ``has_link`` is false: subsets in increasing size, each size
+    in lexicographic order, so the first hit is a minimum."""
+    ordered = sorted(pool, key=vertex_sort_key)
+    for k in range(len(ordered) + 1):
+        for S in itertools.combinations(ordered, k):
+            if not has_link(delete_vertices(g, S)):
+                return SeparatorResult(k, frozenset(S))
+    raise VerificationFailure("no vertex set separates, not even the whole pool")
+
+
 def oracle_min_separator(
     g: BidirectedGraph,
     X: Iterable,
@@ -185,12 +197,13 @@ def oracle_min_separator(
     """Smallest vertex set whose deletion leaves no X-Y link."""
     _check_bounds(g, max_vertices, max_edges)
     X, Y = set(X), set(Y)
-    ordered = sorted(g.vertices, key=vertex_sort_key)
-    for k in range(len(ordered) + 1):
-        for S in itertools.combinations(ordered, k):
-            if not has_xy_link(delete_vertices(g, S), X, Y):
-                return SeparatorResult(k, frozenset(S))
-    raise VerificationFailure("no vertex set separates X from Y, not even the full one")
+    return min_separator(g, g.vertices, lambda h: has_xy_link(h, X, Y))
+
+
+def min_st_separator(g: BidirectedGraph, s: VertexId, t: VertexId) -> SeparatorResult:
+    """Smallest set of internal vertices whose deletion leaves no s-t link."""
+    return min_separator(g, (v for v in g.vertices if v not in (s, t)),
+                         lambda h: has_st_link(h, s, t))
 
 
 def oracle_st(
@@ -219,23 +232,13 @@ def oracle_st(
 
     if direct:
         return packing, SeparatorResult(math.inf, frozenset())
-    ordered = sorted((v for v in g.vertices if v not in (s, t)), key=vertex_sort_key)
-    for k in range(len(ordered) + 1):
-        for S in itertools.combinations(ordered, k):
-            if not has_st_link(delete_vertices(g, S), s, t):
-                return packing, SeparatorResult(k, frozenset(S))
-    raise VerificationFailure("no internal vertex set separates s from t, yet no edge joins them")
+    return packing, min_st_separator(g, s, t)
 
 
 def min_xpath_hitting_set(g: BidirectedGraph, X: Iterable) -> SeparatorResult:
     """Smallest vertex set meeting every nontrivial X-X path."""
     X = set(X)
-    ordered = sorted(g.vertices, key=vertex_sort_key)
-    for k in range(len(ordered) + 1):
-        for S in itertools.combinations(ordered, k):
-            if not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True):
-                return SeparatorResult(k, frozenset(S))
-    raise VerificationFailure("no vertex set hits every X-path, not even the full one")
+    return min_separator(g, g.vertices, lambda h: _exists_path(h, X, X, nontrivial_only=True))
 
 
 def oracle_xpaths(

@@ -65,16 +65,15 @@ class ReductionMap:
     """Bookkeeping for one reduction step.
 
     ``vertex_map`` sends original vertices to their derived form (a
-    tuple for split/double).  ``edge_map`` sends original edge ids to
-    derived edge ids.  ``special`` holds the construction-specific
-    records (terminals, gadget tables, the closing edge f, copies).
+    tuple for split/double); edges keep their ids outside a doubling.
+    ``special`` holds the construction-specific records (terminals,
+    gadget tables, the closing edge f, copies).
     """
 
     kind: str  # "terminal" | "split" | "double"
     source: BidirectedGraph
     derived: BidirectedGraph
     vertex_map: dict
-    edge_map: dict
     special: dict
 
 
@@ -149,7 +148,6 @@ def attach_terminals(
         source=g,
         derived=g_hat,
         vertex_map={v: v for v in g.vertices},
-        edge_map={e.eid: e.eid for e in g.edges},
         special={
             "s": s,
             "t": t,
@@ -254,7 +252,6 @@ def split_and_close(
         source=g,
         derived=g_prime,
         vertex_map={v: (plus_of[v], minus_of[v]) for v in non_terminals},
-        edge_map={e.eid: e.eid for e in g.edges},
         special={
             "s": s,
             "t": t,
@@ -296,7 +293,6 @@ def double_for_xpaths(
         source=g,
         derived=g2,
         vertex_map={v: (copy1[v], copy2[v]) for v in g.vertices},
-        edge_map=edge_map,
         special={
             "copy1": copy1,
             "copy2": copy2,
@@ -378,9 +374,10 @@ def map_links_back(map_chain: Sequence[ReductionMap], links: Iterable[Link]) -> 
 def map_cut_to_separator(map_chain: Sequence[ReductionMap], F: Iterable[EdgeId]) -> frozenset:
     """Charge every cut edge to one original vertex.
 
-    Split edges map to the vertex they split, gadget edges to the
-    terminal-set vertex they guard, and surviving original edges to
-    their lexicographically least endpoint outside the terminals.
+    Split edges map to the vertex they split, gadget edges and the split
+    edges of gadget vertices to the terminal-set vertex they guard, and
+    surviving original edges to their lexicographically least endpoint
+    outside the terminals.
     """
     tokens = [("edge", eid) for eid in F]
     exclude: set = set()
@@ -401,9 +398,11 @@ def map_cut_to_separator(map_chain: Sequence[ReductionMap], F: Iterable[EdgeId])
             exclude = {rmap.special["s"], rmap.special["t"]}
         elif rmap.kind == "terminal":
             gadget_origin = rmap.special["gadget_origin"]
+            gadget_vertex = {w: v for table in ("x_gadget", "y_gadget")
+                             for v, w in rmap.special[table].items()}
             for kind, payload in tokens:
-                if kind == "vertex":
-                    nxt.append((kind, payload))  # original ids are unchanged
+                if kind == "vertex":  # a link through a gadget vertex passes its X/Y vertex
+                    nxt.append((kind, gadget_vertex.get(payload, payload)))
                 elif payload in gadget_origin:
                     nxt.append(("vertex", gadget_origin[payload]))
                 else:

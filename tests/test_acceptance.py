@@ -119,6 +119,7 @@ def test_criterion_3_oracle_equivalence(suite200):
         assert len(cert.separator) <= cert.value
         if inst.X and inst.Y:
             assert cert.checks["separator_verified"] is True
+            assert not has_xy_link(delete_vertices(inst.graph, cert.separator), inst.X, inst.Y)
         assert pk.value >= sep.size
     assert gen_time < 60.0
     report(

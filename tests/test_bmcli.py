@@ -16,8 +16,11 @@ from bimenger import (
     UnmappableEdge,
     VerificationFailure,
     certify,
+    oracle_max_links,
+    oracle_min_separator,
     ratlp,
     solve_integral_max,
+    solve_menger,
 )
 from bimenger.bmcli import (
     EXIT_BUDGET,
@@ -111,6 +114,26 @@ def test_generator_invalid_params():
         random_instance(GenParams(3, 0, 0, x_size=2, y_size=2))
 
 
+def test_five_vertex_witness_packs_less_than_its_minimum_separator(tmp_path):
+    # the smallest instance known where the maximum link packing (1) is
+    # below the minimum separator (2), by the oracles and the solver alike
+    rc, text, _ = cli("gen", "--vertices", "5", "--edges", "8", "--seed", "320010314",
+                      "--x", "2", "--y", "2")
+    assert rc == EXIT_OK
+    inst = parse_instance(text)
+    g, X, Y = inst.graph, inst.X, inst.Y
+    assert oracle_max_links(g, X, Y).value == 1
+    assert oracle_min_separator(g, X, Y).size == 2
+    cert = solve_menger(g, X, Y)
+    assert cert.value == 1
+    assert cert.checks["separator_from_oracle"] is True
+    assert len(cert.separator) == 2
+    assert cert.checks["separator_within_value"] is False
+    path = tmp_path / "witness.bg"
+    path.write_text(text)
+    assert cli("solve", "--input", str(path))[0] == EXIT_VERIFY
+
+
 def test_derive_seed_order_independent():
     assert derive_seed(7, 3) == derive_seed(7, 3)
     assert derive_seed(7, 3) != derive_seed(7, 4)
@@ -127,7 +150,7 @@ def test_cli_solve_fig1a_json():
         assert set(link) == {"type", "vertices", "edges"}
     assert isinstance(doc["lp"]["primal"], str)
     assert isinstance(doc["lp"]["dual"], str)
-    for key in ("duality", "cut_bound", "links_disjoint"):
+    for key in ("duality", "separator_verified", "links_disjoint"):
         assert doc["checks"][key] is True
 
 

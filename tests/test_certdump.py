@@ -1,4 +1,4 @@
-"""Smoke test of `tools/certdump.py` on the first instance of each set."""
+"""Smoke test of `tools/certdump.py` on the first instances of each set."""
 
 import importlib.util
 import io
@@ -23,12 +23,16 @@ def test_certdump_writes_one_line_per_run():
     expected = [(name, command) for name, command, _ in certdump.runs(3)]
     assert [(r["instance"], r["command"]) for r in records] == expected
     sets = {(r["instance"].rsplit("/", 1)[0], r["command"][0]) for r in records}
-    assert sets == {("suite200", "solve"), ("suite200", "xpaths"), ("suite200", "solve-st")} | {
+    assert sets == {("suite200", "solve"), ("suite200", "xpaths"), ("suite200", "solve-st"),
+                    ("above-limits", "solve")} | {
         (f"{name}/{seed}", command)
         for name, command in (("small", "solve"), ("xpaths", "xpaths"))
         for seed in (101, 102, 103)
     }
     for r in records:
         assert set(r) == {"command", "instance", "exit", "stdout", "stderr"}
-        assert r["exit"] == 0 and r["stderr"] == ""
+        assert r["stderr"] == ""
+        # n = 11, seed 1 has an LP gap above the oracle limits: its proven
+        # separator of 2 exceeds the value 1, and no search may shrink it
+        assert r["exit"] == (2 if r["instance"] == "above-limits/11-1" else 0)
         assert isinstance(json.loads(r["stdout"])["value"], int)

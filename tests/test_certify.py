@@ -24,11 +24,11 @@ from bimenger import (
     solve_st,
     solve_xpaths,
 )
-from bimenger.bigraph import MINUS, PLUS
+from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
 from bimenger.bmcli import _trial_params, random_instance
 from bimenger.certify import _certify, _solve_lps, link_sigma_sum
 from bimenger.fixtures import fig1a, fig1b, x_triangle
-from bimenger.oracle import SeparatorResult, has_xy_link
+from bimenger.oracle import SeparatorResult, has_st_link, has_xy_link
 from bimenger.ratlp import build_primal, primal_vectors, simplex_max, solve_integral_max
 from bimenger.reduce import (
     DirectTerminalEdge,
@@ -308,12 +308,12 @@ def test_xpaths_matches_oracle_randomized(rng):
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("solve_xpaths ran a separator search it should not need")
+    raise AssertionError("a pipeline ran a separator search it should not need")
 
 
 def test_xpaths_runs_no_set_version_separator_search(monkeypatch):
     monkeypatch.setattr(certify, "oracle_min_separator", _raise)
-    monkeypatch.setattr(certify, "has_xy_link", _raise)
+    monkeypatch.setattr(certify, "has_xy_link", _raise, raising=False)
     instances = [x_triangle()]
     for i in range(20):
         inst = random_instance(_trial_params(301, i, 7))
@@ -364,6 +364,50 @@ def test_xpaths_above_oracle_limits_searches_when_the_doubled_cut_is_large():
     assert cert.checks["separator_from_oracle"] is True
     assert (cert.value, cert.separator) == (small.value, small.separator)
     assert failed_checks(cert, "xpaths") == []
+
+
+def _nontrivial_suite200(count):
+    """(graph, X, Y, s, t) of the first ``count`` suite200 instances with X
+    and Y nonempty; s and t are the least X and Y vertices, or None where
+    they coincide or an edge joins them."""
+    out = []
+    for i in range(200):
+        inst = random_instance(_trial_params(301, i, 7))
+        if not (inst.X and inst.Y):
+            continue
+        g = inst.graph
+        s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+        if s == t or any({e.u, e.v} == {s, t} for e in g.edges):
+            s = t = None
+        out.append((g, inst.X, inst.Y, s, t))
+        if len(out) == count:
+            return out
+
+
+def test_cut_separators_are_verified_above_oracle_limits():
+    # no exhaustive test runs at 11 vertices; the mapped cut is proven
+    for g, X, Y, s, t in _nontrivial_suite200(12):
+        g = _above_oracle_limits(g)
+        cert = solve_menger(g, X, Y)
+        assert cert.checks["separator_verified"] is True
+        assert not has_xy_link(delete_vertices(g, cert.separator), X, Y)
+        if s is not None:
+            cert = solve_st(g, s, t)
+            assert cert.checks["separator_verified"] is True
+            assert not has_st_link(delete_vertices(g, cert.separator), s, t)
+
+
+def test_solve_and_solve_st_run_no_exhaustive_separator_test(monkeypatch):
+    monkeypatch.setattr(certify, "has_xy_link", _raise, raising=False)
+    monkeypatch.setattr(certify, "has_st_link", _raise, raising=False)
+    for g, X, Y, s, t in _nontrivial_suite200(20):
+        cert = solve_menger(g, X, Y)
+        assert cert.value == oracle_max_links(g, X, Y).value
+        assert failed_checks(cert, "menger") == []
+        if s is not None:
+            cert = solve_st(g, s, t)
+            assert cert.value == oracle_st(g, s, t)[0].value
+            assert failed_checks(cert, "st") == []
 
 
 def test_no_turnaround_equality_on_dag_encoding():
@@ -449,7 +493,7 @@ def _certify_path(candidates, separates, oracle_search=None, terminals=frozenset
         (lambda S: True, SMALL, True, []),  # smallest confirmed candidate first
         (lambda S: S == BIG, BIG, True, ["separator_within_value"]),
         (lambda S: False, SMALL, False, ["separator_verified"]),
-        (None, SMALL, None, []),  # cannot tell at this size: passes
+        (None, SMALL, True, []),  # proven candidates: the smallest
     ],
 )
 def test_certify_picks_the_smallest_confirmed_candidate(separates, separator, verified, failed):

@@ -309,3 +309,7 @@ def test_map_cut_gadget_edges_charge_the_guarded_vertex():
     for eid, x in list(origin.items())[:4]:
         mapped = map_cut_to_separator([tmap, smap], {eid})
         assert mapped == {x}
+    split_edge_of = smap.special["split_edge_of"]
+    for table in ("x_gadget", "y_gadget"):
+        for x, xg in tmap.special[table].items():
+            assert map_cut_to_separator([tmap, smap], {split_edge_of[xg]}) == {x}

@@ -6,7 +6,9 @@ The runs are in-process `bimenger.bmcli.run_cli` calls with `--json`:
   `solve` and `xpaths` on every instance, and `solve-st` on each instance
   whose smallest X vertex and smallest Y vertex differ (they become s and t);
 - the benchmark's `small` and `xpaths` instance sets of seeds 101-103, read
-  from `benchmarks/families.py`.
+  from `benchmarks/families.py`;
+- 30 `solve` runs above the oracle limits of 10 vertices and 16 edges, on
+  `GenParams(n, int(1.8 * n), seed, 2, 2)` with n = 11-16 and seeds 0-4.
 
 Each line holds the command (argv without the input path), the instance
 name, the exit code, stdout and stderr.  The package and the families are
@@ -32,11 +34,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 from bimenger.bigraph import vertex_sort_key  # noqa: E402
-from bimenger.bmcli import _trial_params, random_instance, run_cli, serialize_instance  # noqa: E402
+from bimenger.bmcli import (  # noqa: E402
+    GenParams,
+    _trial_params,
+    random_instance,
+    run_cli,
+    serialize_instance,
+)
 from families import FAMILIES, SUITE_SEED  # noqa: E402
 
 SUITE_SIZE = 200
 BENCH_SEEDS = (101, 102, 103)
+ABOVE_LIMITS = [(n, seed) for n in range(11, 17) for seed in range(5)]
 
 
 def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
@@ -56,6 +65,9 @@ def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
         for seed in BENCH_SEEDS:
             for i, text in enumerate(family.instances(seed)[:limit]):
                 yield f"{family.name}/{seed}/{i:04d}", [family.command], text
+    for n, seed in ABOVE_LIMITS[:limit]:
+        inst = random_instance(GenParams(n, int(1.8 * n), seed, 2, 2))
+        yield f"above-limits/{n}-{seed}", ["solve"], serialize_instance(inst)
 
 
 def dump(run_list: Iterable[tuple[str, list[str], str]], out: TextIO) -> None:
