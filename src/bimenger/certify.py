@@ -46,6 +46,7 @@ from .ratlp import (
     dual_vectors,
     is_integral,
     primal_vectors,
+    restrict,
     simplex_max,
     solve_integral_max,
 )
@@ -55,6 +56,7 @@ from .reduce import (
     double_for_xpaths,
     map_cut_to_separator,
     map_links_back,
+    mirror_doubled_edges,
     normalize_terminals,
     split_and_close,
 )
@@ -292,19 +294,38 @@ def _optimal(what: str, sol: LpSolution) -> LpSolution:
     return sol
 
 
-def _solve_lps(g_prime: BidirectedGraph, f: EdgeId) -> _LpBundle:
+def _solve_lps(g_prime: BidirectedGraph, f: EdgeId, mirror: Optional[dict] = None) -> _LpBundle:
     """Solve (P) and (D).  The packing is the integral optimum of (P),
     whose branch and bound also returns the plain relaxation; (D) falls
     back to exact integral search when its basic optimum comes back
-    fractional."""
-    P = build_primal(g_prime, f)
+    fractional.
+
+    ``mirror`` (``mirror_doubled_edges``) marks the doubled split graph of
+    ``solve_xpaths``: both programs are then solved on its s side only,
+    the packing is mirrored onto the t side and the dual read as 0 there,
+    which gives optima of the full programs (README, "The fold")."""
+    P, D = build_primal(g_prime, f), build_dual(g_prime, f)
+    if mirror is not None:
+        # (P) on the rows of the s-side vertices and the columns of their
+        # edges and x_f, (D) on the rows of those edges and f and the
+        # columns of those vertices and edges, so that z_t is 0
+        vertices = {v for eid in mirror for v in g_prime.edge(eid).endpoints}
+        names = frozenset(
+            ["xf", "sl:f"]
+            + [f"{kind}:{eid}" for eid in mirror for kind in ("x", "y", "sl")]
+            + [f"{kind}:{v}" for v in vertices for kind in ("zp", "zn")]
+        )
+        dual_rows = [e.eid for e in g_prime.edges if e.eid != f] + [f]
+        P = restrict(P, [i for i, v in enumerate(g_prime.vertices) if v in vertices], names)
+        D = restrict(D, [i for i, eid in enumerate(dual_rows) if eid in mirror or eid == f], names)
     psol = solve_integral_max(P)
     plp = _optimal("primal relaxation", psol.relaxation)
     primal_integral_raw = is_integral(plp.values)
     x, xf = primal_vectors(P, _optimal("integral primal", psol))
     xf = _as_int(xf)
+    if mirror is not None:
+        x.update({mirror[eid]: v for eid, v in x.items()})
 
-    D = build_dual(g_prime, f)
     dlp = _optimal("dual relaxation", simplex_max(D))
     z, y = dual_vectors(D, dlp, g_prime)
     dual_integral_raw = is_integral(z.values()) and is_integral(y.values())
@@ -437,9 +458,9 @@ def _menger_lp(g: BidirectedGraph, X: set, Y: set) -> MengerCertificate:
 
 
 def _finish_certificate(
-    chain: list[ReductionMap], g_prime: BidirectedGraph, f: EdgeId
+    chain: list[ReductionMap], g_prime: BidirectedGraph, f: EdgeId, mirror: Optional[dict] = None
 ) -> MengerCertificate:
-    bundle = _solve_lps(g_prime, f)
+    bundle = _solve_lps(g_prime, f, mirror)
     dec = decompose_packing(g_prime, f, bundle.x, bundle.xf)
     links = map_links_back(chain, dec.links)
     cut = extract_cut(g_prime, f, bundle.z, bundle.y)
@@ -483,11 +504,13 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     """Maximum vertex-disjoint nontrivial X-X path packing.
 
     Doubles the graph and solves the LP part of the set version between
-    the two copies of X: each packed turnaround pairs an X-path from each
+    the two copies of X, folded onto the first copy's side (see
+    ``_solve_lps``): each packed turnaround pairs an X-path from each
     copy.  Reports one copy's paths and projects the doubled cut into
-    whichever copy it kills; when neither projection is within the packing
-    value, the separator is a minimum X-path hitting set of ``g``.  That
-    search is exhaustive, so above the oracle limits it runs only when the
+    whichever copy it kills, which is the first, since the folded dual is
+    0 on the second; when neither projection is within the packing value,
+    the separator is a minimum X-path hitting set of ``g``.  That search
+    is exhaustive, so above the oracle limits it runs only when the
     doubled cut exceeds the doubled value; otherwise each projection is
     within 2 * value already.  The guarantee here is |separator| <=
     2 * value (checks key cor15_bound).
@@ -496,7 +519,9 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     if not X:
         return _trivial_certificate("xpaths")
     g2, X1, X2, dmap = double_for_xpaths(g, X)
-    cert2 = _menger_lp(g2, X1, X2)
+    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+    g_prime, f, smap = split_and_close(g_hat, s, t)
+    cert2 = _finish_certificate([tmap, smap], g_prime, f, mirror_doubled_edges(dmap, tmap, smap))
     if cert2.value % 2 or any(link.kind != "turnaround" for link in cert2.links):
         raise VerificationFailure("the doubled packing is not made of turnarounds")
 

@@ -551,6 +551,18 @@ def build_dual(g_prime: BidirectedGraph, f: EdgeId) -> LpProblem:
     )
 
 
+def restrict(p: LpProblem, rows: Sequence[int], names: frozenset) -> LpProblem:
+    """``p`` on the rows ``rows`` and the columns named in ``names``, both
+    kept in ``p``'s order; the other columns are fixed at zero."""
+    cols = [j for j, nm in enumerate(p.names) if nm in names]
+
+    def pick(seq) -> tuple:
+        return tuple(seq[j] for j in cols)
+
+    return LpProblem(pick(p.c), tuple(pick(p.a_eq[i]) for i in rows),
+                     tuple(p.b_eq[i] for i in rows), pick(p.bounds), pick(p.names))
+
+
 def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
     """(x per edge id, x_f) from a solved primal."""
     x = {}
@@ -564,13 +576,12 @@ def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
 
 
 def dual_vectors(problem: LpProblem, sol: LpSolution, g_prime: BidirectedGraph) -> tuple[dict, dict]:
-    """(z per vertex, y per edge id) from a solved dual; z = z+ - z-."""
+    """(z per vertex, y per edge id) from a solved dual; z = z+ - z-.  A
+    vertex or edge without columns in ``problem`` (a ``restrict``-ed dual,
+    or f, which has no y) reads 0."""
     vals = dict(zip(problem.names, sol.values))
-    z = {v: vals[f"zp:{v}"] - vals[f"zn:{v}"] for v in g_prime.vertices}
-    y = {}
-    for name, v in vals.items():
-        if name.startswith("y:"):
-            y[int(name[2:])] = v
+    z = {v: vals.get(f"zp:{v}", 0) - vals.get(f"zn:{v}", 0) for v in g_prime.vertices}
+    y = {e.eid: vals.get(f"y:{e.eid}", 0) for e in g_prime.edges}
     return z, y
 
 

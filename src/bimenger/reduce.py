@@ -303,6 +303,34 @@ def double_for_xpaths(
     return g2, frozenset(copy1[x] for x in X), frozenset(copy2[x] for x in X), rmap
 
 
+def mirror_doubled_edges(
+    dmap: ReductionMap, tmap: ReductionMap, smap: ReductionMap
+) -> dict[EdgeId, EdgeId]:
+    """The t-side mirror of each s-side edge of the doubled split graph.
+
+    ``dmap`` is a doubling, ``tmap`` the terminal attachment of its output
+    between X1 (at s) and X2 (at t), and ``smap`` the split of that.  The
+    s side, all that s reaches without f, is the first copy with the
+    gadgets of X1; swapping the copies, s with t and each gadget x'~X with
+    x''~Y (switched, so the gadget's plus half meets the other's minus
+    half) maps it onto the t side.  f is its own mirror and not a key.
+    """
+    copy1, copy2 = dmap.special["copy1"], dmap.special["copy2"]
+    vertex = {copy1[v]: copy2[v] for v in copy1}
+    y_gadget = tmap.special["y_gadget"]
+    vertex.update((xg, y_gadget[vertex[x]]) for x, xg in tmap.special["x_gadget"].items())
+    edge = {e: d for d, e in dmap.special["back_edge"].items() if d != e}
+    arrival = tmap.special["arrival_edge"]
+    edge.update((eid, arrival[(vertex[x], "Y", sign)])
+                for (x, side, sign), eid in arrival.items() if side == "X")
+    g_hat, s, t = tmap.derived, tmap.special["s"], tmap.special["t"]
+    t_edge = {e.other(t): e.eid for e in g_hat.incident(t)}
+    edge.update((e.eid, t_edge[vertex[e.other(s)]]) for e in g_hat.incident(s))
+    split_edge_of = smap.special["split_edge_of"]
+    edge.update((split_edge_of[v], split_edge_of[w]) for v, w in vertex.items())
+    return edge
+
+
 # ---------------------------------------------------------------------------
 # backward maps
 

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,14 +28,22 @@ from bimenger import (
     solve_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
-from bimenger.bmcli import _trial_params, random_instance
+from bimenger.bmcli import _trial_params, parse_instance, random_instance
 from bimenger.certify import _certify, _solve_lps, link_sigma_sum
 from bimenger.fixtures import fig1a, fig1b, x_triangle
-from bimenger.oracle import SeparatorResult, has_st_link, has_xy_link
-from bimenger.ratlp import build_primal, primal_vectors, simplex_max, solve_integral_max
+from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_link
+from bimenger.ratlp import (
+    build_dual,
+    build_primal,
+    primal_vectors,
+    simplex_max,
+    solve_integral_max,
+)
 from bimenger.reduce import (
     DirectTerminalEdge,
+    attach_terminals,
     double_for_xpaths,
+    mirror_doubled_edges,
     normalize_terminals,
     split_and_close,
 )
@@ -408,6 +419,61 @@ def test_solve_and_solve_st_run_no_exhaustive_separator_test(monkeypatch):
             cert = solve_st(g, s, t)
             assert cert.value == oracle_st(g, s, t)[0].value
             assert failed_checks(cert, "st") == []
+
+
+def _families():
+    """The benchmark's `families` module, which is not a package."""
+    if "families" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "families.py"
+        spec = importlib.util.spec_from_file_location("families", path)
+        sys.modules["families"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["families"])
+    return sys.modules["families"]
+
+
+def _xpath_instances():
+    """(graph, X) of the suite200 instances with X nonempty and of the
+    first 20 draws of the benchmark's `xpaths` family, seed 101."""
+    suite = [random_instance(_trial_params(301, i, 7)) for i in range(200)]
+    bench = [parse_instance(text) for text in _families().FAMILIES["xpaths"].instances(101)[:20]]
+    return [(inst.graph, inst.X) for inst in suite + bench if inst.X]
+
+
+def test_folded_xpath_programs_match_the_full_doubled_programs():
+    # the s-side programs of solve_xpaths against (P) and (D) of the whole
+    # doubled split graph, solved directly
+    for g, X in _xpath_instances():
+        g2, X1, X2, dmap = double_for_xpaths(g, X)
+        g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+        g_prime, f, smap = split_and_close(g_hat, s, t)
+        mirror = mirror_doubled_edges(dmap, tmap, smap)
+        full = solve_integral_max(build_primal(g_prime, f))
+        full_dual = simplex_max(build_dual(g_prime, f))
+        folded = _solve_lps(g_prime, f, mirror)
+        assert folded.primal_lp.objective_value == full.relaxation.objective_value
+        assert folded.xf == full.objective_value
+        assert folded.dual_lp.objective_value == full_dual.objective_value
+        decompose_packing(g_prime, f, folded.x, folded.xf)
+        cut = extract_cut(g_prime, f, folded.z, folded.y)
+        assert not cut.edges & set(mirror.values())
+
+
+@pytest.mark.parametrize("pipeline", ["menger", "xpaths"])
+def test_fractional_dual_fallback_gives_the_same_certificates(monkeypatch, pipeline):
+    # every dual root is integral in practice; force the integral dual search
+    # (primal_integral_raw reads False too, which only changes that flag)
+    monkeypatch.setattr(certify, "is_integral", lambda values: False)
+    for g, X, Y, _, _ in _nontrivial_suite200(20):
+        if pipeline == "menger":
+            cert = solve_menger(g, X, Y)
+            assert cert.value == oracle_max_links(g, X, Y).value
+            assert not has_xy_link(delete_vertices(g, cert.separator), X, Y)
+        else:
+            cert = solve_xpaths(g, X)
+            assert cert.value == oracle_xpaths(g, X)[0]
+            assert not _exists_path(delete_vertices(g, cert.separator), X, X, nontrivial_only=True)
+        assert failed_checks(cert, pipeline) == []
+        assert cert.checks["dual_integral_raw"] is False
 
 
 def test_no_turnaround_equality_on_dag_encoding():

@@ -27,13 +27,13 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# the LP part of X-paths returns the doubled packing with an odd value
+# the LP step of X-paths returns the doubled packing with an odd value
 FORCED_FAILURE = """
 import dataclasses, sys
 assert False, "stripped under -O"
 from bimenger import bmcli, certify
-lp = certify._menger_lp
-certify._menger_lp = lambda *a, **k: dataclasses.replace(lp(*a, **k), value=1)
+lp = certify._finish_certificate
+certify._finish_certificate = lambda *a, **k: dataclasses.replace(lp(*a, **k), value=1)
 sys.exit(bmcli.run_cli(sys.argv[1:]))
 """
 

@@ -8,7 +8,9 @@ The runs are in-process `bimenger.bmcli.run_cli` calls with `--json`:
 - the benchmark's `small` and `xpaths` instance sets of seeds 101-103, read
   from `benchmarks/families.py`;
 - 30 `solve` runs above the oracle limits of 10 vertices and 16 edges, on
-  `GenParams(n, int(1.8 * n), seed, 2, 2)` with n = 11-16 and seeds 0-4.
+  `GenParams(n, int(1.8 * n), seed, 2, 2)` with n = 11-16 and seeds 0-4;
+- 10 `xpaths` runs above those limits, on `GenParams(n, int(1.8 * n),
+  seed, 3, 0)` with n = 11-12 and seeds 0-4.
 
 Each line holds the command (argv without the input path), the instance
 name, the exit code, stdout and stderr.  The package and the families are
@@ -46,6 +48,7 @@ from families import FAMILIES, SUITE_SEED  # noqa: E402
 SUITE_SIZE = 200
 BENCH_SEEDS = (101, 102, 103)
 ABOVE_LIMITS = [(n, seed) for n in range(11, 17) for seed in range(5)]
+XPATHS_ABOVE_LIMITS = [(n, seed) for n in range(11, 13) for seed in range(5)]
 
 
 def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
@@ -68,6 +71,9 @@ def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
     for n, seed in ABOVE_LIMITS[:limit]:
         inst = random_instance(GenParams(n, int(1.8 * n), seed, 2, 2))
         yield f"above-limits/{n}-{seed}", ["solve"], serialize_instance(inst)
+    for n, seed in XPATHS_ABOVE_LIMITS[:limit]:
+        inst = random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
+        yield f"above-limits/{n}-{seed}", ["xpaths"], serialize_instance(inst)
 
 
 def dump(run_list: Iterable[tuple[str, list[str], str]], out: TextIO) -> None:
