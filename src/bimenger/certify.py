@@ -46,7 +46,6 @@ from .ratlp import (
     dual_vectors,
     is_integral,
     primal_vectors,
-    restrict,
     simplex_max,
     solve_integral_max,
 )
@@ -301,24 +300,16 @@ def _solve_lps(g_prime: BidirectedGraph, f: EdgeId, mirror: Optional[dict] = Non
     fractional.
 
     ``mirror`` (``mirror_doubled_edges``) marks the doubled split graph of
-    ``solve_xpaths``: both programs are then solved on its s side only,
+    ``solve_xpaths``: both programs are then built on its s side only,
     the packing is mirrored onto the t side and the dual read as 0 there,
-    which gives optima of the full programs (README, "The fold")."""
-    P, D = build_primal(g_prime, f), build_dual(g_prime, f)
+    which gives optima of the full programs (README, "The fold").  x_f is
+    even at every integral point of the folded (P), so its branch and
+    bound rounds bounds down to even."""
+    side = None
     if mirror is not None:
-        # (P) on the rows of the s-side vertices and the columns of their
-        # edges and x_f, (D) on the rows of those edges and f and the
-        # columns of those vertices and edges, so that z_t is 0
-        vertices = {v for eid in mirror for v in g_prime.edge(eid).endpoints}
-        names = frozenset(
-            ["xf", "sl:f"]
-            + [f"{kind}:{eid}" for eid in mirror for kind in ("x", "y", "sl")]
-            + [f"{kind}:{v}" for v in vertices for kind in ("zp", "zn")]
-        )
-        dual_rows = [e.eid for e in g_prime.edges if e.eid != f] + [f]
-        P = restrict(P, [i for i, v in enumerate(g_prime.vertices) if v in vertices], names)
-        D = restrict(D, [i for i, eid in enumerate(dual_rows) if eid in mirror or eid == f], names)
-    psol = solve_integral_max(P)
+        side = frozenset(v for eid in mirror for v in g_prime.edge(eid).endpoints)
+    P, D = build_primal(g_prime, f, side), build_dual(g_prime, f, side)
+    psol = solve_integral_max(P, step=1 if side is None else 2)
     plp = _optimal("primal relaxation", psol.relaxation)
     primal_integral_raw = is_integral(plp.values)
     x, xf = primal_vectors(P, _optimal("integral primal", psol))
@@ -506,12 +497,13 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     Doubles the graph and solves the LP part of the set version between
     the two copies of X, folded onto the first copy's side (see
     ``_solve_lps``): each packed turnaround pairs an X-path from each
-    copy.  Reports one copy's paths and projects the doubled cut into
-    whichever copy it kills, which is the first, since the folded dual is
-    0 on the second; when neither projection is within the packing value,
-    the separator is a minimum X-path hitting set of ``g``.  That search
+    copy.  Reports one copy's paths and projects the doubled cut into the
+    first copy, where the folded dual puts all of it.  That projection
+    separates when a path was packed, and the empty set does when none
+    was; when the candidate is not within the packing value, the
+    separator is a minimum X-path hitting set of ``g``.  That search
     is exhaustive, so above the oracle limits it runs only when the
-    doubled cut exceeds the doubled value; otherwise each projection is
+    doubled cut exceeds the doubled value; otherwise the projection is
     within 2 * value already.  The guarantee here is |separator| <=
     2 * value (checks key cor15_bound).
     """
@@ -537,10 +529,10 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     links = tuple(path_link(back_walk(link.ss_part)) for link in cert2.links)
     copy1 = set(dmap.special["copy1"].values())
     s1 = frozenset(back_v[v] for v in cert2.separator if v in copy1)
-    s2 = frozenset(back_v[v] for v in cert2.separator if v not in copy1)
     searchable = _checkable(g) or len(cert2.separator) > cert2.value
     return _certify(
-        dataclasses.replace(cert2, value=len(links), links=links), g, (X, X), (s1, s2),
+        dataclasses.replace(cert2, value=len(links), links=links), g, (X, X),
+        (s1,) if links else (frozenset(),),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
         (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
         ("cor15_bound", 2 * len(links)),

@@ -388,6 +388,7 @@ def solve_integral_max(
     p: LpProblem,
     integral_cols: Optional[Sequence[int]] = None,
     unbounded_cap=None,
+    step: int = 1,
 ) -> LpSolution:
     """Exact maximum over the integral points of an LpProblem.
 
@@ -398,9 +399,14 @@ def solve_integral_max(
     tableau (the second child takes it over), tightens the branched
     column's bound and re-optimises with the dual simplex.  A child whose
     parent's rounded-down bound cannot beat the incumbent is dropped
-    before any pivot, a node whose own bound cannot is not branched.  The
-    objective must be integral on ``integral_cols`` for the rounding to
-    be valid.
+    before any pivot, a node whose own bound cannot is not branched.
+
+    Each node's bound is its relaxation value rounded down to a multiple
+    of ``step``, which must divide the objective at every integral point
+    (1, the default, needs an objective integral on ``integral_cols``).
+    A larger step stops the search sooner: a node that cannot beat the
+    incumbent by a whole step is dropped.  The nodes visited up to the
+    first incumbent, and the optimum returned, are those of step 1.
 
     ``unbounded_cap`` replaces missing upper bounds on the branching
     columns (required for termination on unbounded problems); the cap
@@ -444,7 +450,7 @@ def solve_integral_max(
             if not (tab.tighten(*branch) and tab.dual()):
                 continue
             sol = tab.solution(p.c)
-        bound = math.floor(sol.objective_value)
+        bound = math.floor(sol.objective_value / step) * step
         if best is not None and bound <= best.objective_value:
             continue
         frac = next((j for j in cols if not isinstance(sol.values[j], int)), None)
@@ -469,26 +475,41 @@ def solve_integral_max(
 # the two programs of the pipeline
 
 
-def build_primal(g_prime: BidirectedGraph, f: EdgeId) -> LpProblem:
+def _on_side(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset]):
+    """The vertices of ``side`` and the edges other than f between them,
+    in ``g_prime``'s order; all of them when ``side`` is None."""
+    vertices = [v for v in g_prime.vertices if side is None or v in side]
+    edges = [e for e in g_prime.edges
+             if e.eid != f and (side is None or (e.u in side and e.v in side))]
+    return vertices, edges
+
+
+def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
     """max x_f  s.t.  (M x + a x_f)/2 = 0,  0 <= x <= 1,  0 <= x_f <= |E|.
 
     M is the incidence matrix of the split graph without f, a the column
     of f.  The explicit cap on x_f keeps the feasible region a polytope;
     the balance row at s caps x_f at deg(s) anyway, so it is slack-safe.
+
+    ``side``, a vertex set holding s but not t, keeps only the rows of
+    its vertices and the columns of the edges between them and x_f, in
+    the same order: the folded program of the X-path pipeline (README,
+    "The fold").
     """
-    others = [e for e in g_prime.edges if e.eid != f]
+    vertices, others = _on_side(g_prime, f, side)
     names = tuple(f"x:{e.eid}" for e in others) + ("xf",)
     col_of = {e.eid: j for j, e in enumerate(others)}
     fe = g_prime.edge(f)
-    nv = g_prime.n
+    nv = len(vertices)
     rows = [[0] * len(names) for _ in range(nv)]
-    vpos = {v: i for i, v in enumerate(g_prime.vertices)}
+    vpos = {v: i for i, v in enumerate(vertices)}
     for e in others:
         rows[vpos[e.u]][col_of[e.eid]] += HALF * e.sign_u.unit
         rows[vpos[e.v]][col_of[e.eid]] += HALF * e.sign_v.unit
     xf_col = len(names) - 1
-    rows[vpos[fe.u]][xf_col] += HALF * fe.sign_u.unit
-    rows[vpos[fe.v]][xf_col] += HALF * fe.sign_v.unit
+    for v, sign in ((fe.u, fe.sign_u), (fe.v, fe.sign_v)):
+        if v in vpos:
+            rows[vpos[v]][xf_col] += HALF * sign.unit
     bounds = tuple((0, 1) for _ in others) + ((0, g_prime.m),)
     return LpProblem(
         c=tuple(0 for _ in others) + (1,),
@@ -499,41 +520,44 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId) -> LpProblem:
     )
 
 
-def build_dual(g_prime: BidirectedGraph, f: EdgeId) -> LpProblem:
+def build_dual(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
     """min 1.y  s.t.  (M^T z)/2 + y >= 0,  (a^T z)/2 >= 1,  y >= 0.
 
     Implemented as maximization of -1.y with the free z split as
     z = z+ - z- and surplus columns turning the inequalities into
     equalities, so a basic optimum is a vertex of the dual polyhedron.
+
+    ``side`` keeps the rows of the edges between its vertices and of f
+    and the columns of those vertices and edges, in the same order: the
+    dual of ``build_primal`` on that side, in which z is 0 off the side.
     """
-    others = [e for e in g_prime.edges if e.eid != f]
+    vertices, others = _on_side(g_prime, f, side)
     fe = g_prime.edge(f)
-    zp = [f"zp:{v}" for v in g_prime.vertices]
-    zn = [f"zn:{v}" for v in g_prime.vertices]
+    zp = [f"zp:{v}" for v in vertices]
+    zn = [f"zn:{v}" for v in vertices]
     ys = [f"y:{e.eid}" for e in others]
     sl = [f"sl:{e.eid}" for e in others] + ["sl:f"]
     names = tuple(zp + zn + ys + sl)
     col = {nm: j for j, nm in enumerate(names)}
-    nv = g_prime.n
     ncols = len(names)
+
+    def z_terms(row, e) -> None:
+        for v, sign in ((e.u, e.sign_u), (e.v, e.sign_v)):
+            if f"zp:{v}" in col:
+                row[col[f"zp:{v}"]] += HALF * sign.unit
+                row[col[f"zn:{v}"]] -= HALF * sign.unit
 
     rows = []
     b = []
-    for i, e in enumerate(others):
+    for e in others:
         row = [0] * ncols
-        row[col[f"zp:{e.u}"]] += HALF * e.sign_u.unit
-        row[col[f"zn:{e.u}"]] -= HALF * e.sign_u.unit
-        row[col[f"zp:{e.v}"]] += HALF * e.sign_v.unit
-        row[col[f"zn:{e.v}"]] -= HALF * e.sign_v.unit
+        z_terms(row, e)
         row[col[f"y:{e.eid}"]] = 1
         row[col[f"sl:{e.eid}"]] = -1
         rows.append(row)
         b.append(0)
     row = [0] * ncols
-    row[col[f"zp:{fe.u}"]] += HALF * fe.sign_u.unit
-    row[col[f"zn:{fe.u}"]] -= HALF * fe.sign_u.unit
-    row[col[f"zp:{fe.v}"]] += HALF * fe.sign_v.unit
-    row[col[f"zn:{fe.v}"]] -= HALF * fe.sign_v.unit
+    z_terms(row, fe)
     row[col["sl:f"]] = -1
     rows.append(row)
     b.append(1)
@@ -551,18 +575,6 @@ def build_dual(g_prime: BidirectedGraph, f: EdgeId) -> LpProblem:
     )
 
 
-def restrict(p: LpProblem, rows: Sequence[int], names: frozenset) -> LpProblem:
-    """``p`` on the rows ``rows`` and the columns named in ``names``, both
-    kept in ``p``'s order; the other columns are fixed at zero."""
-    cols = [j for j, nm in enumerate(p.names) if nm in names]
-
-    def pick(seq) -> tuple:
-        return tuple(seq[j] for j in cols)
-
-    return LpProblem(pick(p.c), tuple(pick(p.a_eq[i]) for i in rows),
-                     tuple(p.b_eq[i] for i in rows), pick(p.bounds), pick(p.names))
-
-
 def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
     """(x per edge id, x_f) from a solved primal."""
     x = {}
@@ -577,7 +589,7 @@ def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
 
 def dual_vectors(problem: LpProblem, sol: LpSolution, g_prime: BidirectedGraph) -> tuple[dict, dict]:
     """(z per vertex, y per edge id) from a solved dual; z = z+ - z-.  A
-    vertex or edge without columns in ``problem`` (a ``restrict``-ed dual,
+    vertex or edge without columns in ``problem`` (a folded dual,
     or f, which has no y) reads 0."""
     vals = dict(zip(problem.names, sol.values))
     z = {v: vals.get(f"zp:{v}", 0) - vals.get(f"zn:{v}", 0) for v in g_prime.vertices}

@@ -28,7 +28,7 @@ from bimenger import (
     solve_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
-from bimenger.bmcli import _trial_params, parse_instance, random_instance
+from bimenger.bmcli import GenParams, _trial_params, parse_instance, random_instance
 from bimenger.certify import _certify, _solve_lps, link_sigma_sum
 from bimenger.fixtures import fig1a, fig1b, x_triangle
 from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_link
@@ -439,14 +439,22 @@ def _xpath_instances():
     return [(inst.graph, inst.X) for inst in suite + bench if inst.X]
 
 
+def _doubled_split(g, X):
+    """(split doubled graph, f, t-side mirror of each s-side edge, s side)
+    of ``solve_xpaths`` on ``g`` and ``X``."""
+    g2, X1, X2, dmap = double_for_xpaths(g, X)
+    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+    g_prime, f, smap = split_and_close(g_hat, s, t)
+    mirror = mirror_doubled_edges(dmap, tmap, smap)
+    side = frozenset(v for eid in mirror for v in g_prime.edge(eid).endpoints)
+    return g_prime, f, mirror, side
+
+
 def test_folded_xpath_programs_match_the_full_doubled_programs():
     # the s-side programs of solve_xpaths against (P) and (D) of the whole
     # doubled split graph, solved directly
     for g, X in _xpath_instances():
-        g2, X1, X2, dmap = double_for_xpaths(g, X)
-        g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
-        g_prime, f, smap = split_and_close(g_hat, s, t)
-        mirror = mirror_doubled_edges(dmap, tmap, smap)
+        g_prime, f, mirror, _ = _doubled_split(g, X)
         full = solve_integral_max(build_primal(g_prime, f))
         full_dual = simplex_max(build_dual(g_prime, f))
         folded = _solve_lps(g_prime, f, mirror)
@@ -456,6 +464,81 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
         decompose_packing(g_prime, f, folded.x, folded.xf)
         cut = extract_cut(g_prime, f, folded.z, folded.y)
         assert not cut.edges & set(mirror.values())
+
+
+def _balanced_points(P):
+    """x_f at every 0/1 point of the other columns of ``P`` that satisfies
+    its balance rows (x_f is its last column), by a depth-first search
+    that checks each row once its last 0/1 column is set."""
+    k = P.ncols - 1
+    xf_rows = [i for i, row in enumerate(P.a_eq) if row[k]]
+    closing = {}
+    for i, row in enumerate(P.a_eq):
+        if i not in xf_rows:
+            closing.setdefault(max(j for j in range(k) if row[j]), []).append(i)
+    entries = [[(i, row[j]) for i, row in enumerate(P.a_eq) if row[j]] for j in range(k)]
+    sums = [0] * len(P.a_eq)
+    out = []
+
+    def visit(j):
+        if j == k:
+            forced = {-sums[i] / P.a_eq[i][k] for i in xf_rows}
+            if len(forced) == 1:
+                out.append(forced.pop())
+            return
+        for v in (0, 1):  # x_j = v
+            for i, a in entries[j]:
+                sums[i] += v * a
+            if all(sums[i] == 0 for i in closing.get(j, ())):
+                visit(j + 1)
+        for i, a in entries[j]:
+            sums[i] -= a
+
+    visit(0)
+    return out
+
+
+def test_folded_primal_is_even_at_every_integral_point():
+    # handshake: every vertex but s has as many plus as minus ends, so an
+    # even degree, and x_f is the degree at s
+    checked, packings = 0, 0
+    for i in range(200):
+        inst = random_instance(_trial_params(301, i, 7))
+        if not inst.X:
+            continue
+        g_prime, f, _, side = _doubled_split(inst.graph, inst.X)
+        P = build_primal(g_prime, f, side)
+        if P.ncols - 1 > 16:
+            continue
+        values = _balanced_points(P)
+        assert values and all(v % 2 == 0 for v in values)
+        checked += 1
+        packings += sum(v > 0 for v in values)
+    assert checked >= 10 and packings >= 10, (checked, packings)
+
+
+def test_folded_primal_search_by_even_steps_matches_unit_steps():
+    above_limits = [random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
+                    for n in (11, 12) for seed in range(5)]
+    for g, X in _xpath_instances() + [(inst.graph, inst.X) for inst in above_limits]:
+        g_prime, f, _, side = _doubled_split(g, X)
+        P = build_primal(g_prime, f, side)
+        assert solve_integral_max(P, step=2) == solve_integral_max(P)
+
+
+def test_xpaths_tests_one_separator_candidate(monkeypatch):
+    # the second copy's projection is always empty: the one candidate is
+    # the first copy's when a path is packed, the empty set when none is
+    calls = []
+    monkeypatch.setattr(certify, "_exists_path", lambda *a, **k: calls.append(a) or _exists_path(*a, **k))
+    packed = 0
+    for g, X in _xpath_instances()[:60]:
+        calls.clear()
+        cert = solve_xpaths(g, X)
+        assert len(calls) == 1
+        assert (calls[0][0].n < g.n) == (cert.value > 0)
+        packed += cert.value > 0
+    assert packed >= 10
 
 
 @pytest.mark.parametrize("pipeline", ["menger", "xpaths"])

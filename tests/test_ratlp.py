@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -344,6 +345,44 @@ def test_integral_search_matches_box_enumeration():
         outcomes["branched"] += sol.relaxation.status == "optimal" and not is_integral(
             sol.relaxation.values
         )
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def _count_node_re_solves(monkeypatch):
+    """Count the dual-simplex re-solves of branch-and-bound nodes."""
+    calls = [0]
+    dual = ratlp._Tableau.dual
+
+    def counted(tab):
+        calls[0] += 1
+        return dual(tab)
+
+    monkeypatch.setattr(ratlp._Tableau, "dual", counted)
+    return calls
+
+
+def test_even_step_matches_box_enumeration_with_fewer_re_solves(monkeypatch):
+    # an even objective is even at every integral point, so step 2 is valid:
+    # the search returns what step 1 returns and never re-solves more nodes
+    calls = _count_node_re_solves(monkeypatch)
+    rng = random.Random(2468)
+    outcomes = {"optimal": 0, "infeasible": 0, "fewer": 0}
+    for _ in range(1000):
+        problem = _random_bounded_lp(rng)
+        problem = dataclasses.replace(problem, c=tuple(2 * v for v in problem.c))
+        expected, _ = _integral_box_optimum(problem)
+        start = calls[0]
+        one = solve_integral_max(problem)
+        middle = calls[0]
+        two = solve_integral_max(problem, step=2)
+        assert two == one
+        if expected is None:
+            assert two.status == "infeasible"
+        else:
+            _check_integral_solution(problem, two, expected)
+        assert calls[0] - middle <= middle - start
+        outcomes[two.status] += 1
+        outcomes["fewer"] += calls[0] - middle < middle - start
     assert min(outcomes.values()) >= 10, outcomes
 
 
