@@ -82,7 +82,6 @@ from .certify import (
     MengerCertificate,
     NotBalanced,
     NotIntegral,
-    check_no_turnaround_equality,
     decompose_packing,
     extract_cut,
     failed_checks,

@@ -34,7 +34,6 @@ from .oracle import (
     _exists_path,
     min_st_separator,
     min_xpath_hitting_set,
-    oracle_max_links,
     oracle_min_separator,
 )
 from .ratlp import (
@@ -59,7 +58,7 @@ from .reduce import (
     normalize_terminals,
     split_and_close,
 )
-from .walks import Link, Walk, classify_link, enumerate_xy_links, path_link
+from .walks import Link, Walk, classify_link, path_link
 
 
 class NotBalanced(VerificationFailure):
@@ -258,16 +257,6 @@ def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict)
     return EdgeCut(frozenset(cut))
 
 
-def link_sigma_sum(g: BidirectedGraph, z: dict, link: Link):
-    """Sum of sigma(u,e) z_u + sigma(v,e) z_v over the link's edges."""
-    total = 0
-    for w in link.walks:
-        for eid in w.edges:
-            e = g.edge(eid)
-            total += e.sign_u.unit * z[e.u] + e.sign_v.unit * z[e.v]
-    return total
-
-
 def _dual_branch_columns(problem: LpProblem) -> list[int]:
     return [
         j
@@ -366,45 +355,33 @@ def _certify(
     cert: MengerCertificate,
     g: BidirectedGraph,
     ends: tuple[set, set],
-    candidates: Iterable[frozenset],
+    separator: frozenset,
     separates: Optional[Callable[[frozenset], bool]],
     oracle_search: Optional[Callable[[], SeparatorResult]],
     bound: tuple[str, int],
     terminals: frozenset = frozenset(),
 ) -> MengerCertificate:
-    """Choose and verify the separator of ``cert`` and check its links.
+    """Verify the separator of ``cert`` and check its links.
 
     ``separates(S)`` tells whether no link of ``g`` between ``ends``
-    avoids S; the separator is the first candidate, smallest first, that
-    it confirms, else the smallest, unverified.  ``separates`` is None
-    where the candidates are proven: the mapped cut of ``solve_menger``
-    and ``solve_st`` separates, since ``extract_cut`` checked z_s - z_t >=
-    2, so along any s-t link of the split graph (minus ends at s, plus
-    ends at t) the signed z-sums telescope to (z_t - z_s) * weight < 0 and
-    the link uses an F edge; ``map_cut_to_separator`` charges each F edge
-    to a vertex on every link through it; and every link of ``g`` lifts
-    to such a link (the round-trip lift tests).  A separator larger than
-    ``cert.value`` gives way to the minimum that ``oracle_search`` finds,
-    where it can run.  ``bound`` is the check key and the limit of the
-    separator bound the pipeline proves.  ``terminals`` (s and t of the
-    two-terminal version) lie on every link and never in the separator.
+    avoids S.  It is None where the separator is proven: the mapped cut
+    of ``solve_menger`` and ``solve_st`` separates, since ``extract_cut``
+    checked z_s - z_t >= 2, so along any s-t link of the split graph
+    (minus ends at s, plus ends at t) the signed z-sums telescope to
+    (z_t - z_s) * weight < 0 and the link uses an F edge;
+    ``map_cut_to_separator`` charges each F edge to a vertex on every
+    link through it; and every link of ``g`` lifts to such a link (the
+    round-trip lift tests).  A separator larger than ``cert.value`` gives
+    way to the minimum that ``oracle_search`` finds, where it can run.
+    ``bound`` is the check key and the limit of the separator bound the
+    pipeline proves.  ``terminals`` (s and t of the two-terminal version)
+    lie on every link, so the disjointness check ignores them.
     """
     checks = dict(cert.checks)
-    ordered = sorted(candidates, key=len)
-    for separator in ordered:
-        if separates is None or separates(separator):
-            verified = True
-            break
-    else:
-        separator, verified = ordered[0], False
+    verified = separates is None or separates(separator)
     if len(separator) > cert.value and oracle_search is not None:
-        found = oracle_search()
-        if found.is_infinite:
-            raise VerificationFailure("the oracle found no finite separator")
-        separator, verified = found.vertices, True
+        separator, verified = oracle_search().vertices, True
         checks["separator_from_oracle"] = True
-    if separator & terminals:
-        raise VerificationFailure("the separator contains a terminal")
     key, limit = bound
     checks.update(
         separator_verified=verified,
@@ -434,7 +411,7 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
         return _trivial_certificate("menger")
     cert = _menger_lp(g, X, Y)
     return _certify(
-        cert, g, (X, Y), [cert.separator], None,
+        cert, g, (X, Y), cert.separator, None,
         (lambda: oracle_min_separator(g, X, Y)) if _checkable(g) else None,
         ("separator_within_value", cert.value),
     )
@@ -484,7 +461,7 @@ def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     g_prime, f, smap = split_and_close(gn, s, t)
     cert = _finish_certificate([smap], g_prime, f)
     return _certify(
-        cert, g, ({s}, {t}), [cert.separator], None,
+        cert, g, ({s}, {t}), cert.separator, None,
         (lambda: min_st_separator(g, s, t)) if _checkable(g) else None,
         ("separator_within_value", cert.value),
         terminals=frozenset({s, t}),
@@ -497,15 +474,16 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     Doubles the graph and solves the LP part of the set version between
     the two copies of X, folded onto the first copy's side (see
     ``_solve_lps``): each packed turnaround pairs an X-path from each
-    copy.  Reports one copy's paths and projects the doubled cut into the
-    first copy, where the folded dual puts all of it.  That projection
-    separates when a path was packed, and the empty set does when none
-    was; when the candidate is not within the packing value, the
-    separator is a minimum X-path hitting set of ``g``.  That search
-    is exhaustive, so above the oracle limits it runs only when the
-    doubled cut exceeds the doubled value; otherwise the projection is
-    within 2 * value already.  The guarantee here is |separator| <=
-    2 * value (checks key cor15_bound).
+    copy.  Reports one copy's paths.  The separator is the projection of
+    the doubled cut into the first copy, where the folded dual puts all
+    of it, or the empty set when no path was packed (the value is the
+    exact optimum, so then no X-path exists); one path search on ``g``
+    confirms it.  When it is not within the packing value, the separator
+    is a minimum X-path hitting set of ``g``.  That search is exhaustive,
+    so above the oracle limits it runs only when the doubled cut exceeds
+    the doubled value; otherwise the projection is within 2 * value
+    already.  The guarantee here is |separator| <= 2 * value (checks key
+    cor15_bound).
     """
     X = set(X)
     if not X:
@@ -532,32 +510,9 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     searchable = _checkable(g) or len(cert2.separator) > cert2.value
     return _certify(
         dataclasses.replace(cert2, value=len(links), links=links), g, (X, X),
-        (s1,) if links else (frozenset(),),
+        s1 if links else frozenset(),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
         (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
         ("cor15_bound", 2 * len(links)),
     )
 
-
-class EqualityVerdict(NamedTuple):
-    applicable: bool
-    holds: Optional[bool]
-    max_paths: Optional[int]
-    min_separator: Optional[int]
-
-
-def check_no_turnaround_equality(g: BidirectedGraph, X: Iterable, Y: Iterable) -> EqualityVerdict:
-    """When no X-Y turnaround exists, max paths must equal min separator.
-
-    The precondition is verified by enumeration; on instances with a
-    turnaround the verdict is not_applicable (holds=None).
-    """
-    X, Y = set(X), set(Y)
-    links = enumerate_xy_links(g, X, Y)
-    if any(link.kind == "turnaround" for link in links):
-        return EqualityVerdict(False, None, None, None)
-    pack = oracle_max_links(g, X, Y)
-    sep = oracle_min_separator(g, X, Y)
-    cert = solve_menger(g, X, Y)
-    holds = pack.value == sep.size == cert.value
-    return EqualityVerdict(True, holds, pack.value, int(sep.size))

@@ -64,16 +64,14 @@ class UnmappableEdge(VerificationFailure):
 class ReductionMap:
     """Bookkeeping for one reduction step.
 
-    ``vertex_map`` sends original vertices to their derived form (a
-    tuple for split/double); edges keep their ids outside a doubling.
-    ``special`` holds the construction-specific records (terminals,
-    gadget tables, the closing edge f, copies).
+    Edges keep their ids outside a doubling.  ``special`` holds the
+    construction-specific records (terminals, gadget tables, split
+    edges, the closing edge f, copies).
     """
 
     kind: str  # "terminal" | "split" | "double"
     source: BidirectedGraph
     derived: BidirectedGraph
-    vertex_map: dict
     special: dict
 
 
@@ -147,7 +145,6 @@ def attach_terminals(
         kind="terminal",
         source=g,
         derived=g_hat,
-        vertex_map={v: v for v in g.vertices},
         special={
             "s": s,
             "t": t,
@@ -251,7 +248,6 @@ def split_and_close(
         kind="split",
         source=g,
         derived=g_prime,
-        vertex_map={v: (plus_of[v], minus_of[v]) for v in non_terminals},
         special={
             "s": s,
             "t": t,
@@ -292,7 +288,6 @@ def double_for_xpaths(
         kind="double",
         source=g,
         derived=g2,
-        vertex_map={v: (copy1[v], copy2[v]) for v in g.vertices},
         special={
             "copy1": copy1,
             "copy2": copy2,
@@ -453,93 +448,3 @@ def map_cut_to_separator(map_chain: Sequence[ReductionMap], F: Iterable[EdgeId])
         out.add(min(candidates, key=vertex_sort_key))
     return frozenset(out)
 
-
-# ---------------------------------------------------------------------------
-# forward lifting (used by round-trip tests)
-
-
-def lift_link_through_terminal(rmap: ReductionMap, link: Link) -> Link:
-    """Lift an X-Y link of the source graph to an s-t link of the gadgeted graph."""
-    s, t = rmap.special["s"], rmap.special["t"]
-    g_hat = rmap.derived
-    x_gadget, y_gadget = rmap.special["x_gadget"], rmap.special["y_gadget"]
-    arrival = rmap.special["arrival_edge"]
-
-    def s_edge(x):
-        xg = x_gadget[x]
-        (e,) = [e for e in g_hat.incident(s) if e.other(s) == xg]
-        return e.eid
-
-    def t_edge(y):
-        yg = y_gadget[y]
-        (e,) = [e for e in g_hat.incident(t) if e.other(t) == yg]
-        return e.eid
-
-    def lift_path(w: Walk) -> Walk:
-        x, y = w.start, w.end
-        if w.is_trivial:
-            ax = arrival[(x, "X", PLUS)]
-            ay = arrival[(y, "Y", MINUS)]
-        else:
-            ax = arrival[(x, "X", g_hat.edge(w.edges[0]).sign_at(x).flip())]
-            ay = arrival[(y, "Y", g_hat.edge(w.edges[-1]).sign_at(y).flip())]
-        vertices = (s, x_gadget[x]) + w.vertices + (y_gadget[y], t)
-        edges = (s_edge(x), ax) + w.edges + (ay, t_edge(y))
-        return Walk(vertices, edges)
-
-    def lift_part(w: Walk, side: str) -> Walk:
-        gadget = x_gadget if side == "X" else y_gadget
-        term = s if side == "X" else t
-        term_edge = s_edge if side == "X" else t_edge
-        a, b = w.start, w.end
-        ea = arrival[(a, side, g_hat.edge(w.edges[0]).sign_at(a).flip())]
-        eb = arrival[(b, side, g_hat.edge(w.edges[-1]).sign_at(b).flip())]
-        vertices = (term, gadget[a]) + w.vertices + (gadget[b], term)
-        edges = (term_edge(a), ea) + w.edges + (eb, term_edge(b))
-        return Walk(vertices, edges)
-
-    if link.kind == "path":
-        out = Link("path", (lift_path(link.path),))
-    else:
-        out = Link(
-            "turnaround",
-            (lift_part(link.ss_part, "X"), lift_part(link.tt_part, "Y")),
-        )
-    for w in out.walks:
-        if not check_walk(g_hat, w):
-            raise InvalidDerivedLink("lifted walk is not valid in the gadgeted graph")
-    return out
-
-
-def lift_walk_through_split(rmap: ReductionMap, w: Walk) -> Walk:
-    """Lift a walk of the source graph to the split graph, inserting split edges."""
-    g, g_prime = rmap.source, rmap.derived
-    s, t = rmap.special["s"], rmap.special["t"]
-    split_edge_of = rmap.special["split_edge_of"]
-    vmap = rmap.vertex_map
-
-    def image(v, sign):
-        if v in (s, t):
-            return v
-        plus, minus = vmap[v]
-        return plus if sign is PLUS else minus
-
-    vertices = []
-    edges = []
-    if w.is_trivial:
-        raise InvalidDerivedLink("cannot lift a trivial walk into the split graph")
-    first = g.edge(w.edges[0])
-    vertices.append(image(w.start, first.sign_at(w.start)))
-    for i, eid in enumerate(w.edges):
-        e = g.edge(eid)
-        v_prev, v_next = w.vertices[i], w.vertices[i + 1]
-        if image(v_prev, e.sign_at(v_prev)) != vertices[-1]:
-            # hop across the split edge before leaving v_prev
-            edges.append(split_edge_of[v_prev])
-            vertices.append(image(v_prev, e.sign_at(v_prev)))
-        edges.append(eid)
-        vertices.append(image(v_next, e.sign_at(v_next)))
-    out = Walk(tuple(vertices), tuple(edges))
-    if not check_walk(g_prime, out):
-        raise InvalidDerivedLink("lifted walk is not valid in the split graph")
-    return out

@@ -21,7 +21,6 @@ import pytest
 from bimenger import (
     build_graph,
     check_k_regular,
-    check_no_turnaround_equality,
     delete_vertices,
     incidence_matrix,
     oracle_max_links,
@@ -33,12 +32,12 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.bmcli import GenParams, _trial_params, derive_seed, random_instance, run_cli
-from bimenger.certify import link_sigma_sum
 from bimenger.fixtures import x_triangle
 from bimenger.oracle import has_xy_link
 from bimenger.walks import enumerate_st_links
 
 from .conftest import recording_cuts
+from .helpers import check_no_turnaround_equality, link_sigma_sum
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"

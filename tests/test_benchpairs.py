@@ -52,3 +52,21 @@ def test_summary_of_one_pair_uses_its_values_as_quartiles():
     [row] = benchpairs.summarize(_pairs([2.0], [3.0], "certs_per_s"), METRICS[:1])
     assert row.base == (2.0, 2.0, 2.0) and row.change == (3.0, 3.0, 3.0)
     assert (row.won, row.claim) == (1, True)
+
+
+def test_failed_share_pools_each_side_and_flags_a_larger_share_on_the_change():
+    benchpairs = _load_tool()
+
+    def run(attempted, failed):
+        return {"certs_per_s": 1.0, "attempted": attempted, "failed": failed}
+
+    pairs = [(run(100, 0), run(120, 0)), (run(100, 2), run(80, 1))]
+    assert benchpairs.failed_shares(pairs) == (0.01, 0.005)
+    assert benchpairs.format_failed(pairs).endswith(": ok")
+    pairs.append((run(100, 0), run(100, 2)))
+    assert benchpairs.failed_shares(pairs) == (2 / 300, 3 / 300)
+    assert "larger on the change" in benchpairs.format_failed(pairs)
+    assert benchpairs.failed_shares([(run(0, 0), run(0, 0))]) == (0.0, 0.0)
+    # the summary reads only the metrics it is given
+    [row] = benchpairs.summarize(pairs, METRICS[:1])
+    assert row.won == 0

@@ -9,10 +9,8 @@ from bimenger import (
     DualInfeasible,
     NotBalanced,
     NotIntegral,
-    VerificationFailure,
     build_graph,
     certify,
-    check_no_turnaround_equality,
     classify_link,
     decompose_packing,
     delete_vertices,
@@ -29,7 +27,7 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
 from bimenger.bmcli import GenParams, _trial_params, parse_instance, random_instance
-from bimenger.certify import _certify, _solve_lps, link_sigma_sum
+from bimenger.certify import _certify, _solve_lps
 from bimenger.fixtures import fig1a, fig1b, x_triangle
 from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_link
 from bimenger.ratlp import (
@@ -49,6 +47,7 @@ from bimenger.reduce import (
 )
 
 from .conftest import random_graph, random_sets, recording_cuts
+from .helpers import check_no_turnaround_equality, link_sigma_sum
 
 
 def st_pipeline(g, s, t):
@@ -626,27 +625,31 @@ def test_certificate_chain_randomized(rng):
 SMALL, BIG = frozenset({"v"}), frozenset({"x", "v"})
 
 
-def _certify_path(candidates, separates, oracle_search=None, terminals=frozenset()):
+def _certify_path(separator, separates, oracle_search=None):
     g = build_graph(["x", "v", "y"], [("x", "v", PLUS, MINUS), ("v", "y", PLUS, MINUS)])
     cert = solve_menger(g, {"x"}, {"y"})
     assert cert.value == 1
     return _certify(
-        cert, g, ({"x"}, {"y"}), candidates, separates, oracle_search,
-        ("separator_within_value", cert.value), terminals,
+        cert, g, ({"x"}, {"y"}), separator, separates, oracle_search,
+        ("separator_within_value", cert.value),
     )
 
 
 @pytest.mark.parametrize(
-    "separates, separator, verified, failed",
+    "separator, confirms, verified, failed",
     [
-        (lambda S: True, SMALL, True, []),  # smallest confirmed candidate first
-        (lambda S: S == BIG, BIG, True, ["separator_within_value"]),
-        (lambda S: False, SMALL, False, ["separator_verified"]),
-        (None, SMALL, True, []),  # proven candidates: the smallest
+        (SMALL, None, True, []),  # proven: no search runs
+        (SMALL, True, True, []),
+        (BIG, True, True, ["separator_within_value"]),  # no oracle to fall back on
+        (SMALL, False, False, ["separator_verified"]),
     ],
+    ids=["proven", "confirmed", "confirmed-above-value", "refuted"],
 )
-def test_certify_picks_the_smallest_confirmed_candidate(separates, separator, verified, failed):
-    cert = _certify_path((BIG, SMALL), separates)
+def test_certify_tests_the_one_separator_once(separator, confirms, verified, failed):
+    tested = []
+    separates = None if confirms is None else lambda S: tested.append(S) or confirms
+    cert = _certify_path(separator, separates)
+    assert tested == ([] if confirms is None else [separator])
     assert cert.separator == separator
     assert cert.checks["separator_verified"] is verified
     assert cert.checks["separator_from_oracle"] is False
@@ -654,7 +657,7 @@ def test_certify_picks_the_smallest_confirmed_candidate(separates, separator, ve
 
 
 def test_certify_falls_back_to_the_oracle_above_value():
-    cert = _certify_path((BIG,), lambda S: False, lambda: SeparatorResult(1, SMALL))
+    cert = _certify_path(BIG, lambda S: False, lambda: SeparatorResult(1, SMALL))
     assert cert.separator == SMALL
     assert cert.checks["separator_verified"] is True
     assert cert.checks["separator_from_oracle"] is True
@@ -665,17 +668,62 @@ def test_certify_keeps_a_separator_within_value():
     def oracle():
         pytest.fail("the oracle runs only above value")
 
-    assert _certify_path((SMALL,), lambda S: True, oracle).separator == SMALL
+    assert _certify_path(SMALL, lambda S: True, oracle).separator == SMALL
 
 
-def test_certify_rejects_an_infinite_oracle_separator():
-    with pytest.raises(VerificationFailure):
-        _certify_path((BIG,), lambda S: True, lambda: SeparatorResult(float("inf"), frozenset()))
+def _suite200_st_runs():
+    """(graph, s, t) of the `solve-st` runs of `tools/certdump.py` on
+    suite200: s and t are the least X and Y vertices, where they differ."""
+    out = []
+    for i in range(200):
+        inst = random_instance(_trial_params(301, i, 7))
+        if inst.X and inst.Y:
+            s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+            if s != t:
+                out.append((inst.graph, s, t))
+    return out
 
 
-def test_certify_rejects_a_terminal_in_the_separator():
-    with pytest.raises(VerificationFailure):
-        _certify_path((SMALL,), lambda S: True, terminals=frozenset({"v"}))
+def test_separator_fallbacks_return_finite_sizes_on_suite200():
+    # the three searches _certify falls back on share oracle.min_separator,
+    # which raises rather than return an infinite size; solve_st refuses a
+    # direct s-t edge, the one case without a finite internal separator
+    searched = 0
+    for i in range(200):
+        inst = random_instance(_trial_params(301, i, 7))
+        g, X, Y = inst.graph, inst.X, inst.Y
+        found = []
+        if X and Y:
+            found.append(certify.oracle_min_separator(g, X, Y))
+        if X:
+            found.append(certify.min_xpath_hitting_set(g, X))
+        for sep in found:
+            assert sep.size == len(sep.vertices)
+            searched += 1
+    for g, s, t in _suite200_st_runs():
+        if any({e.u, e.v} == {s, t} for e in g.edges):
+            continue
+        sep = certify.min_st_separator(g, s, t)
+        assert sep.size == len(sep.vertices)
+        assert not sep.vertices & {s, t}
+        searched += 1
+    assert searched >= 300, searched
+
+
+def test_solve_st_separators_never_hold_a_terminal():
+    # map_cut_to_separator and min_st_separator both leave s and t out;
+    # above the oracle limits the mapped cut is the separator
+    certified = refused = 0
+    for g, s, t in _suite200_st_runs():
+        for h in (g, _above_oracle_limits(g)):
+            try:
+                cert = solve_st(h, s, t)
+            except DirectTerminalEdge:
+                refused += 1
+                continue
+            assert not cert.separator & {s, t}
+            certified += 1
+    assert (certified, refused) == (110, 102)
 
 
 def test_failed_checks_needs_every_required_key():

@@ -6,6 +6,7 @@ import pytest
 from bimenger import (
     EqualTerminals,
     SizeBoundExceeded,
+    VerificationFailure,
     build_graph,
     classify_link,
     delete_vertices,
@@ -17,7 +18,7 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.fixtures import fig1a, fig1b, x_triangle
-from bimenger.oracle import has_st_link, has_xy_link
+from bimenger.oracle import has_st_link, has_xy_link, min_separator
 from bimenger.reduce import attach_terminals
 
 from .conftest import random_graph, random_sets
@@ -125,6 +126,15 @@ def test_min_separator_lexicographic_tie_break():
     )
     sep = oracle_min_separator(g, {"a"}, {"b"})
     assert sep.vertices == {"a"}
+
+
+def test_min_separator_raises_rather_than_return_an_infinite_size():
+    # a link that no vertex deletion clears: the search runs out of subsets
+    g = build_graph(["a", "b", "c"], [("a", "b", PLUS, MINUS)])
+    with pytest.raises(VerificationFailure):
+        min_separator(g, g.vertices, lambda h: True)
+    sep = min_separator(g, ["c", "b"], lambda h: h.has_vertex("b"))
+    assert (sep.size, sep.vertices) == (1, {"b"})
 
 
 def test_min_max_inequality_randomized(rng):

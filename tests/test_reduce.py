@@ -18,8 +18,6 @@ from bimenger.reduce import (
     UnmappableEdge,
     attach_terminals,
     double_for_xpaths,
-    lift_link_through_terminal,
-    lift_walk_through_split,
     map_cut_to_separator,
     map_links_back,
     normalize_terminals,
@@ -28,6 +26,7 @@ from bimenger.reduce import (
 from bimenger.walks import Link, Walk, check_walk
 
 from .conftest import random_graph, random_sets
+from .helpers import lift_link_through_terminal, lift_walk_through_split
 
 
 def test_attach_sizes():
@@ -146,13 +145,16 @@ def test_split_capacity_structure():
     g, X, Y = fig1a()
     g_hat, s, t, tmap = attach_terminals(g, X, Y)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    for v, (vp, vm) in smap.vertex_map.items():
+    split_edge_of = smap.special["split_edge_of"]
+    assert set(split_edge_of) == set(g_hat.vertices) - {s, t}
+    for v, eid in split_edge_of.items():
+        vp, vm = g_prime.edge(eid).endpoints  # v+ then v-
         minus_at_plus = [e for e in g_prime.incident(vp) if e.sign_at(vp) is MINUS]
         plus_at_minus = [e for e in g_prime.incident(vm) if e.sign_at(vm) is PLUS]
         assert len(minus_at_plus) == 1
         assert len(plus_at_minus) == 1
-        assert minus_at_plus[0].eid == smap.special["split_edge_of"][v]
-        assert plus_at_minus[0].eid == smap.special["split_edge_of"][v]
+        assert minus_at_plus[0].eid == eid
+        assert plus_at_minus[0].eid == eid
 
 
 def test_closing_edge_is_unique_plus_at_s():
@@ -172,7 +174,7 @@ def test_split_path_correspondence():
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
     g_prime, f, smap = split_and_close(g, "s", "t")
-    vp, vm = smap.vertex_map["v"]
+    vp, vm = g_prime.edge(smap.special["split_edge_of"]["v"]).endpoints
     paths = enumerate_paths(g_prime, {"s"}, {"t"})
     routed = [p for p in paths if f not in p.edges]
     assert len(routed) == 1

@@ -15,7 +15,9 @@ count for neither), the median gain (positive when the change is better)
 and BASE's interquartile range.  `claim` is yes when the change won at
 least nine tenths of the pairs and its median gain exceeds that range;
 `bound` is no when the change's median is worse than BASE's by more than
-the metric's bound.
+the metric's bound.  A last line gives each side's failed share, its
+failed ops over its attempted ops in all runs, and flags a larger share on
+the change.
 
 Standard library only.  Exits 1 when a run fails.
 """
@@ -85,15 +87,33 @@ def format_summary(rows: list[MetricSummary]) -> str:
     return "\n".join(lines)
 
 
+def failed_shares(pairs) -> tuple[float, float]:
+    """(base, change): each side's failed ops over its attempted ops,
+    summed over the runs of ``pairs``."""
+    def share(runs):
+        attempted = sum(r["attempted"] for r in runs)
+        return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+    return share([b for b, _ in pairs]), share([c for _, c in pairs])
+
+
+def format_failed(pairs) -> str:
+    base, change = failed_shares(pairs)
+    verdict = "no (larger on the change)" if change > base else "ok"
+    return f"{'failed share':16s} base {base:.4g}, change {change:.4g}: {verdict}"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metric values of one untraced benchmark run in ``checkout``."""
+    """The metric values, attempted ops and failed ops of one untraced
+    benchmark run in ``checkout``."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return {**values, "attempted": result["attempted"], "failed": result["failed"]}
 
 
 def main(argv=None) -> int:
@@ -122,6 +142,7 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs of {args.seconds:g} s runs")
     print(format_summary(summarize(pairs, metrics)))
+    print(format_failed(pairs))
     return 0
 
 
