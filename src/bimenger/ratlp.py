@@ -8,7 +8,13 @@ Every solve runs on one bounded-variable simplex tableau.  A cold solve
 (``simplex_max``) scales each equality row to integers once and runs the
 two-phase primal simplex with Bland's rule from an all-artificial basis:
 slow, deterministic, and guaranteed to terminate on a basic (vertex)
-optimum, which is what the integrality arguments need.  Branch and bound
+optimum, which is what the integrality arguments need.  The tableau
+holds only the columns that can still enter the basis: the structural
+ones, and during phase 1 the artificials of rows whose right-hand side
+starts nonzero.  The other artificials are fixed at zero, and leaving
+them out keeps every pivot: a pivot updates each column from that column
+and the entering one alone, and no pivoting rule picks a column whose
+bounds are equal.  Branch and bound
 (``solve_integral_max``) solves only its root cold.  Each child node
 copies its parent's optimal tableau, tightens the branched column's
 bound and re-optimises with an exact dual simplex, and a child whose
@@ -125,19 +131,31 @@ _MAX_PIVOTS = 200_000
 class _Tableau:
     """Bounded-variable simplex tableau over exact rationals.
 
-    Columns are the problem's n structural columns followed by one
+    Column ids are the problem's n structural columns followed by one
     artificial column per row.  ``T`` is B^-1 A for the current basis,
-    ``xB[i]`` the value of the basic column ``basis[i]``, and every
+    restricted to the columns that can still enter it; ``cols`` is the id
+    of each position of a row.  These are the structural columns, at
+    positions 0 to n-1, and during phase 1 only, the artificials of the
+    rows whose right-hand side starts nonzero, in id order.  Every other
+    artificial is frozen at lo = up = 0 and has no column in ``T``, but
+    its id stays in ``basis`` and in the per-id lists, because Bland's
+    rule compares basic column ids.  Leaving those columns out changes no
+    pivot: a pivot updates each column of B^-1 A from that column and the
+    entering column alone, and no entering scan, ratio test or bound
+    change picks a column with lo = up.
+
+    ``xB[i]`` is the value of the basic column ``basis[i]``, and every
     nonbasic column sits at its lower bound, or at its upper bound when
     ``at_upper`` says so.  Bounds ``lo``/``up`` (``up`` may be None) are
     those of the problem; branch and bound tightens them in place.  ``d``
-    holds the phase-2 reduced costs once the cold solve has reached them.
+    holds the phase-2 reduced costs, one per position, once the cold
+    solve has reached them.
     """
 
-    __slots__ = ("n", "m", "T", "xB", "basis", "in_basis", "at_upper", "lo", "up", "d")
+    __slots__ = ("n", "cols", "T", "xB", "basis", "in_basis", "at_upper", "lo", "up", "d")
 
-    def __init__(self, n, m, T, xB, basis, in_basis, at_upper, lo, up, d):
-        self.n, self.m, self.T, self.xB = n, m, T, xB
+    def __init__(self, n, cols, T, xB, basis, in_basis, at_upper, lo, up, d):
+        self.n, self.cols, self.T, self.xB = n, cols, T, xB
         self.basis, self.in_basis, self.at_upper = basis, in_basis, at_upper
         self.lo, self.up, self.d = lo, up, d
 
@@ -145,27 +163,32 @@ class _Tableau:
     def all_artificial(cls, p: LpProblem) -> "_Tableau":
         """Rows scaled to integers and signed so that the artificial basis,
         with every structural column at its lower bound, is feasible; an
-        artificial whose row starts balanced is fixed at zero."""
+        artificial whose row starts balanced is fixed at zero and gets no
+        column."""
         n, m = p.ncols, len(p.a_eq)
         lo = [_exact(lo) for lo, _ in p.bounds] + [0] * m
         up = [None if up is None else _exact(up) for _, up in p.bounds]
-        T, xB = [], []
+        rows, xB = [], []
         for i in range(m):
             row, b = _scaled_int_row(p.a_eq[i], p.b_eq[i])
             b = _exact(b - sum(a * lo[j] for j, a in enumerate(row) if a and lo[j]))
             if b < 0:
                 row, b = [-a for a in row], -b
-            T.append(row + [0] * m)
-            T[i][n + i] = 1
+            rows.append(row)
             xB.append(b)
             up.append(0 if b == 0 else None)
+        live = [i for i in range(m) if xB[i]]
+        T = [row + [0] * len(live) for row in rows]
+        for q, i in enumerate(live, n):
+            T[i][q] = 1
+        cols = (*range(n), *(n + i for i in live))
         basis = list(range(n, n + m))
         in_basis = [False] * n + [True] * m
-        return cls(n, m, T, xB, basis, in_basis, [False] * (n + m), lo, up, None)
+        return cls(n, cols, T, xB, basis, in_basis, [False] * (n + m), lo, up, None)
 
     def copy(self) -> "_Tableau":
         return _Tableau(
-            self.n, self.m, [row[:] for row in self.T], self.xB[:], self.basis[:],
+            self.n, self.cols, [row[:] for row in self.T], self.xB[:], self.basis[:],
             self.in_basis[:], self.at_upper[:], self.lo[:], self.up[:], self.d[:],
         )
 
@@ -182,20 +205,21 @@ class _Tableau:
         return LpSolution("optimal", values, objective)
 
     def _exchange(self, r, q, t, d, leave_at_upper) -> None:
-        """Move nonbasic column q by t and pivot it into row r, whose basic
-        column leaves at its upper bound or its lower bound; the reduced
-        costs d are pivoted along."""
+        """Move the nonbasic column at position q by t and pivot it into
+        row r, whose basic column leaves at its upper bound or its lower
+        bound; the reduced costs d are pivoted along."""
         T, xB = self.T, self.xB
         for i, row in enumerate(T):
             if i != r and row[q]:
                 xB[i] -= row[q] * t
-        xB[r] = (self.up[q] if self.at_upper[q] else self.lo[q]) + t
+        j = self.cols[q]
+        xB[r] = (self.up[j] if self.at_upper[j] else self.lo[j]) + t
         leaving = self.basis[r]
         self.in_basis[leaving] = False
         self.at_upper[leaving] = leave_at_upper
-        self.in_basis[q] = True
-        self.at_upper[q] = False
-        self.basis[r] = q
+        self.in_basis[j] = True
+        self.at_upper[j] = False
+        self.basis[r] = j
 
         prow = T[r]
         piv = prow[q]
@@ -214,22 +238,32 @@ class _Tableau:
             for jj in nz:
                 d[jj] -= k * prow[jj]
 
+    def _flip(self, q, t) -> None:
+        """Move the nonbasic column at position q by t, from one of its
+        bounds to the other; no basis change."""
+        xB = self.xB
+        for i, row in enumerate(self.T):
+            if row[q]:
+                xB[i] -= row[q] * t
+        j = self.cols[q]
+        self.at_upper[j] = not self.at_upper[j]
+
     def primal(self, d) -> bool:
         """Primal simplex on reduced costs d with Bland's rule, from a
         primal-feasible basis: True at an optimum, False when unbounded."""
         T, xB, basis, in_basis = self.T, self.xB, self.basis, self.in_basis
-        at_upper, lo, up = self.at_upper, self.lo, self.up
-        ncols = self.n + self.m
+        at_upper, lo, up, cols = self.at_upper, self.lo, self.up, self.cols
         for _ in range(_MAX_PIVOTS):
             enter = next(
-                (j for j in range(ncols)
+                (q for q, j in enumerate(cols)
                  if not in_basis[j] and up[j] != lo[j]
-                 and (d[j] < 0 if at_upper[j] else d[j] > 0)),
+                 and (d[q] < 0 if at_upper[j] else d[q] > 0)),
                 -1,
             )
             if enter < 0:
                 return True
-            direction = -1 if at_upper[enter] else 1
+            j = cols[enter]
+            direction = -1 if at_upper[j] else 1
 
             best_t = None  # tightest row ratio
             leave_row = -1
@@ -251,19 +285,14 @@ class _Tableau:
                     best_t, leave_row, leave_to_upper = ti, i, hits_upper
                 elif ti == best_t and b < basis[leave_row]:
                     leave_row, leave_to_upper = i, hits_upper
-            flip_t = None if up[enter] is None else up[enter] - lo[enter]
+            flip_t = None if up[j] is None else up[j] - lo[j]
             if best_t is None and flip_t is None:
                 return False
             if flip_t is not None and (
                 best_t is None or flip_t < best_t
-                or (flip_t == best_t and enter < basis[leave_row])
+                or (flip_t == best_t and j < basis[leave_row])
             ):
-                # bound flip: no basis change
-                t = direction * flip_t
-                for i, row in enumerate(T):
-                    if row[enter]:
-                        xB[i] -= row[enter] * t
-                at_upper[enter] = not at_upper[enter]
+                self._flip(enter, direction * flip_t)
                 continue
             self._exchange(leave_row, enter, direction * best_t, d, leave_to_upper)
         raise BudgetExceeded("pivot limit exceeded; Bland's rule should terminate")
@@ -280,8 +309,7 @@ class _Tableau:
         bounds infeasible.
         """
         T, xB, basis, in_basis = self.T, self.xB, self.basis, self.in_basis
-        at_upper, lo, up, d = self.at_upper, self.lo, self.up, self.d
-        ncols = self.n + self.m
+        at_upper, lo, up, d, cols = self.at_upper, self.lo, self.up, self.d, self.cols
         for _ in range(_MAX_PIVOTS):
             r = -1
             for i, b in enumerate(basis):
@@ -294,15 +322,15 @@ class _Tableau:
             below = xB[r] < lo[b]
             row = T[r]
             q, best = -1, None
-            for j in range(ncols):
-                a = row[j]
+            for qq, a in enumerate(row):
+                j = cols[qq]
                 # the basic value moves by -a per unit of column j, which
                 # may rise from its lower bound or fall from its upper one
                 if not a or in_basis[j] or up[j] == lo[j] or (a > 0) != (at_upper[j] == below):
                     continue
-                ratio = _div(abs(d[j]), abs(a))
+                ratio = _div(abs(d[qq]), abs(a))
                 if best is None or ratio < best:
-                    q, best = j, ratio
+                    q, best = qq, ratio
             if q < 0:
                 return False
             target = lo[b] if below else up[b]
@@ -310,8 +338,9 @@ class _Tableau:
         raise BudgetExceeded("pivot limit exceeded; the dual Bland rule should terminate")
 
     def tighten(self, j, lo, up) -> bool:
-        """Narrow column j's bounds to [lo, up], moving it along when it is
-        nonbasic; False when the new box is empty."""
+        """Narrow the bounds of structural column j, at position j, to
+        [lo, up], moving it along when it is nonbasic; False when the new
+        box is empty."""
         if up is not None and up < lo:
             return False
         if not self.in_basis[j]:
@@ -337,29 +366,32 @@ def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
         if up is not None and Fraction(up) < Fraction(lo):
             return _INFEASIBLE, None
     tab = _Tableau.all_artificial(p)
-    n, m, T = tab.n, tab.m, tab.T
-    ncols = n + m
+    n, T = tab.n, tab.T
 
-    # phase 1: drive positive artificials to zero
-    if any(b > 0 for b in tab.xB):
-        d1 = [0] * ncols
-        for i in range(m):
-            if tab.xB[i] > 0:
-                d1[n + i] = -1
-                for jj, v in enumerate(T[i]):
-                    if v:
-                        d1[jj] += v
+    # phase 1: drive the artificials of the nonzero rows to zero
+    live = tab.cols[n:]
+    if live:
+        d1 = [0] * len(tab.cols)
+        for q, j in enumerate(live, n):
+            d1[q] = -1
+            for jj, v in enumerate(T[j - n]):
+                if v:
+                    d1[jj] += v
         if not tab.primal(d1):
             raise LpFailure("phase 1 is bounded by zero yet ended unbounded")
         if any(v != 0 for v in tab.values()[n:]):
             return _INFEASIBLE, None
-    # artificials may stay basic at zero (rank deficiency); freeze them
-    for i in range(m):
-        tab.up[n + i] = 0
+        # they may stay basic at zero (a redundant row, or degeneracy);
+        # freeze them and drop their columns
+        for j in live:
+            tab.up[j] = 0
+        for row in T:
+            del row[n:]
+        tab.cols = tab.cols[:n]
 
     # phase 2
-    c2 = [_exact(v) for v in p.c] + [0] * m
-    d2 = list(c2)
+    c2 = [_exact(v) for v in p.c] + [0] * len(p.a_eq)
+    d2 = c2[:n]
     for i, row in enumerate(T):
         cb = c2[tab.basis[i]]
         if cb:

@@ -70,3 +70,17 @@ def test_failed_share_pools_each_side_and_flags_a_larger_share_on_the_change():
     # the summary reads only the metrics it is given
     [row] = benchpairs.summarize(pairs, METRICS[:1])
     assert row.won == 0
+
+
+def test_median_attempted_ops_are_reported_per_side():
+    benchpairs = _load_tool()
+
+    def run(attempted):
+        return {"certs_per_s": 1.0, "attempted": attempted, "failed": 0}
+
+    pairs = [(run(1300), run(1700)), (run(1310), run(1750)), (run(1290), run(1690))]
+    assert benchpairs.median_attempted(pairs) == (1300, 1700)
+    pairs.append((run(1320), run(1720)))
+    assert benchpairs.median_attempted(pairs) == (1305, 1710)
+    assert benchpairs.format_attempted(pairs) == (
+        "ops per run      base 1305, change 1710 (medians)")

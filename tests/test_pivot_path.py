@@ -1,0 +1,126 @@
+"""The pivot path of every exact solve on a few fixed CLI runs, pinned.
+
+Under Bland's rule in the primal simplex and the fixed rule of the dual
+simplex, the pivots of a solve depend on its program alone.  A change to
+the tableau that keeps every pivot keeps these counts; one that moves a
+tie-break moves them.
+"""
+
+import io
+import random
+from pathlib import Path
+
+from bimenger import ratlp
+from bimenger.bmcli import _trial_params, random_instance, run_cli, serialize_instance
+
+from .test_ratlp import _random_bounded_lp
+
+FIG1A = Path(__file__).resolve().parent.parent / "fixtures" / "fig1a.bg"
+SUITE_SEED = 301  # the acceptance suite's seed (suite200)
+
+
+def pivot_path(monkeypatch, run) -> tuple:
+    """One (pivots, bound flips, node re-solves, node pivots) per cold
+    solve that ``run()`` makes, in call order.  The node counts are those
+    of the branch and bound that starts from that cold solve: re-solves
+    are dual-simplex calls, and the dual simplex makes no bound flip."""
+    log = []
+    in_node = [False]
+    solve_cold, exchange = ratlp._solve_cold, ratlp._Tableau._exchange
+    flip, dual = ratlp._Tableau._flip, ratlp._Tableau.dual
+
+    def counted_cold(p):
+        log.append([0, 0, 0, 0])
+        return solve_cold(p)
+
+    def counted_exchange(tab, *args):
+        log[-1][3 if in_node[0] else 0] += 1
+        return exchange(tab, *args)
+
+    def counted_flip(tab, *args):
+        log[-1][1] += 1
+        return flip(tab, *args)
+
+    def counted_dual(tab):
+        log[-1][2] += 1
+        in_node[0] = True
+        try:
+            return dual(tab)
+        finally:
+            in_node[0] = False
+
+    with monkeypatch.context() as m:
+        m.setattr(ratlp, "_solve_cold", counted_cold)
+        m.setattr(ratlp._Tableau, "_exchange", counted_exchange)
+        m.setattr(ratlp._Tableau, "_flip", counted_flip)
+        m.setattr(ratlp._Tableau, "dual", counted_dual)
+        run()
+    return tuple(map(tuple, log))
+
+
+def _cli(argv):
+    def run():
+        assert run_cli(argv, io.StringIO(), io.StringIO()) == 0
+    return run
+
+
+def _runs(tmp_path):
+    """(name, argv) of fig1a and of the first ten suite200 instances,
+    each under ``solve`` and ``xpaths``."""
+    paths = [("fig1a", FIG1A)]
+    for i in range(10):
+        path = tmp_path / f"suite200-{i:03d}.bg"
+        path.write_text(serialize_instance(random_instance(_trial_params(SUITE_SEED, i, 7))),
+                        encoding="utf-8")
+        paths.append((f"suite200/{i:03d}", path))
+    for name, path in paths:
+        for command in ("solve", "xpaths"):
+            yield (name, command), _cli([command, "--input", str(path), "--json"])
+
+
+def _random_lps():
+    """Branch and bound on the bounded LPs of the box-enumeration test.
+    Unlike the pipeline runs, which make no bound flip, these flip, and
+    they start phase 1 with several live artificials."""
+    rng = random.Random(4242)
+    for _ in range(300):
+        ratlp.solve_integral_max(_random_bounded_lp(rng))
+
+
+# measured on the tableau that still carried every frozen artificial
+# column; a run without a solve has an empty X, or for `solve` an empty Y
+EXPECTED = {
+    ('fig1a', 'solve'): ((31, 0, 9, 8), (113, 0, 0, 0)),
+    ('fig1a', 'xpaths'): ((16, 0, 4, 5), (61, 0, 0, 0)),
+    ('suite200/000', 'solve'): ((10, 0, 0, 0), (57, 0, 0, 0)),
+    ('suite200/000', 'xpaths'): ((6, 0, 2, 4), (41, 0, 0, 0)),
+    ('suite200/001', 'solve'): (),
+    ('suite200/001', 'xpaths'): (),
+    ('suite200/002', 'solve'): ((12, 0, 1, 3), (121, 0, 0, 0)),
+    ('suite200/002', 'xpaths'): ((6, 0, 1, 9), (71, 0, 0, 0)),
+    ('suite200/003', 'solve'): ((23, 0, 7, 16), (113, 0, 0, 0)),
+    ('suite200/003', 'xpaths'): ((16, 0, 4, 13), (79, 0, 0, 0)),
+    ('suite200/004', 'solve'): (),
+    ('suite200/004', 'xpaths'): (),
+    ('suite200/005', 'solve'): ((22, 0, 8, 14), (77, 0, 0, 0)),
+    ('suite200/005', 'xpaths'): ((11, 0, 3, 7), (44, 0, 0, 0)),
+    ('suite200/006', 'solve'): ((29, 0, 5, 16), (78, 0, 0, 0)),
+    ('suite200/006', 'xpaths'): ((16, 0, 4, 8), (46, 0, 0, 0)),
+    ('suite200/007', 'solve'): (),
+    ('suite200/007', 'xpaths'): ((6, 0, 3, 15), (62, 0, 0, 0)),
+    ('suite200/008', 'solve'): ((14, 0, 1, 1), (121, 0, 0, 0)),
+    ('suite200/008', 'xpaths'): ((16, 0, 5, 9), (147, 0, 0, 0)),
+    ('suite200/009', 'solve'): (),
+    ('suite200/009', 'xpaths'): (),
+}
+RANDOM_LPS_TOTAL = (427, 263, 130, 75)
+
+
+def test_pivot_path_is_pinned(monkeypatch, tmp_path):
+    measured = {key: pivot_path(monkeypatch, run) for key, run in _runs(tmp_path)}
+    assert measured == EXPECTED
+
+
+def test_pivot_path_of_random_branch_and_bound_is_pinned(monkeypatch):
+    # summed over the 300 solves, one per column
+    assert tuple(map(sum, zip(*pivot_path(monkeypatch, _random_lps)))) == RANDOM_LPS_TOTAL

@@ -242,6 +242,97 @@ def test_simplex_against_vertex_enumeration(rng):
             assert sol.objective_value == expected
 
 
+def _record_primal_starts(monkeypatch):
+    """The tableau at the start of each primal simplex run: its basis and
+    the width of its rows."""
+    starts = []
+    primal = ratlp._Tableau.primal
+
+    def recorded(tab, d):
+        starts.append((list(tab.basis), {len(row) for row in tab.T}))
+        return primal(tab, d)
+
+    monkeypatch.setattr(ratlp._Tableau, "primal", recorded)
+    return starts
+
+
+def test_phase_1_carries_the_artificial_of_each_nonzero_row(rng, monkeypatch):
+    starts = _record_primal_starts(monkeypatch)
+    several = 0
+    for _ in range(40):
+        n = rng.randrange(3, 5)
+        m = rng.randrange(2, 4)
+        c = [rng.randrange(-3, 4) for _ in range(n)]
+        a = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((-2, -1, 0, 1, 2, 3)) for _ in range(m)]
+        problem = lp(c, a, b, [(0, rng.randrange(1, 4)) for _ in range(n)])
+        starts.clear()
+        sol, tab = _solve_cold(problem)
+        live = sum(v != 0 for v in b)
+        if live:
+            # phase 1 pivots n structural columns and one artificial per
+            # nonzero row; phase 2 pivots the structural columns alone
+            assert starts[0][1] == {n + live}
+            several += live > 1
+        if tab is not None:
+            assert starts[-1][1] == {n}
+            assert tab.cols == tuple(range(n))
+        expected = _enumerate_vertex_optimum(problem)
+        if expected is None:
+            assert sol.status == "infeasible"
+        else:
+            assert sol.status == "optimal"
+            assert sol.objective_value == expected
+    assert several >= 10
+
+
+def test_rank_deficient_lp_pivots_a_zero_artificial_out_in_phase_2(monkeypatch):
+    # the third row is the sum of the first two, so one artificial stays
+    # basic at zero for good; another ends phase 1 basic at zero, has no
+    # column in phase 2, and leaves the basis there on a degenerate pivot
+    starts = _record_primal_starts(monkeypatch)
+    c, a, b = [2, 1, 2], [[-1, 1, 2], [0, 1, 1], [-1, 2, 3]], [3, 2, 5]
+    bounds = [(0, 1), (0, 2), (0, 1)]
+    sol, tab = _solve_cold(lp(c, a, b, bounds))
+    (phase_1, width_1), (phase_2, width_2) = starts
+    assert (phase_1, width_1) == ([3, 4, 5], {6})
+    assert ([j for j in phase_2 if j >= 3], width_2) == ([3, 5], {3})
+    assert [j for j in tab.basis if j >= 3] == [5]
+    assert tab.values()[3:] == [0, 0, 0]
+    # the redundant row dropped, the same polytope has full row rank
+    assert sol.objective_value == _enumerate_vertex_optimum(lp(c, a[:2], b[:2], bounds)) == 3
+
+
+def test_no_tableau_row_holds_a_frozen_artificial(monkeypatch):
+    # after a cold solve, and in every branch-and-bound node, T holds the
+    # structural columns only: position j is column j
+    seen = []
+    copy = ratlp._Tableau.copy
+
+    def recorded(tab):
+        child = copy(tab)
+        seen.append(child)
+        return child
+
+    monkeypatch.setattr(ratlp._Tableau, "copy", recorded)
+    g, X, Y = fig1a()
+    g_hat, s, t, _ = attach_terminals(g, X, Y)
+    g_prime, f, _ = split_and_close(g_hat, s, t)
+    problems = [build_primal(g_prime, f), build_dual(g_prime, f)]
+    rng = random.Random(4242)
+    problems += [_random_bounded_lp(rng) for _ in range(300)]
+    for problem in problems:
+        root, tab = _solve_cold(problem)
+        if tab is not None:
+            seen.append(tab)
+            solve_integral_max(problem)
+    assert len(seen) > len(problems)  # some searches branched
+    for tab in seen:
+        assert tab.cols == tuple(range(tab.n))
+        assert all(len(row) == tab.n for row in tab.T) and len(tab.d) == tab.n
+        assert all(tab.lo[j] == tab.up[j] == 0 for j in range(tab.n, len(tab.lo)))
+
+
 def test_kregular_two_by_two():
     assert check_k_regular([[1, 1], [1, -1]], 2)
 

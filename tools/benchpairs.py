@@ -15,9 +15,11 @@ count for neither), the median gain (positive when the change is better)
 and BASE's interquartile range.  `claim` is yes when the change won at
 least nine tenths of the pairs and its median gain exceeds that range;
 `bound` is no when the change's median is worse than BASE's by more than
-the metric's bound.  A last line gives each side's failed share, its
-failed ops over its attempted ops in all runs, and flags a larger share on
-the change.
+the metric's bound.  A line gives each side's median attempted ops per
+run, against which a move in `peak_rss_mb` can be read, since the harness
+keeps each op's output until it ends.  A last line gives each side's
+failed share, its failed ops over its attempted ops in all runs, and flags
+a larger share on the change.
 
 Standard library only.  Exits 1 when a run fails.
 """
@@ -87,6 +89,17 @@ def format_summary(rows: list[MetricSummary]) -> str:
     return "\n".join(lines)
 
 
+def median_attempted(pairs) -> tuple[float, float]:
+    """(base, change): each side's median attempted ops per run."""
+    return (statistics.median(b["attempted"] for b, _ in pairs),
+            statistics.median(c["attempted"] for _, c in pairs))
+
+
+def format_attempted(pairs) -> str:
+    base, change = median_attempted(pairs)
+    return f"{'ops per run':16s} base {base:g}, change {change:g} (medians)"
+
+
 def failed_shares(pairs) -> tuple[float, float]:
     """(base, change): each side's failed ops over its attempted ops,
     summed over the runs of ``pairs``."""
@@ -142,6 +155,7 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs of {args.seconds:g} s runs")
     print(format_summary(summarize(pairs, metrics)))
+    print(format_attempted(pairs))
     print(format_failed(pairs))
     return 0
 
