@@ -442,12 +442,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once: parsing never changes the parser.  Each subcommand's
+# ``func`` looks its solvers up as module globals when it runs, so a
+# wrapper placed on ``solve_menger`` or ``parse_instance`` still applies.
+_PARSER = _build_parser()
+
+
 def run_cli(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

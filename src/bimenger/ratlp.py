@@ -36,8 +36,6 @@ from .bigraph import BidirectedGraph, EdgeId, VertexId
 
 Rational = Fraction
 
-HALF = Fraction(1, 2)
-
 
 class DimensionMismatch(Exception):
     """Objective, constraint matrix and bounds disagree on sizes."""
@@ -120,7 +118,12 @@ def _exact(v):
 
 
 def _scaled_int_row(row, rhs):
-    """Clear denominators of one equality row (same solution set)."""
+    """Clear denominators of one equality row (same solution set).  A row
+    whose entries and right-hand side are all ints comes back as a fresh
+    list, unscaled and without arithmetic; any Fraction, even an integral
+    one, takes the path that scales by the lcm of the denominators."""
+    if isinstance(rhs, int) and all(isinstance(v, int) for v in row):
+        return list(row), rhs
     den = math.lcm(*(v.denominator for v in (*row, rhs) if not isinstance(v, int)))
     return [int(v * den) for v in row], int(rhs * den)
 
@@ -517,11 +520,15 @@ def _on_side(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset]):
 
 
 def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
-    """max x_f  s.t.  (M x + a x_f)/2 = 0,  0 <= x <= 1,  0 <= x_f <= |E|.
+    """max x_f  s.t.  M x + a x_f = 0,  0 <= x <= 1,  0 <= x_f <= |E|.
 
     M is the incidence matrix of the split graph without f, a the column
-    of f.  The explicit cap on x_f keeps the feasible region a polytope;
-    the balance row at s caps x_f at deg(s) anyway, so it is slack-safe.
+    of f: the balance rows (M x + a x_f)/2 = 0, doubled so that every
+    entry is an int.  Doubling keeps the solution set and gives exactly
+    the rows that ``_scaled_int_row`` makes of the halved ones, so the
+    tableau and every pivot are those of the halved program.  The
+    explicit cap on x_f keeps the feasible region a polytope; the
+    balance row at s caps x_f at deg(s) anyway, so it is slack-safe.
 
     ``side``, a vertex set holding s but not t, keeps only the rows of
     its vertices and the columns of the edges between them and x_f, in
@@ -530,18 +537,16 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
     """
     vertices, others = _on_side(g_prime, f, side)
     names = tuple(f"x:{e.eid}" for e in others) + ("xf",)
-    col_of = {e.eid: j for j, e in enumerate(others)}
     fe = g_prime.edge(f)
     nv = len(vertices)
     rows = [[0] * len(names) for _ in range(nv)]
     vpos = {v: i for i, v in enumerate(vertices)}
-    for e in others:
-        rows[vpos[e.u]][col_of[e.eid]] += HALF * e.sign_u.unit
-        rows[vpos[e.v]][col_of[e.eid]] += HALF * e.sign_v.unit
-    xf_col = len(names) - 1
+    for j, e in enumerate(others):
+        rows[vpos[e.u]][j] += e.sign_u.unit
+        rows[vpos[e.v]][j] += e.sign_v.unit
     for v, sign in ((fe.u, fe.sign_u), (fe.v, fe.sign_v)):
         if v in vpos:
-            rows[vpos[v]][xf_col] += HALF * sign.unit
+            rows[vpos[v]][-1] += sign.unit
     bounds = tuple((0, 1) for _ in others) + ((0, g_prime.m),)
     return LpProblem(
         c=tuple(0 for _ in others) + (1,),
@@ -553,11 +558,15 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
 
 
 def build_dual(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
-    """min 1.y  s.t.  (M^T z)/2 + y >= 0,  (a^T z)/2 >= 1,  y >= 0.
+    """min 1.y  s.t.  M^T z + 2y >= 0,  a^T z >= 2,  y >= 0.
 
+    The rows (M^T z)/2 + y >= 0 and (a^T z)/2 >= 1, doubled to ints as in
+    ``build_primal``, which leaves the tableau and every pivot unchanged.
     Implemented as maximization of -1.y with the free z split as
     z = z+ - z- and surplus columns turning the inequalities into
     equalities, so a basic optimum is a vertex of the dual polyhedron.
+    The columns are z+ and z- per vertex, y and sl per edge other than f,
+    then sl_f.
 
     ``side`` keeps the rows of the edges between its vertices and of f
     and the columns of those vertices and edges, in the same order: the
@@ -565,44 +574,36 @@ def build_dual(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = 
     """
     vertices, others = _on_side(g_prime, f, side)
     fe = g_prime.edge(f)
-    zp = [f"zp:{v}" for v in vertices]
-    zn = [f"zn:{v}" for v in vertices]
-    ys = [f"y:{e.eid}" for e in others]
-    sl = [f"sl:{e.eid}" for e in others] + ["sl:f"]
-    names = tuple(zp + zn + ys + sl)
-    col = {nm: j for j, nm in enumerate(names)}
+    nv, ne = len(vertices), len(others)
+    names = tuple(
+        [f"zp:{v}" for v in vertices] + [f"zn:{v}" for v in vertices]
+        + [f"y:{e.eid}" for e in others] + [f"sl:{e.eid}" for e in others] + ["sl:f"]
+    )
     ncols = len(names)
+    vpos = {v: i for i, v in enumerate(vertices)}
 
-    def z_terms(row, e) -> None:
+    def z_row(e) -> list:
+        row = [0] * ncols
         for v, sign in ((e.u, e.sign_u), (e.v, e.sign_v)):
-            if f"zp:{v}" in col:
-                row[col[f"zp:{v}"]] += HALF * sign.unit
-                row[col[f"zn:{v}"]] -= HALF * sign.unit
+            if v in vpos:
+                row[vpos[v]] += sign.unit
+                row[nv + vpos[v]] -= sign.unit
+        return row
 
     rows = []
-    b = []
-    for e in others:
-        row = [0] * ncols
-        z_terms(row, e)
-        row[col[f"y:{e.eid}"]] = 1
-        row[col[f"sl:{e.eid}"]] = -1
+    for k, e in enumerate(others):
+        row = z_row(e)
+        row[2 * nv + k] = 2
+        row[2 * nv + ne + k] = -2
         rows.append(row)
-        b.append(0)
-    row = [0] * ncols
-    z_terms(row, fe)
-    row[col["sl:f"]] = -1
+    row = z_row(fe)
+    row[-1] = -2
     rows.append(row)
-    b.append(1)
-
-    c = [0] * ncols
-    for nm in ys:
-        c[col[nm]] = -1
-    bounds = tuple((0, None) for _ in range(ncols))
     return LpProblem(
-        c=tuple(c),
+        c=(0,) * (2 * nv) + (-1,) * ne + (0,) * (ne + 1),
         a_eq=tuple(tuple(r) for r in rows),
-        b_eq=tuple(b),
-        bounds=bounds,
+        b_eq=(0,) * ne + (2,),
+        bounds=((0, None),) * ncols,
         names=names,
     )
 

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: forward lifts through the reductions,
-the signed z-sum of a link, and the no-turnaround equality verdict."""
+the signed z-sum of a link, the no-turnaround equality verdict, and the
+doubled split graph of the X-path pipeline."""
 
 from __future__ import annotations
 
@@ -17,7 +18,13 @@ from bimenger import (
     solve_menger,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.reduce import InvalidDerivedLink
+from bimenger.reduce import (
+    InvalidDerivedLink,
+    attach_terminals,
+    double_for_xpaths,
+    mirror_doubled_edges,
+    split_and_close,
+)
 
 
 def link_sigma_sum(g: BidirectedGraph, z: dict, link: Link):
@@ -138,3 +145,14 @@ def lift_walk_through_split(rmap: ReductionMap, w: Walk) -> Walk:
     if not check_walk(g_prime, out):
         raise InvalidDerivedLink("lifted walk is not valid in the split graph")
     return out
+
+
+def doubled_split(g: BidirectedGraph, X: Iterable):
+    """(split doubled graph, f, t-side mirror of each s-side edge, s side)
+    of ``solve_xpaths`` on ``g`` and ``X``."""
+    g2, X1, X2, dmap = double_for_xpaths(g, X)
+    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+    g_prime, f, smap = split_and_close(g_hat, s, t)
+    mirror = mirror_doubled_edges(dmap, tmap, smap)
+    side = frozenset(v for eid in mirror for v in g_prime.edge(eid).endpoints)
+    return g_prime, f, mirror, side

@@ -22,6 +22,7 @@ from bimenger import (
     solve_integral_max,
     solve_menger,
 )
+from bimenger import bmcli
 from bimenger.bmcli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -249,6 +250,49 @@ def test_cli_selfcheck_reproducible():
     assert rc1 == rc2 == EXIT_OK
     assert out1 == out2
     assert "all passed" in out1
+
+
+def _first_call(monkeypatch, *argv):
+    """``cli`` on a parser that has parsed nothing yet."""
+    with monkeypatch.context() as m:
+        m.setattr(bmcli, "_PARSER", bmcli._build_parser())
+        return cli(*argv)
+
+
+def test_reused_parser_drops_oracle_verify_for_the_next_solve(monkeypatch):
+    fig1a_path = str(FIXTURES / "fig1a.bg")
+    plain = _first_call(monkeypatch, "solve", "--input", fig1a_path, "--json")
+    assert plain[0] == EXIT_OK
+    # the subcommands look their callees up at call time
+    calls = []
+    for name in ("parse_instance", "solve_menger", "oracle_max_links"):
+        def wrapper(*args, _name=name, _fn=getattr(bmcli, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(bmcli, name, wrapper)
+    assert cli("solve", "--input", fig1a_path, "--json", "--oracle-verify") == plain
+    assert calls == ["parse_instance", "solve_menger", "oracle_max_links"]
+    calls.clear()
+    assert cli("solve", "--input", fig1a_path, "--json") == plain
+    assert calls == ["parse_instance", "solve_menger"]
+
+
+def test_reused_parser_runs_xpaths_after_solve(tmp_path, monkeypatch):
+    p = tmp_path / "tri.bg"
+    p.write_text(TRIANGLE)
+    first = _first_call(monkeypatch, "xpaths", "--input", str(p), "--json")
+    assert first[0] == EXIT_OK
+    assert cli("solve", "--input", str(FIXTURES / "fig1a.bg"), "--oracle-verify")[0] == EXIT_OK
+    assert cli("xpaths", "--input", str(p), "--json") == first
+
+
+def test_reused_parser_recovers_from_a_parse_error(monkeypatch, capsys):
+    argv = ("solve", "--input", str(FIXTURES / "fig1b.bg"))
+    first = _first_call(monkeypatch, *argv)
+    assert first[0] == EXIT_OK
+    assert cli("solve") == (EXIT_INPUT, "", "")
+    assert "--input" in capsys.readouterr().err  # argparse writes to sys.stderr
+    assert cli(*argv) == first
 
 
 def test_selfcheck_engine_batch_order_independence():

@@ -41,13 +41,12 @@ from bimenger.reduce import (
     DirectTerminalEdge,
     attach_terminals,
     double_for_xpaths,
-    mirror_doubled_edges,
     normalize_terminals,
     split_and_close,
 )
 
 from .conftest import random_graph, random_sets, recording_cuts
-from .helpers import check_no_turnaround_equality, link_sigma_sum
+from .helpers import check_no_turnaround_equality, doubled_split, link_sigma_sum
 
 
 def st_pipeline(g, s, t):
@@ -438,22 +437,11 @@ def _xpath_instances():
     return [(inst.graph, inst.X) for inst in suite + bench if inst.X]
 
 
-def _doubled_split(g, X):
-    """(split doubled graph, f, t-side mirror of each s-side edge, s side)
-    of ``solve_xpaths`` on ``g`` and ``X``."""
-    g2, X1, X2, dmap = double_for_xpaths(g, X)
-    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
-    g_prime, f, smap = split_and_close(g_hat, s, t)
-    mirror = mirror_doubled_edges(dmap, tmap, smap)
-    side = frozenset(v for eid in mirror for v in g_prime.edge(eid).endpoints)
-    return g_prime, f, mirror, side
-
-
 def test_folded_xpath_programs_match_the_full_doubled_programs():
     # the s-side programs of solve_xpaths against (P) and (D) of the whole
     # doubled split graph, solved directly
     for g, X in _xpath_instances():
-        g_prime, f, mirror, _ = _doubled_split(g, X)
+        g_prime, f, mirror, _ = doubled_split(g, X)
         full = solve_integral_max(build_primal(g_prime, f))
         full_dual = simplex_max(build_dual(g_prime, f))
         folded = _solve_lps(g_prime, f, mirror)
@@ -481,7 +469,7 @@ def _balanced_points(P):
 
     def visit(j):
         if j == k:
-            forced = {-sums[i] / P.a_eq[i][k] for i in xf_rows}
+            forced = {Fraction(-sums[i], P.a_eq[i][k]) for i in xf_rows}
             if len(forced) == 1:
                 out.append(forced.pop())
             return
@@ -505,7 +493,7 @@ def test_folded_primal_is_even_at_every_integral_point():
         inst = random_instance(_trial_params(301, i, 7))
         if not inst.X:
             continue
-        g_prime, f, _, side = _doubled_split(inst.graph, inst.X)
+        g_prime, f, _, side = doubled_split(inst.graph, inst.X)
         P = build_primal(g_prime, f, side)
         if P.ncols - 1 > 16:
             continue
@@ -520,7 +508,7 @@ def test_folded_primal_search_by_even_steps_matches_unit_steps():
     above_limits = [random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
                     for n in (11, 12) for seed in range(5)]
     for g, X in _xpath_instances() + [(inst.graph, inst.X) for inst in above_limits]:
-        g_prime, f, _, side = _doubled_split(g, X)
+        g_prime, f, _, side = doubled_split(g, X)
         P = build_primal(g_prime, f, side)
         assert solve_integral_max(P, step=2) == solve_integral_max(P)
 

@@ -23,11 +23,13 @@ from bimenger import (
     solve_integral_max,
 )
 from bimenger.bigraph import MINUS, PLUS
+from bimenger.bmcli import _trial_params, random_instance
 from bimenger.fixtures import fig1a
-from bimenger.ratlp import _solve_cold, dual_vectors, primal_vectors
+from bimenger.ratlp import _scaled_int_row, _solve_cold, dual_vectors, primal_vectors
 from bimenger.reduce import attach_terminals, split_and_close
 
 from .conftest import random_graph, random_sets
+from .helpers import doubled_split
 
 
 def lp(c, a, b, bounds, names=None):
@@ -117,6 +119,92 @@ def test_dual_shape_and_variable_count():
     n_y = sum(1 for nm in D.names if nm.startswith("y:"))
     assert n_z + n_y == g_prime.n + g_prime.m - 1
     assert len(D.a_eq) == g_prime.m  # one row per non-f edge plus the f row
+
+
+def _pipeline_programs():
+    """(split graph, f, side) of every program that the pipelines build on
+    fig1a and the first 20 suite200 instances: the full programs of the
+    set version and the folded s-side programs of the X-path version."""
+    g, X, Y = fig1a()
+    instances = [(g, X, Y)] + [
+        (inst.graph, inst.X, inst.Y)
+        for inst in (random_instance(_trial_params(301, i, 7)) for i in range(20))
+    ]
+    out = []
+    for g, X, Y in instances:
+        if X and Y:
+            g_hat, s, t, _ = attach_terminals(g, X, Y)
+            g_prime, f, _ = split_and_close(g_hat, s, t)
+            out.append((g_prime, f, None))
+        if X:
+            g_prime, f, _, side = doubled_split(g, X)
+            out.append((g_prime, f, side))
+    return out
+
+
+def _halved_programs(g_prime, f, side):
+    """The rows and right-hand sides of (P) and (D) with the
+    half-coefficient balance rows, from the signed incidence of
+    ``g_prime``, in the builders' row and column order."""
+    inc = incidence_matrix(g_prime)
+    vertices = [v for v in g_prime.vertices if side is None or v in side]
+    others = [e.eid for e in g_prime.edges
+              if e.eid != f and (side is None or {e.u, e.v} <= side)]
+    half = {(v, eid): Fraction(inc.entry(v, eid), 2) for v in vertices for eid in others + [f]}
+    primal = [([half[v, eid] for eid in others + [f]], 0) for v in vertices]
+    ne = len(others)
+    dual = []
+    for k, eid in enumerate(others + [f]):
+        z = [half[v, eid] for v in vertices]
+        y = [int(j == k) for j in range(ne)]
+        sl = [-int(j == k) for j in range(ne + 1)]
+        dual.append((z + [-a for a in z] + y + sl, int(eid == f)))
+    return primal, dual
+
+
+def test_builders_write_the_halved_programs_doubled_as_int_rows():
+    programs = _pipeline_programs()
+    assert sum(side is None for *_, side in programs) >= 10
+    assert sum(side is not None for *_, side in programs) >= 10
+    for g_prime, f, side in programs:
+        halved = _halved_programs(g_prime, f, side)
+        for built, reference in zip((build_primal(g_prime, f, side), build_dual(g_prime, f, side)), halved):
+            assert len(built.a_eq) == len(reference)
+            for row, rhs, (ref_row, ref_rhs) in zip(built.a_eq, built.b_eq, reference):
+                assert all(type(a) is int for a in row) and type(rhs) is int
+                assert list(row) == [2 * a for a in ref_row] and rhs == 2 * ref_rhs
+                # the integers the cold solve used to scale the halved row to
+                assert _scaled_int_row(ref_row, ref_rhs) == (list(row), rhs)
+
+
+def test_scaled_int_row_copies_an_int_row_and_scales_any_fraction():
+    row = [1, -2, 0]
+    out, rhs = _scaled_int_row(row, 3)
+    assert (out, rhs) == ([1, -2, 0], 3) and out is not row
+    assert _scaled_int_row((2, 0, -1), 0) == ([2, 0, -1], 0)
+    assert _scaled_int_row([Fraction(1, 3), 1, Fraction(-1, 2)], Fraction(1, 2)) == ([2, 6, -3], 3)
+    # an integral Fraction is scaled too, by 1, and comes back as an int
+    for row, rhs, expected in (([Fraction(2, 1), 3], 4, ([2, 3], 4)),
+                               ([1, 0], Fraction(2, 1), ([1, 0], 2))):
+        out = _scaled_int_row(row, rhs)
+        assert out == expected
+        assert all(type(v) is int for v in out[0]) and type(out[1]) is int
+
+
+def test_solving_one_problem_twice_gives_equal_solutions():
+    # the tableau never writes into the problem's rows, even list rows
+    rows = ([1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, -1])
+    p = LpProblem((1, 0, 1, 0), rows, (1, 1, 1), ((0, None),) * 4, ("a", "b", "c", "d"))
+    first = simplex_max(p)
+    assert first.status == "optimal"
+    assert simplex_max(p) == first
+    assert rows == ([1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, -1])
+    g, X, Y = fig1a()
+    g_hat, s, t, _ = attach_terminals(g, X, Y)
+    g_prime, f, _ = split_and_close(g_hat, s, t)
+    P, D = build_primal(g_prime, f), build_dual(g_prime, f)
+    assert solve_integral_max(P) == solve_integral_max(P)
+    assert simplex_max(D) == simplex_max(D)
 
 
 def test_strong_duality_on_figures_and_randoms(rng):
