@@ -61,8 +61,8 @@ print("dual LP:", -dsol.objective_value, "(equals the primal LP exactly)")
 
 z, y = dual_vectors(D, dsol, g_prime)
 cut = extract_cut(g_prime, f, z, y)
-print("cut size:", len(cut.edges), "<= sum of y* =", sum(y.values()))
-print("mapped separator:", sorted(map(str, map_cut_to_separator([tmap, smap], cut.edges))))
+print("cut size:", len(cut), "<= sum of y* =", sum(y.values()))
+print("mapped separator:", sorted(map(str, map_cut_to_separator([tmap, smap], cut))))
 
 # the relaxation gap: on a linkless instance the LP still reaches 1 by
 # pushing half a unit into a same-signed gadget pair and cancelling it

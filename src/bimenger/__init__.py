@@ -50,14 +50,12 @@ from .reduce import (
     DirectTerminalEdge,
     EqualTerminals,
     InvalidDerivedLink,
-    NotNormalized,
     ReductionMap,
     UnmappableEdge,
     attach_terminals,
     double_for_xpaths,
     map_cut_to_separator,
     map_links_back,
-    normalize_terminals,
     split_and_close,
 )
 from .ratlp import (
@@ -66,7 +64,6 @@ from .ratlp import (
     LpFailure,
     LpProblem,
     LpSolution,
-    Rational,
     build_dual,
     build_primal,
     check_k_regular,
@@ -78,7 +75,6 @@ from .ratlp import (
 from .certify import (
     REQUIRED_CHECKS,
     DualInfeasible,
-    EdgeCut,
     MengerCertificate,
     NotBalanced,
     NotIntegral,

@@ -18,6 +18,7 @@ printed as exact "p/q" strings, never floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -452,7 +453,9 @@ def run_cli(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        # argparse writes usage errors to sys.stderr and --help to sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

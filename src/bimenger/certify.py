@@ -55,7 +55,6 @@ from .reduce import (
     map_cut_to_separator,
     map_links_back,
     mirror_doubled_edges,
-    normalize_terminals,
     split_and_close,
 )
 from .walks import Link, Walk, classify_link, path_link
@@ -71,13 +70,6 @@ class NotIntegral(VerificationFailure):
 
 class DualInfeasible(VerificationFailure):
     """The (z, y) pair violates the dual constraints."""
-
-
-@dataclasses.dataclass(frozen=True)
-class EdgeCut:
-    """The dual cut F: edges whose signed z-sum is negative."""
-
-    edges: frozenset
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,12 +109,16 @@ def decompose_packing(
 ) -> DecomposeResult:
     """Split a balanced 0/1 edge selection into explicit s-t links.
 
-    Removes the x_f copies of f, walks the remaining support into
-    maximal sign-alternating segments with endpoints in {s, t} (split
-    edge capacity makes the continuation at interior vertices unique),
-    turns s-t segments into path links, pairs s-s with t-t segments
-    (lexicographically by first edge id) into turnarounds, and discards
-    alternating cycles that avoid both terminals.
+    Removes the x_f copies of f and walks the remaining support with one
+    trail walker, which follows the unused chosen edges from a start
+    vertex, alternating signs, until it meets a stop vertex (split edge
+    capacity makes the continuation at interior vertices unique; any
+    other continuation raises NotBalanced).  Trails from s and t to
+    either terminal are the segments; s-t segments become path links,
+    and s-s segments pair with t-t segments (lexicographically by first
+    edge id) into turnarounds.  The edges left over are alternating
+    cycles that avoid both terminals, each walked from its least edge
+    back to that edge's first end, and discarded.
     """
     xf = _as_int(xf_star)
     if xf < 0:
@@ -150,59 +146,30 @@ def decompose_packing(
         if total != 0:
             raise NotBalanced(f"vertex {v!r} has signed degree {total}")
 
-    used = set()
+    unused = set(chosen)
 
-    def walk_from(term: VertexId, first) -> Walk:
-        vertices = [term]
-        edges = []
-        cur, e = term, first
+    def trail(start: VertexId, e, stop) -> Walk:
+        vertices, edges, cur = [start], [], start
         while True:
-            used.add(e.eid)
+            unused.discard(e.eid)
             edges.append(e.eid)
             cur = e.other(cur)
             vertices.append(cur)
-            if cur == s or cur == t:
+            if cur in stop:
                 return Walk(tuple(vertices), tuple(edges))
-            arrived = e.sign_at(cur)
-            nxt = [
-                e2
-                for e2 in g_prime.incident(cur)
-                if e2.eid in chosen and e2.eid not in used and e2.eid != e.eid
-            ]
-            if len(nxt) != 1 or nxt[0].sign_at(cur) == arrived:
+            nxt = [e2 for e2 in g_prime.incident(cur) if e2.eid in unused]
+            if len(nxt) != 1 or nxt[0].sign_at(cur) == e.sign_at(cur):
                 raise NotBalanced(f"support does not alternate uniquely at {cur!r}")
             e = nxt[0]
 
-    segments = []
-    for term in (s, t):
-        for e in g_prime.incident(term):
-            if e.eid == f or e.eid not in chosen or e.eid in used:
-                continue
-            segments.append(walk_from(term, e))
-
-    # anything left over is a family of alternating cycles avoiding s,t
-    leftovers = {eid for eid in chosen if eid not in used}
+    segments = [trail(term, e, (s, t))
+                for term in (s, t) for e in g_prime.incident(term) if e.eid in unused]
+    # what is left is a family of alternating cycles avoiding s and t
     slack_cycles = 0
-    while leftovers:
+    while unused:
+        e = g_prime.edge(min(unused))
+        trail(e.u, e, (e.u,))
         slack_cycles += 1
-        start_eid = min(leftovers)
-        e = g_prime.edge(start_eid)
-        origin, cur = e.u, e.u
-        while True:
-            leftovers.discard(e.eid)
-            used.add(e.eid)
-            cur = e.other(cur)
-            if cur == origin:
-                break
-            arrived = e.sign_at(cur)
-            nxt = [
-                e2
-                for e2 in g_prime.incident(cur)
-                if e2.eid in leftovers and e2.sign_at(cur) != arrived
-            ]
-            if len(nxt) != 1:
-                raise NotBalanced(f"slack support does not close a cycle at {cur!r}")
-            e = nxt[0]
 
     st, ss, tt = [], [], []
     for w in segments:
@@ -231,7 +198,7 @@ def decompose_packing(
     return DecomposeResult(tuple(links), slack_cycles)
 
 
-def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict) -> EdgeCut:
+def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict) -> frozenset:
     """F = {e = uv : sigma(u,e) z*_u + sigma(v,e) z*_v < 0}.
 
     Requires (z*, y*) feasible for the dual with z*_s - z*_t >= 2, and
@@ -254,7 +221,7 @@ def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict)
             if ye < 1:
                 raise DualInfeasible(f"cut edge {e.eid} has y* = {ye} < 1")
             cut.add(e.eid)
-    return EdgeCut(frozenset(cut))
+    return frozenset(cut)
 
 
 def _dual_branch_columns(problem: LpProblem) -> list[int]:
@@ -409,20 +376,14 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
     X, Y = set(X), set(Y)
     if not X or not Y:
         return _trivial_certificate("menger")
-    cert = _menger_lp(g, X, Y)
+    g_hat, s, t, tmap = attach_terminals(g, X, Y)
+    g_prime, f, smap = split_and_close(g_hat, s, t)
+    cert = _finish_certificate([tmap, smap], g_prime, f)
     return _certify(
         cert, g, (X, Y), cert.separator, None,
         (lambda: oracle_min_separator(g, X, Y)) if _checkable(g) else None,
         ("separator_within_value", cert.value),
     )
-
-
-def _menger_lp(g: BidirectedGraph, X: set, Y: set) -> MengerCertificate:
-    """The LP part of ``solve_menger``, before ``_certify``: the packing,
-    its links mapped back to ``g`` and the mapped cut as the separator."""
-    g_hat, s, t, tmap = attach_terminals(g, X, Y)
-    g_prime, f, smap = split_and_close(g_hat, s, t)
-    return _finish_certificate([tmap, smap], g_prime, f)
 
 
 def _finish_certificate(
@@ -432,7 +393,7 @@ def _finish_certificate(
     dec = decompose_packing(g_prime, f, bundle.x, bundle.xf)
     links = map_links_back(chain, dec.links)
     cut = extract_cut(g_prime, f, bundle.z, bundle.y)
-    separator = map_cut_to_separator(chain, cut.edges)
+    separator = map_cut_to_separator(chain, cut)
     primal_value = Fraction(bundle.primal_lp.objective_value)
     dual_value = -Fraction(bundle.dual_lp.objective_value)
     checks = {
@@ -457,8 +418,7 @@ def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     """Maximum internally vertex-disjoint s-t link packing; the separator
     avoids both terminals.  A direct s-t edge is refused, since no
     internal vertex set can separate it."""
-    gn = normalize_terminals(g, s, t)
-    g_prime, f, smap = split_and_close(gn, s, t)
+    g_prime, f, smap = split_and_close(g, s, t)
     cert = _finish_certificate([smap], g_prime, f)
     return _certify(
         cert, g, ({s}, {t}), cert.separator, None,

@@ -1,8 +1,8 @@
 """Exact rational linear programming and matrix regularity checks.
 
-Everything is computed over arbitrary-precision rationals; there is no
-floating point anywhere.  ``Rational`` is the standard-library Fraction,
-which already keeps values in lowest terms with a positive denominator.
+Everything is computed over arbitrary-precision rationals (the
+standard-library Fraction, and int where a value is integral); there is
+no floating point anywhere.
 
 Every solve runs on one bounded-variable simplex tableau.  A cold solve
 (``simplex_max``) scales each equality row to integers once and runs the
@@ -33,8 +33,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .bigraph import BidirectedGraph, EdgeId, VertexId
-
-Rational = Fraction
 
 
 class DimensionMismatch(Exception):
@@ -152,7 +150,9 @@ class _Tableau:
     ``at_upper`` says so.  Bounds ``lo``/``up`` (``up`` may be None) are
     those of the problem; branch and bound tightens them in place.  ``d``
     holds the phase-2 reduced costs, one per position, once the cold
-    solve has reached them.
+    solve has reached them.  ``price`` computes the reduced costs of
+    either phase, and ``_shift`` moves the basic values along whenever a
+    nonbasic column moves: in a pivot, a bound flip or a tightened bound.
     """
 
     __slots__ = ("n", "cols", "T", "xB", "basis", "in_basis", "at_upper", "lo", "up", "d")
@@ -207,16 +207,34 @@ class _Tableau:
         objective = Fraction(sum(cj * v for cj, v in zip(c, values) if cj))
         return LpSolution("optimal", values, objective)
 
+    def price(self, cost) -> list:
+        """The reduced costs c - c_B B^-1 A, one per position, of the
+        costs ``cost`` given per column id."""
+        d = [cost[j] for j in self.cols]
+        for row, j in zip(self.T, self.basis):
+            cb = cost[j]
+            if cb:
+                for q, v in enumerate(row):
+                    if v:
+                        d[q] -= cb * v
+        return d
+
+    def _shift(self, q, t) -> None:
+        """Move the basic values along as the nonbasic column at position
+        q moves by t: each moves by -T[i][q] * t."""
+        xB = self.xB
+        for i, row in enumerate(self.T):
+            if row[q]:
+                xB[i] -= row[q] * t
+
     def _exchange(self, r, q, t, d, leave_at_upper) -> None:
         """Move the nonbasic column at position q by t and pivot it into
         row r, whose basic column leaves at its upper bound or its lower
         bound; the reduced costs d are pivoted along."""
-        T, xB = self.T, self.xB
-        for i, row in enumerate(T):
-            if i != r and row[q]:
-                xB[i] -= row[q] * t
+        T = self.T
+        self._shift(q, t)
         j = self.cols[q]
-        xB[r] = (self.up[j] if self.at_upper[j] else self.lo[j]) + t
+        self.xB[r] = (self.up[j] if self.at_upper[j] else self.lo[j]) + t
         leaving = self.basis[r]
         self.in_basis[leaving] = False
         self.at_upper[leaving] = leave_at_upper
@@ -244,10 +262,7 @@ class _Tableau:
     def _flip(self, q, t) -> None:
         """Move the nonbasic column at position q by t, from one of its
         bounds to the other; no basis change."""
-        xB = self.xB
-        for i, row in enumerate(self.T):
-            if row[q]:
-                xB[i] -= row[q] * t
+        self._shift(q, t)
         j = self.cols[q]
         self.at_upper[j] = not self.at_upper[j]
 
@@ -350,9 +365,7 @@ class _Tableau:
             old = self.up[j] if self.at_upper[j] else self.lo[j]
             t = (up if self.at_upper[j] else lo) - old
             if t:
-                for i, row in enumerate(self.T):
-                    if row[j]:
-                        self.xB[i] -= row[j] * t
+                self._shift(j, t)
         self.lo[j], self.up[j] = lo, up
         return True
 
@@ -369,18 +382,15 @@ def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
         if up is not None and Fraction(up) < Fraction(lo):
             return _INFEASIBLE, None
     tab = _Tableau.all_artificial(p)
-    n, T = tab.n, tab.T
+    n, m, T = tab.n, len(p.a_eq), tab.T
 
     # phase 1: drive the artificials of the nonzero rows to zero
     live = tab.cols[n:]
     if live:
-        d1 = [0] * len(tab.cols)
-        for q, j in enumerate(live, n):
-            d1[q] = -1
-            for jj, v in enumerate(T[j - n]):
-                if v:
-                    d1[jj] += v
-        if not tab.primal(d1):
+        c1 = [0] * (n + m)
+        for j in live:
+            c1[j] = -1
+        if not tab.primal(tab.price(c1)):
             raise LpFailure("phase 1 is bounded by zero yet ended unbounded")
         if any(v != 0 for v in tab.values()[n:]):
             return _INFEASIBLE, None
@@ -393,16 +403,8 @@ def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
         tab.cols = tab.cols[:n]
 
     # phase 2
-    c2 = [_exact(v) for v in p.c] + [0] * len(p.a_eq)
-    d2 = c2[:n]
-    for i, row in enumerate(T):
-        cb = c2[tab.basis[i]]
-        if cb:
-            for jj, v in enumerate(row):
-                if v:
-                    d2[jj] -= cb * v
-    tab.d = d2
-    if not tab.primal(d2):
+    tab.d = tab.price([_exact(v) for v in p.c] + [0] * m)
+    if not tab.primal(tab.d):
         return LpSolution("unbounded", (), None), None
     return tab.solution(p.c), tab
 

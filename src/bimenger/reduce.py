@@ -7,7 +7,8 @@ Three constructions feed the LP pipeline:
   result correspond exactly to set-to-set links of the input;
 * vertex splitting: every non-terminal v becomes v+/v- joined by a
   capacity-one split edge, plus a closing edge f from t back to s, which
-  turns internal vertex-disjointness into edge-disjointness;
+  turns internal vertex-disjointness into edge-disjointness; the edge
+  ends at s become minus and those at t plus;
 * doubling: two disjoint copies, used to reduce X-path packing to
   turnaround packing between the copies.
 
@@ -42,10 +43,6 @@ from .walks import Link, Walk, check_walk
 
 class EqualTerminals(Exception):
     """s and t must be distinct."""
-
-
-class NotNormalized(Exception):
-    """Splitting requires all-minus signs at s and all-plus signs at t."""
 
 
 class DirectTerminalEdge(Exception):
@@ -92,11 +89,12 @@ def attach_terminals(
 ) -> tuple[BidirectedGraph, VertexId, VertexId, ReductionMap]:
     """Attach auxiliary terminals s and t through per-vertex gadgets.
 
-    For each x in X a fresh vertex x~X is added with a single edge
-    s--x~X (minus at s, plus at x~X) and two parallel edges x~X--x
-    (minus at x~X, one with plus and one with minus at x); symmetrically
-    for Y with t.  Every half-edge at s is minus and every half-edge at
-    t is plus, so the output is already normalized for splitting.
+    For each x in X, in vertex order, a fresh vertex x~X is added with a
+    single edge s--x~X (minus at s, plus at x~X) and two parallel edges
+    x~X--x (minus at x~X, one with plus and one with minus at x); then
+    the same for each y in Y, with t and plus in place of s and minus.
+    Every edge end at s is minus and every one at t is plus, the signs
+    ``split_and_close`` gives them.
     """
     X, Y = set(X), set(Y)
     missing = (X | Y) - g.vertex_set
@@ -119,26 +117,18 @@ def attach_terminals(
     gadget_origin: dict[EdgeId, VertexId] = {}
     arrival_edge: dict[tuple[VertexId, str, Sign], EdgeId] = {}
 
-    for x in x_order:
-        xg = x_gadget[x]
-        edges.append(Edge(eid, s, xg, MINUS, PLUS))
-        gadget_origin[eid] = x
-        eid += 1
-        for sign_at_x in (PLUS, MINUS):
-            edges.append(Edge(eid, xg, x, MINUS, sign_at_x))
-            gadget_origin[eid] = x
-            arrival_edge[(x, "X", sign_at_x)] = eid
+    for terminal, order, gadget, side, sign in (
+        (s, x_order, x_gadget, "X", MINUS), (t, y_order, y_gadget, "Y", PLUS)
+    ):
+        for v in order:
+            edges.append(Edge(eid, terminal, gadget[v], sign, sign.flip()))
+            gadget_origin[eid] = v
             eid += 1
-    for y in y_order:
-        yg = y_gadget[y]
-        edges.append(Edge(eid, t, yg, PLUS, MINUS))
-        gadget_origin[eid] = y
-        eid += 1
-        for sign_at_y in (PLUS, MINUS):
-            edges.append(Edge(eid, yg, y, PLUS, sign_at_y))
-            gadget_origin[eid] = y
-            arrival_edge[(y, "Y", sign_at_y)] = eid
-            eid += 1
+            for sign_at_v in (PLUS, MINUS):
+                edges.append(Edge(eid, gadget[v], v, sign, sign_at_v))
+                gadget_origin[eid] = v
+                arrival_edge[(v, side, sign_at_v)] = eid
+                eid += 1
 
     g_hat = BidirectedGraph(tuple(vertices), tuple(edges))
     rmap = ReductionMap(
@@ -159,31 +149,6 @@ def attach_terminals(
     return g_hat, s, t, rmap
 
 
-def normalize_terminals(g: BidirectedGraph, s: VertexId, t: VertexId) -> BidirectedGraph:
-    """Force sign minus on every half-edge at s and plus on every one at t.
-
-    Links meet s and t only as walk endpoints, which carry no sign
-    condition, so the s-t link structure is unchanged.
-    """
-    if s == t:
-        raise EqualTerminals(f"terminals coincide: {s!r}")
-    if not g.has_vertex(s) or not g.has_vertex(t):
-        raise UnknownVertex("terminal not in graph")
-    edges = []
-    for e in g.edges:
-        su, sv = e.sign_u, e.sign_v
-        if e.u == s:
-            su = MINUS
-        if e.u == t:
-            su = PLUS
-        if e.v == s:
-            sv = MINUS
-        if e.v == t:
-            sv = PLUS
-        edges.append(Edge(e.eid, e.u, e.v, su, sv))
-    return BidirectedGraph(g.vertices, tuple(edges))
-
-
 def split_and_close(
     g: BidirectedGraph, s: VertexId, t: VertexId
 ) -> tuple[BidirectedGraph, EdgeId, ReductionMap]:
@@ -191,20 +156,15 @@ def split_and_close(
 
     Each v outside {s,t} becomes v+ (inheriting the plus edge ends) and
     v- (the minus ends), joined by a split edge with minus at v+ and
-    plus at v-.  A new edge f joins t to s with plus at s and minus at
-    t.  Requires normalized terminals and no direct s-t edge.
+    plus at v-.  Every edge end at s becomes minus and every one at t
+    plus: links meet s and t only as walk endpoints, which carry no sign
+    condition, so the s-t links are unchanged.  A new edge f joins t to s
+    with plus at s and minus at t.  Refuses a direct s-t edge.
     """
     if s == t:
         raise EqualTerminals(f"terminals coincide: {s!r}")
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise UnknownVertex("terminal not in graph")
-    for e in g.edges:
-        if {e.u, e.v} == {s, t}:
-            raise DirectTerminalEdge(f"edge {e.eid} joins {s!r} and {t!r} directly")
-        if (e.u == s and e.sign_u is not MINUS) or (e.v == s and e.sign_v is not MINUS):
-            raise NotNormalized(f"edge {e.eid} has sign + at {s!r}")
-        if (e.u == t and e.sign_u is not PLUS) or (e.v == t and e.sign_v is not PLUS):
-            raise NotNormalized(f"edge {e.eid} has sign - at {t!r}")
 
     used = {str(v) for v in g.vertices}
     plus_of, minus_of = {}, {}
@@ -213,20 +173,24 @@ def split_and_close(
         plus_of[v] = _fresh(f"{v}+", used)
         minus_of[v] = _fresh(f"{v}-", used)
 
-    def image(v: VertexId, sign: Sign) -> VertexId:
-        if v in (s, t):
-            return v
-        return plus_of[v] if sign is PLUS else minus_of[v]
+    def end(v: VertexId, sign: Sign) -> tuple[VertexId, Sign]:
+        if v == s:
+            return s, MINUS
+        if v == t:
+            return t, PLUS
+        return (plus_of[v] if sign is PLUS else minus_of[v]), sign
 
     vertices = [s, t]
     for v in non_terminals:
         vertices.append(plus_of[v])
         vertices.append(minus_of[v])
 
-    edges = [
-        Edge(e.eid, image(e.u, e.sign_u), image(e.v, e.sign_v), e.sign_u, e.sign_v)
-        for e in g.edges
-    ]
+    edges = []
+    for e in g.edges:
+        if {e.u, e.v} == {s, t}:
+            raise DirectTerminalEdge(f"edge {e.eid} joins {s!r} and {t!r} directly")
+        (u, sign_u), (v, sign_v) = end(e.u, e.sign_u), end(e.v, e.sign_v)
+        edges.append(Edge(e.eid, u, v, sign_u, sign_v))
     eid = _next_eid(edges)
     split_edge_of: dict[VertexId, EdgeId] = {}
     split_origin: dict[EdgeId, VertexId] = {}

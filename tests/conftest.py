@@ -45,7 +45,7 @@ def recording_cuts():
 
     def record(g_prime, f, z, y):
         cut = extract(g_prime, f, z, y)
-        calls.append((g_prime, f, z, y, cut.edges))
+        calls.append((g_prime, f, z, y, cut))
         return cut
 
     with pytest.MonkeyPatch.context() as mp:

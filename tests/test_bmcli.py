@@ -286,13 +286,23 @@ def test_reused_parser_runs_xpaths_after_solve(tmp_path, monkeypatch):
     assert cli("xpaths", "--input", str(p), "--json") == first
 
 
-def test_reused_parser_recovers_from_a_parse_error(monkeypatch, capsys):
+def test_reused_parser_recovers_from_a_parse_error(monkeypatch):
     argv = ("solve", "--input", str(FIXTURES / "fig1b.bg"))
     first = _first_call(monkeypatch, *argv)
     assert first[0] == EXIT_OK
-    assert cli("solve") == (EXIT_INPUT, "", "")
-    assert "--input" in capsys.readouterr().err  # argparse writes to sys.stderr
+    code, out, err = cli("solve")
+    assert (code, out) == (EXIT_INPUT, "") and "--input" in err
     assert cli(*argv) == first
+
+
+def test_parser_writes_to_the_callers_streams(capsys):
+    code, out, err = cli("solve")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("usage: bmcli solve") and "--input" in err
+    code, out, err = cli("--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: bmcli")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_selfcheck_engine_batch_order_independence():

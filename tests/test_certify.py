@@ -41,7 +41,6 @@ from bimenger.reduce import (
     DirectTerminalEdge,
     attach_terminals,
     double_for_xpaths,
-    normalize_terminals,
     split_and_close,
 )
 
@@ -50,8 +49,7 @@ from .helpers import check_no_turnaround_equality, doubled_split, link_sigma_sum
 
 
 def st_pipeline(g, s, t):
-    gn = normalize_terminals(g, s, t)
-    g_prime, f, smap = split_and_close(gn, s, t)
+    g_prime, f, smap = split_and_close(g, s, t)
     P = build_primal(g_prime, f)
     sol = solve_integral_max(P)
     x, xf = primal_vectors(P, sol)
@@ -93,26 +91,44 @@ def test_decompose_turnaround_uses_two_f_copies():
 
 def test_decompose_discards_slack_cycle():
     g = build_graph(
-        ["s", "v", "t", "c1", "c2"],
+        ["s", "v", "t", "c1", "c2", "c3", "c4"],
         [
             ("s", "v", MINUS, PLUS),
             ("v", "t", MINUS, PLUS),
             ("c1", "c2", PLUS, PLUS),
             ("c1", "c2", MINUS, MINUS),
+            ("c3", "c4", PLUS, PLUS),
+            ("c3", "c4", MINUS, MINUS),
         ],
     )
     g_prime, f, smap, x, xf = st_pipeline(g, "s", "t")
     base = decompose_packing(g_prime, f, x, xf)
     augmented = dict(x)
-    for eid in (2, 3):
-        augmented[eid] = 1
-    for v in ("c1", "c2"):
-        augmented[smap.special["split_edge_of"][v]] = 1
-    dec = decompose_packing(g_prime, f, augmented, xf)
-    assert dec.slack_cycles == 1
-    assert [l.canonical_key() for l in dec.links] == [
-        l.canonical_key() for l in base.links
-    ]
+    for cycles, (edges, vertices) in enumerate([((2, 3), ("c1", "c2")), ((4, 5), ("c3", "c4"))], 1):
+        for eid in edges:
+            augmented[eid] = 1
+        for v in vertices:
+            augmented[smap.special["split_edge_of"][v]] = 1
+        dec = decompose_packing(g_prime, f, augmented, xf)
+        assert dec.slack_cycles == cycles
+        assert dec.links == base.links
+
+
+@pytest.mark.parametrize("branch_on", ["segment", "cycle"])
+def test_decompose_rejects_a_support_that_branches_at_an_inner_vertex(branch_on):
+    # a closed graph that is not a split graph: v carries two plus and two
+    # minus ends of the support, balanced, so only the walker can object
+    if branch_on == "segment":  # two s-v-t paths through v, x_f = 2
+        specs = [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)] * 2
+        xf = 2
+    else:  # two closed trails a-v-a and b-v-b, walked from a
+        specs = [("a", "v", PLUS, PLUS), ("a", "v", MINUS, MINUS),
+                 ("b", "v", PLUS, PLUS), ("b", "v", MINUS, MINUS)]
+        xf = 0
+    g_prime = build_graph(["s", "t", "v", "a", "b"], specs + [("s", "t", PLUS, MINUS)])
+    f = len(specs)
+    with pytest.raises(NotBalanced, match="at 'v'"):
+        decompose_packing(g_prime, f, dict.fromkeys(range(f), 1), xf)
 
 
 def test_decompose_rejects_fractional():
@@ -158,7 +174,7 @@ def test_cut_on_three_vertex_path():
     g_prime, f, _, _, _ = st_pipeline(g, "s", "t")
     lps = _solve_lps(g_prime, f)
     cut = extract_cut(g_prime, f, lps.z, lps.y)
-    assert len(cut.edges) == 1
+    assert len(cut) == 1
     assert solve_st(g, "s", "t").separator == {"v"}
 
 
@@ -339,7 +355,9 @@ def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
     g, X = inst.graph, inst.X
     cert = solve_xpaths(g, X)
     g2, X1, X2, dmap = double_for_xpaths(g, X)
-    cut = certify._menger_lp(g2, X1, X2).separator
+    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+    g_prime, f, smap = split_and_close(g_hat, s, t)
+    cut = certify._finish_certificate([tmap, smap], g_prime, f).separator
     back, copy1 = dmap.special["back_vertex"], set(dmap.special["copy1"].values())
     projections = {
         frozenset(back[v] for v in cut if (v in copy1) == first) for first in (True, False)
@@ -450,7 +468,7 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
         assert folded.dual_lp.objective_value == full_dual.objective_value
         decompose_packing(g_prime, f, folded.x, folded.xf)
         cut = extract_cut(g_prime, f, folded.z, folded.y)
-        assert not cut.edges & set(mirror.values())
+        assert not cut & set(mirror.values())
 
 
 def _balanced_points(P):
@@ -583,8 +601,7 @@ def test_decomposed_links_classify_in_split_graph(rng):
     for _ in range(8):
         g = random_graph(rng, rng.randrange(3, 6), rng.randrange(1, 8))
         s, t = g.vertices[0], g.vertices[1]
-        gn = normalize_terminals(g, s, t)
-        if any({e.u, e.v} == {s, t} for e in gn.edges):
+        if any({e.u, e.v} == {s, t} for e in g.edges):
             continue
         g_prime, f, smap, x, xf = st_pipeline(g, s, t)
         dec = decompose_packing(g_prime, f, x, xf)

@@ -3,7 +3,6 @@ import pytest
 from bimenger import (
     DirectTerminalEdge,
     EqualTerminals,
-    NotNormalized,
     UnknownVertex,
     build_graph,
     enumerate_paths,
@@ -20,7 +19,6 @@ from bimenger.reduce import (
     double_for_xpaths,
     map_cut_to_separator,
     map_links_back,
-    normalize_terminals,
     split_and_close,
 )
 from bimenger.walks import Link, Walk, check_walk
@@ -91,34 +89,32 @@ def test_gadget_oracle_parity_randomized(rng):
         assert sep.size == oracle_min_separator(g, X, Y).size
 
 
-def test_normalize_identity_when_normalized():
-    g = build_graph(["s", "v", "t"], [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)])
-    assert normalize_terminals(g, "s", "t") == g
-
-
-def test_normalize_flips_and_preserves_st_values(rng):
-    for _ in range(10):
-        g = random_graph(rng, rng.randrange(2, 6), rng.randrange(0, 8))
+def test_split_forces_terminal_signs(rng):
+    # minus ends at s and plus ends at t, except on f; the s-t values are
+    # pinned by test_solve_st_separator_avoids_terminals, on graphs whose
+    # terminal signs are mixed
+    forced = 0
+    for _ in range(30):
+        g = random_graph(rng, rng.randrange(4, 8), rng.randrange(0, 10))
         s, t = g.vertices[0], g.vertices[1]
-        gn = normalize_terminals(g, s, t)
-        assert all(e.sign_at(s) is MINUS for e in gn.incident(s))
-        assert all(e.sign_at(t) is PLUS for e in gn.incident(t))
-        before = oracle_st(g, s, t)
-        after = oracle_st(gn, s, t)
-        assert before[0].value == after[0].value
-        assert before[1].size == after[1].size
+        if any({e.u, e.v} == {s, t} for e in g.edges):
+            continue
+        g_prime, f, _ = split_and_close(g, s, t)
+        assert all(e.sign_at(s) is MINUS for e in g_prime.incident(s) if e.eid != f)
+        assert all(e.sign_at(t) is PLUS for e in g_prime.incident(t) if e.eid != f)
+        assert len(g_prime.incident(s)) == len(g.incident(s)) + 1
+        assert len(g_prime.incident(t)) == len(g.incident(t)) + 1
+        forced += any(e.sign_at(s) is PLUS for e in g.incident(s))
+        forced += any(e.sign_at(t) is MINUS for e in g.incident(t))
+    assert forced >= 5
 
 
-def test_normalize_fixed_point_of_attach():
-    g, X, Y = fig1a()
-    g_hat, s, t, _ = attach_terminals(g, X, Y)
-    assert normalize_terminals(g_hat, s, t) == g_hat
-
-
-def test_normalize_equal_terminals():
+def test_split_rejects_bad_terminals():
     g = build_graph(["a"], [])
     with pytest.raises(EqualTerminals):
-        normalize_terminals(g, "a", "a")
+        split_and_close(g, "a", "a")
+    with pytest.raises(UnknownVertex):
+        split_and_close(g, "a", "zz")
 
 
 def test_split_sizes():
@@ -127,12 +123,6 @@ def test_split_sizes():
     g_prime, f, _ = split_and_close(g_hat, s, t)
     assert g_prime.n == 2 * (g_hat.n - 2) + 2
     assert g_prime.m == g_hat.m + (g_hat.n - 2) + 1
-
-
-def test_split_requires_normalization():
-    g = build_graph(["s", "v", "t"], [("s", "v", PLUS, PLUS), ("v", "t", MINUS, PLUS)])
-    with pytest.raises(NotNormalized):
-        split_and_close(g, "s", "t")
 
 
 def test_split_rejects_direct_edge():
@@ -185,11 +175,10 @@ def test_split_path_counts_randomized(rng):
     for _ in range(10):
         g = random_graph(rng, rng.randrange(2, 6), rng.randrange(0, 7))
         s, t = g.vertices[0], g.vertices[1]
-        gn = normalize_terminals(g, s, t)
-        if any({e.u, e.v} == {s, t} for e in gn.edges):
+        if any({e.u, e.v} == {s, t} for e in g.edges):
             continue
-        g_prime, f, _ = split_and_close(gn, s, t)
-        before = enumerate_paths(gn, {s}, {t})
+        g_prime, f, _ = split_and_close(g, s, t)
+        before = enumerate_paths(g, {s}, {t})
         after = [p for p in enumerate_paths(g_prime, {s}, {t}) if f not in p.edges]
         assert len(before) == len(after)
 
@@ -246,13 +235,12 @@ def test_split_lift_roundtrip_st_links(rng):
     for _ in range(8):
         g = random_graph(rng, rng.randrange(3, 6), rng.randrange(1, 8))
         s, t = g.vertices[0], g.vertices[1]
-        gn = normalize_terminals(g, s, t)
-        if any({e.u, e.v} == {s, t} for e in gn.edges):
+        if any({e.u, e.v} == {s, t} for e in g.edges):
             continue
-        pk, _ = oracle_st(gn, s, t)
+        pk, _ = oracle_st(g, s, t)
         if not pk.links:
             continue
-        g_prime, f, smap = split_and_close(gn, s, t)
+        g_prime, f, smap = split_and_close(g, s, t)
         for link in pk.links:
             lifted = Link(
                 link.kind,
