@@ -48,9 +48,11 @@ from .oracle import (
 )
 from .reduce import (
     DirectTerminalEdge,
+    DoubleMap,
     EqualTerminals,
     InvalidDerivedLink,
-    ReductionMap,
+    SplitMap,
+    TerminalMap,
     UnmappableEdge,
     attach_terminals,
     double_for_xpaths,

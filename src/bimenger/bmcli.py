@@ -90,7 +90,7 @@ def parse_instance(text: str) -> InstanceFile:
     edge_specs = []
     X: set[str] = set()
     Y: set[str] = set()
-    s = t = None
+    terminals: dict[str, str] = {}
     declared: set[str] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -126,15 +126,14 @@ def parse_instance(text: str) -> InstanceFile:
                 raise InstanceSyntaxError(line_no, "terminal takes s or t then an id")
             if parts[2] not in declared:
                 raise UnknownVertex(f"line {line_no}: terminal not declared")
-            if parts[1] == "s":
-                s = parts[2]
-            else:
-                t = parts[2]
+            if parts[1] in terminals:
+                raise InstanceSyntaxError(line_no, f"terminal {parts[1]} given twice")
+            terminals[parts[1]] = parts[2]
         else:
             raise InstanceSyntaxError(line_no, f"unknown directive {kind!r}")
 
     graph = build_graph(vertices, edge_specs)  # raises LoopRejected / DuplicateVertexId
-    return InstanceFile(graph, frozenset(X), frozenset(Y), s, t)
+    return InstanceFile(graph, frozenset(X), frozenset(Y), terminals.get("s"), terminals.get("t"))
 
 
 def serialize_instance(inst: InstanceFile) -> str:

@@ -49,7 +49,8 @@ from .ratlp import (
     solve_integral_max,
 )
 from .reduce import (
-    ReductionMap,
+    SplitMap,
+    TerminalMap,
     attach_terminals,
     double_for_xpaths,
     map_cut_to_separator,
@@ -387,7 +388,8 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
 
 
 def _finish_certificate(
-    chain: list[ReductionMap], g_prime: BidirectedGraph, f: EdgeId, mirror: Optional[dict] = None
+    chain: list[TerminalMap | SplitMap], g_prime: BidirectedGraph, f: EdgeId,
+    mirror: Optional[dict] = None,
 ) -> MengerCertificate:
     bundle = _solve_lps(g_prime, f, mirror)
     dec = decompose_packing(g_prime, f, bundle.x, bundle.xf)
@@ -434,16 +436,17 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     Doubles the graph and solves the LP part of the set version between
     the two copies of X, folded onto the first copy's side (see
     ``_solve_lps``): each packed turnaround pairs an X-path from each
-    copy.  Reports one copy's paths.  The separator is the projection of
-    the doubled cut into the first copy, where the folded dual puts all
-    of it, or the empty set when no path was packed (the value is the
-    exact optimum, so then no X-path exists); one path search on ``g``
-    confirms it.  When it is not within the packing value, the separator
-    is a minimum X-path hitting set of ``g``.  That search is exhaustive,
-    so above the oracle limits it runs only when the doubled cut exceeds
-    the doubled value; otherwise the projection is within 2 * value
-    already.  The guarantee here is |separator| <= 2 * value (checks key
-    cor15_bound).
+    copy.  Reports the first copy's paths, taken back by the doubling
+    map's ``walk_back``.  The separator is the doubled cut projected by
+    the doubling map's own back-map, ``first_copy``, which keeps the
+    first copy, where the folded dual puts all of the cut; or it is the
+    empty set when no path was packed (the value is the exact optimum,
+    so then no X-path exists); one path search on ``g`` confirms it.
+    When it is not within the packing value, the separator is a minimum
+    X-path hitting set of ``g``.  That search is exhaustive, so above the
+    oracle limits it runs only when the doubled cut exceeds the doubled
+    value; otherwise the projection is within 2 * value already.  The
+    guarantee here is |separator| <= 2 * value (checks key cor15_bound).
     """
     X = set(X)
     if not X:
@@ -455,22 +458,11 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     if cert2.value % 2 or any(link.kind != "turnaround" for link in cert2.links):
         raise VerificationFailure("the doubled packing is not made of turnarounds")
 
-    back_v = dmap.special["back_vertex"]
-    back_e = dmap.special["back_edge"]
-
-    def back_walk(w: Walk) -> Walk:
-        return Walk(
-            tuple(back_v[v] for v in w.vertices),
-            tuple(back_e[eid] for eid in w.edges),
-        )
-
-    links = tuple(path_link(back_walk(link.ss_part)) for link in cert2.links)
-    copy1 = set(dmap.special["copy1"].values())
-    s1 = frozenset(back_v[v] for v in cert2.separator if v in copy1)
+    links = tuple(path_link(dmap.walk_back(link.ss_part)) for link in cert2.links)
     searchable = _checkable(g) or len(cert2.separator) > cert2.value
     return _certify(
         dataclasses.replace(cert2, value=len(links), links=links), g, (X, X),
-        s1 if links else frozenset(),
+        dmap.first_copy(cert2.separator) if links else frozenset(),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
         (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
         ("cor15_bound", 2 * len(links)),

@@ -12,6 +12,12 @@ Three constructions feed the LP pipeline:
 * doubling: two disjoint copies, used to reduce X-path packing to
   turnaround packing between the copies.
 
+Each construction also returns a frozen record of what it built,
+``TerminalMap``, ``SplitMap`` or ``DoubleMap``: the tables that are read,
+and its own backward maps.  ``walk_back`` takes a walk back one step,
+``charge`` does the same for cut tokens (terminal and split maps), and
+``DoubleMap.first_copy`` projects a doubled vertex set into the first copy.
+
 The terminal attachment deliberately does not wire x to s by two
 parallel edges: that would create a two-edge closed trail at s standing
 for a trivial path, inflating packings on instances with no links at
@@ -57,19 +63,140 @@ class UnmappableEdge(VerificationFailure):
     """A cut edge with no original vertex to charge (the closing edge f)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ReductionMap:
-    """Bookkeeping for one reduction step.
+# A cut token is ("edge", eid) or ("vertex", v) in the graph at hand.
+Token = tuple[str, object]
 
-    Edges keep their ids outside a doubling.  ``special`` holds the
-    construction-specific records (terminals, gadget tables, split
-    edges, the closing edge f, copies).
+
+@dataclasses.dataclass(frozen=True)
+class TerminalMap:
+    """What ``attach_terminals`` added to ``source`` to make ``derived``.
+
+    ``x_gadget``/``y_gadget`` give each X/Y vertex its gadget vertex,
+    ``gadget_origin`` each gadget edge the X/Y vertex it guards, and
+    ``arrival_edge[(v, side, sign)]`` the gadget edge that meets v with
+    that sign ("X" or "Y" side).
     """
 
-    kind: str  # "terminal" | "split" | "double"
     source: BidirectedGraph
     derived: BidirectedGraph
-    special: dict
+    s: VertexId
+    t: VertexId
+    x_gadget: dict[VertexId, VertexId]
+    y_gadget: dict[VertexId, VertexId]
+    gadget_origin: dict[EdgeId, VertexId]
+    arrival_edge: dict[tuple[VertexId, str, Sign], EdgeId]
+
+    uncharged = frozenset()  # s and t are not in the source
+
+    def walk_back(self, w: Walk) -> Walk:
+        """Remove the two-edge gadget prefix/suffix of an s-t, s-s or t-t walk."""
+        if w.start not in (self.s, self.t) or w.end not in (self.s, self.t):
+            raise InvalidDerivedLink("walk does not start and end at the auxiliary terminals")
+        if len(w.edges) < 4:
+            raise InvalidDerivedLink("walk too short to carry the terminal gadgets")
+        if any(eid not in self.gadget_origin for eid in w.edges[:2] + w.edges[-2:]):
+            raise InvalidDerivedLink("walk does not enter the graph through a gadget")
+        out = Walk(tuple(w.vertices[2:-2]), tuple(w.edges[2:-2]))
+        if not check_walk(self.source, out):
+            raise InvalidDerivedLink("stripped walk is not valid in the source graph")
+        return out
+
+    def charge(self, tokens: Iterable[Token]) -> list[Token]:
+        """Gadget edges and gadget vertices go to the X/Y vertex they guard."""
+        gadget_vertex = {w: v for table in (self.x_gadget, self.y_gadget) for v, w in table.items()}
+        out = []
+        for kind, payload in tokens:
+            if kind == "vertex":  # a link through a gadget vertex passes its X/Y vertex
+                out.append((kind, gadget_vertex.get(payload, payload)))
+            elif payload in self.gadget_origin:
+                out.append(("vertex", self.gadget_origin[payload]))
+            else:
+                out.append(("edge", payload))
+        return out
+
+
+@dataclasses.dataclass(frozen=True)
+class SplitMap:
+    """What ``split_and_close`` did to ``source`` to make ``derived``.
+
+    ``split_edge_of`` gives each non-terminal its split edge and
+    ``split_origin`` the reverse; ``back_vertex`` takes v+ and v- to v;
+    ``f`` is the closing edge.  Other edges keep their ids.
+    """
+
+    source: BidirectedGraph
+    derived: BidirectedGraph
+    s: VertexId
+    t: VertexId
+    f: EdgeId
+    split_edge_of: dict[VertexId, EdgeId]
+    split_origin: dict[EdgeId, VertexId]
+    back_vertex: dict[VertexId, VertexId]
+
+    @property
+    def uncharged(self) -> frozenset:  # no cut edge is charged to s or t
+        return frozenset((self.s, self.t))
+
+    def walk_back(self, w: Walk) -> Walk:
+        """Collapse v+/v- pairs and drop split edges; result lives in ``source``."""
+        if self.f in w.edges:
+            raise InvalidDerivedLink("link uses the closing edge f")
+
+        def back_v(v):
+            return self.back_vertex.get(v, v)
+
+        vertices = [back_v(w.vertices[0])]
+        edges = []
+        for eid, nxt in zip(w.edges, w.vertices[1:]):
+            if eid in self.split_origin:
+                if back_v(nxt) != vertices[-1]:
+                    raise InvalidDerivedLink("split edge does not stay on one original vertex")
+                continue
+            edges.append(eid)
+            vertices.append(back_v(nxt))
+        out = Walk(tuple(vertices), tuple(edges))
+        if not check_walk(self.source, out):
+            raise InvalidDerivedLink("collapsed walk is not valid in the source graph")
+        return out
+
+    def charge(self, tokens: Iterable[Token]) -> list[Token]:
+        """Split edges and halves go to the vertex they split; f raises."""
+        out = []
+        for kind, payload in tokens:
+            if kind == "vertex":
+                out.append((kind, self.back_vertex.get(payload, payload)))
+            elif payload == self.f:
+                raise UnmappableEdge("the closing edge f cannot be charged to a vertex")
+            elif payload in self.split_origin:
+                out.append(("vertex", self.split_origin[payload]))
+            else:
+                out.append(("edge", payload))
+        return out
+
+
+@dataclasses.dataclass(frozen=True)
+class DoubleMap:
+    """The two copies ``double_for_xpaths`` made of its input graph.
+
+    ``copy1``/``copy2`` give each input vertex its image in each copy;
+    ``back_vertex`` and ``back_edge`` take either copy's vertices and
+    edges back to the input.
+    """
+
+    copy1: dict[VertexId, VertexId]
+    copy2: dict[VertexId, VertexId]
+    back_vertex: dict[VertexId, VertexId]
+    back_edge: dict[EdgeId, EdgeId]
+
+    def walk_back(self, w: Walk) -> Walk:
+        """The input walk that a walk of either copy is an image of."""
+        return Walk(tuple(self.back_vertex[v] for v in w.vertices),
+                    tuple(self.back_edge[eid] for eid in w.edges))
+
+    def first_copy(self, vertices: Iterable[VertexId]) -> frozenset:
+        """The input vertices whose first-copy images are in ``vertices``."""
+        images = set(self.copy1.values())
+        return frozenset(self.back_vertex[v] for v in vertices if v in images)
 
 
 def _fresh(base: str, used: set) -> str:
@@ -86,7 +213,7 @@ def _next_eid(edges: Sequence[Edge]) -> int:
 
 def attach_terminals(
     g: BidirectedGraph, X: Iterable, Y: Iterable
-) -> tuple[BidirectedGraph, VertexId, VertexId, ReductionMap]:
+) -> tuple[BidirectedGraph, VertexId, VertexId, TerminalMap]:
     """Attach auxiliary terminals s and t through per-vertex gadgets.
 
     For each x in X, in vertex order, a fresh vertex x~X is added with a
@@ -131,27 +258,12 @@ def attach_terminals(
                 eid += 1
 
     g_hat = BidirectedGraph(tuple(vertices), tuple(edges))
-    rmap = ReductionMap(
-        kind="terminal",
-        source=g,
-        derived=g_hat,
-        special={
-            "s": s,
-            "t": t,
-            "X": frozenset(X),
-            "Y": frozenset(Y),
-            "x_gadget": x_gadget,
-            "y_gadget": y_gadget,
-            "gadget_origin": gadget_origin,
-            "arrival_edge": arrival_edge,
-        },
-    )
-    return g_hat, s, t, rmap
+    return g_hat, s, t, TerminalMap(g, g_hat, s, t, x_gadget, y_gadget, gadget_origin, arrival_edge)
 
 
 def split_and_close(
     g: BidirectedGraph, s: VertexId, t: VertexId
-) -> tuple[BidirectedGraph, EdgeId, ReductionMap]:
+) -> tuple[BidirectedGraph, EdgeId, SplitMap]:
     """Split every non-terminal vertex and close the graph with edge f.
 
     Each v outside {s,t} becomes v+ (inheriting the plus edge ends) and
@@ -202,31 +314,15 @@ def split_and_close(
     f = eid
     edges.append(Edge(f, s, t, PLUS, MINUS))
 
-    back_vertex = {}
-    for v in non_terminals:
-        back_vertex[plus_of[v]] = v
-        back_vertex[minus_of[v]] = v
+    back_vertex = {w: v for v in non_terminals for w in (plus_of[v], minus_of[v])}
 
     g_prime = BidirectedGraph(tuple(vertices), tuple(edges))
-    rmap = ReductionMap(
-        kind="split",
-        source=g,
-        derived=g_prime,
-        special={
-            "s": s,
-            "t": t,
-            "f": f,
-            "split_edge_of": split_edge_of,
-            "split_origin": split_origin,
-            "back_vertex": back_vertex,
-        },
-    )
-    return g_prime, f, rmap
+    return g_prime, f, SplitMap(g, g_prime, s, t, f, split_edge_of, split_origin, back_vertex)
 
 
 def double_for_xpaths(
     g: BidirectedGraph, X: Iterable
-) -> tuple[BidirectedGraph, frozenset, frozenset, ReductionMap]:
+) -> tuple[BidirectedGraph, frozenset, frozenset, DoubleMap]:
     """Disjoint union of two relabelled copies; X1 and X2 are the images of X."""
     X = set(X)
     missing = X - g.vertex_set
@@ -239,31 +335,21 @@ def double_for_xpaths(
     vertices = [copy1[v] for v in g.vertices] + [copy2[v] for v in g.vertices]
     edges = [Edge(e.eid, copy1[e.u], copy1[e.v], e.sign_u, e.sign_v) for e in g.edges]
     eid = _next_eid(edges)
-    edge_map = {}
+    back_edge = {}
     for e in g.edges:
         edges.append(Edge(eid, copy2[e.u], copy2[e.v], e.sign_u, e.sign_v))
-        edge_map[e.eid] = (e.eid, eid)
+        back_edge[e.eid] = back_edge[eid] = e.eid
         eid += 1
 
     g2 = BidirectedGraph(tuple(vertices), tuple(edges))
     back_vertex = {w: v for v, w in copy1.items()}
     back_vertex.update({w: v for v, w in copy2.items()})
-    rmap = ReductionMap(
-        kind="double",
-        source=g,
-        derived=g2,
-        special={
-            "copy1": copy1,
-            "copy2": copy2,
-            "back_vertex": back_vertex,
-            "back_edge": {d: o for o, (d1, d2) in edge_map.items() for d in (d1, d2)},
-        },
-    )
-    return g2, frozenset(copy1[x] for x in X), frozenset(copy2[x] for x in X), rmap
+    dmap = DoubleMap(copy1, copy2, back_vertex, back_edge)
+    return g2, frozenset(copy1[x] for x in X), frozenset(copy2[x] for x in X), dmap
 
 
 def mirror_doubled_edges(
-    dmap: ReductionMap, tmap: ReductionMap, smap: ReductionMap
+    dmap: DoubleMap, tmap: TerminalMap, smap: SplitMap
 ) -> dict[EdgeId, EdgeId]:
     """The t-side mirror of each s-side edge of the doubled split graph.
 
@@ -274,19 +360,16 @@ def mirror_doubled_edges(
     x''~Y (switched, so the gadget's plus half meets the other's minus
     half) maps it onto the t side.  f is its own mirror and not a key.
     """
-    copy1, copy2 = dmap.special["copy1"], dmap.special["copy2"]
-    vertex = {copy1[v]: copy2[v] for v in copy1}
-    y_gadget = tmap.special["y_gadget"]
-    vertex.update((xg, y_gadget[vertex[x]]) for x, xg in tmap.special["x_gadget"].items())
-    edge = {e: d for d, e in dmap.special["back_edge"].items() if d != e}
-    arrival = tmap.special["arrival_edge"]
+    vertex = {dmap.copy1[v]: dmap.copy2[v] for v in dmap.copy1}
+    vertex.update((xg, tmap.y_gadget[vertex[x]]) for x, xg in tmap.x_gadget.items())
+    edge = {e: d for d, e in dmap.back_edge.items() if d != e}
+    arrival = tmap.arrival_edge
     edge.update((eid, arrival[(vertex[x], "Y", sign)])
                 for (x, side, sign), eid in arrival.items() if side == "X")
-    g_hat, s, t = tmap.derived, tmap.special["s"], tmap.special["t"]
+    g_hat, s, t = tmap.derived, tmap.s, tmap.t
     t_edge = {e.other(t): e.eid for e in g_hat.incident(t)}
     edge.update((e.eid, t_edge[vertex[e.other(s)]]) for e in g_hat.incident(s))
-    split_edge_of = smap.special["split_edge_of"]
-    edge.update((split_edge_of[v], split_edge_of[w]) for v, w in vertex.items())
+    edge.update((smap.split_edge_of[v], smap.split_edge_of[w]) for v, w in vertex.items())
     return edge
 
 
@@ -294,59 +377,7 @@ def mirror_doubled_edges(
 # backward maps
 
 
-def _unsplit_walk(rmap: ReductionMap, w: Walk) -> Walk:
-    """Collapse v+/v- pairs and drop split edges; result lives in rmap.source."""
-    back = rmap.special["back_vertex"]
-    split_origin = rmap.special["split_origin"]
-    if rmap.special["f"] in w.edges:
-        raise InvalidDerivedLink("link uses the closing edge f")
-
-    def back_v(v):
-        return back.get(v, v)
-
-    vertices = [back_v(w.vertices[0])]
-    edges = []
-    for eid, nxt in zip(w.edges, w.vertices[1:]):
-        if eid in split_origin:
-            if back_v(nxt) != vertices[-1]:
-                raise InvalidDerivedLink("split edge does not stay on one original vertex")
-            continue
-        edges.append(eid)
-        vertices.append(back_v(nxt))
-    out = Walk(tuple(vertices), tuple(edges))
-    if not check_walk(rmap.source, out):
-        raise InvalidDerivedLink("collapsed walk is not valid in the source graph")
-    return out
-
-
-def _strip_terminal_walk(rmap: ReductionMap, w: Walk) -> Walk:
-    """Remove the two-edge gadget prefix/suffix of an s-t, s-s or t-t walk."""
-    s, t = rmap.special["s"], rmap.special["t"]
-    gadget_origin = rmap.special["gadget_origin"]
-    if w.start not in (s, t) or w.end not in (s, t):
-        raise InvalidDerivedLink("walk does not start and end at the auxiliary terminals")
-    if len(w.edges) < 4:
-        raise InvalidDerivedLink("walk too short to carry the terminal gadgets")
-    for eid in w.edges[:2] + w.edges[-2:]:
-        if eid not in gadget_origin:
-            raise InvalidDerivedLink("walk does not enter the graph through a gadget")
-    inner_vertices = w.vertices[2:-2]
-    inner_edges = w.edges[2:-2]
-    out = Walk(tuple(inner_vertices), tuple(inner_edges))
-    if not check_walk(rmap.source, out):
-        raise InvalidDerivedLink("stripped walk is not valid in the source graph")
-    return out
-
-
-def _map_link_back_one(rmap: ReductionMap, link: Link) -> Link:
-    if rmap.kind == "split":
-        return Link(link.kind, tuple(_unsplit_walk(rmap, w) for w in link.walks))
-    if rmap.kind == "terminal":
-        return Link(link.kind, tuple(_strip_terminal_walk(rmap, w) for w in link.walks))
-    raise InvalidDerivedLink(f"no link mapping for reduction kind {rmap.kind!r}")
-
-
-def map_links_back(map_chain: Sequence[ReductionMap], links: Iterable[Link]) -> list[Link]:
+def map_links_back(map_chain: Sequence[TerminalMap | SplitMap], links: Iterable[Link]) -> list[Link]:
     """Map links of the most-derived graph back through the chain.
 
     ``map_chain`` is in application order (original graph first); paths
@@ -354,11 +385,11 @@ def map_links_back(map_chain: Sequence[ReductionMap], links: Iterable[Link]) -> 
     """
     out = list(links)
     for rmap in reversed(map_chain):
-        out = [_map_link_back_one(rmap, link) for link in out]
+        out = [Link(link.kind, tuple(rmap.walk_back(w) for w in link.walks)) for link in out]
     return out
 
 
-def map_cut_to_separator(map_chain: Sequence[ReductionMap], F: Iterable[EdgeId]) -> frozenset:
+def map_cut_to_separator(map_chain: Sequence[TerminalMap | SplitMap], F: Iterable[EdgeId]) -> frozenset:
     """Charge every cut edge to one original vertex.
 
     Split edges map to the vertex they split, gadget edges and the split
@@ -367,39 +398,10 @@ def map_cut_to_separator(map_chain: Sequence[ReductionMap], F: Iterable[EdgeId])
     outside the terminals.
     """
     tokens = [("edge", eid) for eid in F]
-    exclude: set = set()
     for rmap in reversed(map_chain):
-        nxt = []
-        if rmap.kind == "split":
-            split_origin = rmap.special["split_origin"]
-            f = rmap.special["f"]
-            for kind, payload in tokens:
-                if kind == "vertex":
-                    nxt.append((kind, rmap.special["back_vertex"].get(payload, payload)))
-                elif payload == f:
-                    raise UnmappableEdge("the closing edge f cannot be charged to a vertex")
-                elif payload in split_origin:
-                    nxt.append(("vertex", split_origin[payload]))
-                else:
-                    nxt.append(("edge", payload))
-            exclude = {rmap.special["s"], rmap.special["t"]}
-        elif rmap.kind == "terminal":
-            gadget_origin = rmap.special["gadget_origin"]
-            gadget_vertex = {w: v for table in ("x_gadget", "y_gadget")
-                             for v, w in rmap.special[table].items()}
-            for kind, payload in tokens:
-                if kind == "vertex":  # a link through a gadget vertex passes its X/Y vertex
-                    nxt.append((kind, gadget_vertex.get(payload, payload)))
-                elif payload in gadget_origin:
-                    nxt.append(("vertex", gadget_origin[payload]))
-                else:
-                    nxt.append(("edge", payload))
-            exclude = set()
-        else:
-            raise UnmappableEdge(f"no cut mapping for reduction kind {rmap.kind!r}")
-        tokens = nxt
+        tokens = rmap.charge(tokens)
 
-    original = map_chain[0].source
+    original, exclude = map_chain[0].source, map_chain[0].uncharged
     out = set()
     for kind, payload in tokens:
         if kind == "vertex":

@@ -9,7 +9,8 @@ from typing import Iterable, NamedTuple, Optional
 from bimenger import (
     BidirectedGraph,
     Link,
-    ReductionMap,
+    SplitMap,
+    TerminalMap,
     Walk,
     check_walk,
     enumerate_xy_links,
@@ -61,12 +62,10 @@ def check_no_turnaround_equality(g: BidirectedGraph, X: Iterable, Y: Iterable) -
     return EqualityVerdict(True, holds, pack.value, int(sep.size))
 
 
-def lift_link_through_terminal(rmap: ReductionMap, link: Link) -> Link:
+def lift_link_through_terminal(tmap: TerminalMap, link: Link) -> Link:
     """Lift an X-Y link of the source graph to an s-t link of the gadgeted graph."""
-    s, t = rmap.special["s"], rmap.special["t"]
-    g_hat = rmap.derived
-    x_gadget, y_gadget = rmap.special["x_gadget"], rmap.special["y_gadget"]
-    arrival = rmap.special["arrival_edge"]
+    s, t, g_hat = tmap.s, tmap.t, tmap.derived
+    x_gadget, y_gadget, arrival = tmap.x_gadget, tmap.y_gadget, tmap.arrival_edge
 
     def s_edge(x):
         xg = x_gadget[x]
@@ -114,11 +113,10 @@ def lift_link_through_terminal(rmap: ReductionMap, link: Link) -> Link:
     return out
 
 
-def lift_walk_through_split(rmap: ReductionMap, w: Walk) -> Walk:
+def lift_walk_through_split(smap: SplitMap, w: Walk) -> Walk:
     """Lift a walk of the source graph to the split graph, inserting split edges."""
-    g, g_prime = rmap.source, rmap.derived
-    s, t = rmap.special["s"], rmap.special["t"]
-    split_edge_of = rmap.special["split_edge_of"]
+    g, g_prime, s, t = smap.source, smap.derived, smap.s, smap.t
+    split_edge_of = smap.split_edge_of
 
     def image(v, sign):
         if v in (s, t):

@@ -82,6 +82,18 @@ def test_parse_bad_signs():
         parse_instance("vertex a\nvertex b\nedge a b xx\n")
 
 
+@pytest.mark.parametrize("terminal", ["s", "t"])
+def test_parse_rejects_a_second_terminal_line(tmp_path, terminal):
+    text = "vertex a\nvertex b\nvertex c\nterminal s a\nterminal t b\n"
+    with pytest.raises(InstanceSyntaxError, match="line 6"):
+        parse_instance(text + f"terminal {terminal} c\n")
+    p = tmp_path / "in.bg"
+    p.write_text(text + f"terminal {terminal} c\n")
+    rc, out, err = cli("solve-st", "--input", str(p))
+    assert rc == EXIT_INPUT and out == ""
+    assert _one_error_line(err)
+
+
 def test_roundtrip_fixture_files_match_builders():
     inst = parse_instance((FIXTURES / "fig1a.bg").read_text())
     g, X, Y = fig1a()

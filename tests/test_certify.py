@@ -108,7 +108,7 @@ def test_decompose_discards_slack_cycle():
         for eid in edges:
             augmented[eid] = 1
         for v in vertices:
-            augmented[smap.special["split_edge_of"][v]] = 1
+            augmented[smap.split_edge_of[v]] = 1
         dec = decompose_packing(g_prime, f, augmented, xf)
         assert dec.slack_cycles == cycles
         assert dec.links == base.links
@@ -358,7 +358,7 @@ def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
     g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
     g_prime, f, smap = split_and_close(g_hat, s, t)
     cut = certify._finish_certificate([tmap, smap], g_prime, f).separator
-    back, copy1 = dmap.special["back_vertex"], set(dmap.special["copy1"].values())
+    back, copy1 = dmap.back_vertex, set(dmap.copy1.values())
     projections = {
         frozenset(back[v] for v in cut if (v in copy1) == first) for first in (True, False)
     }

@@ -21,7 +21,7 @@ from bimenger.reduce import (
     map_links_back,
     split_and_close,
 )
-from bimenger.walks import Link, Walk, check_walk
+from bimenger.walks import Link, Walk, check_walk, path_link
 
 from .conftest import random_graph, random_sets
 from .helpers import lift_link_through_terminal, lift_walk_through_split
@@ -135,7 +135,7 @@ def test_split_capacity_structure():
     g, X, Y = fig1a()
     g_hat, s, t, tmap = attach_terminals(g, X, Y)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    split_edge_of = smap.special["split_edge_of"]
+    split_edge_of = smap.split_edge_of
     assert set(split_edge_of) == set(g_hat.vertices) - {s, t}
     for v, eid in split_edge_of.items():
         vp, vm = g_prime.edge(eid).endpoints  # v+ then v-
@@ -164,19 +164,31 @@ def test_split_path_correspondence():
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
     g_prime, f, smap = split_and_close(g, "s", "t")
-    vp, vm = g_prime.edge(smap.special["split_edge_of"]["v"]).endpoints
+    vp, vm = g_prime.edge(smap.split_edge_of["v"]).endpoints
     paths = enumerate_paths(g_prime, {"s"}, {"t"})
     routed = [p for p in paths if f not in p.edges]
     assert len(routed) == 1
     assert routed[0].vertices == ("s", vp, vm, "t")
 
 
-def test_split_path_counts_randomized(rng):
-    for _ in range(10):
-        g = random_graph(rng, rng.randrange(2, 6), rng.randrange(0, 7))
+def _st_draws(rng, count, n_range, m_range, keep=lambda g: True):
+    """``count`` random graphs whose first two vertices, s and t, share no
+    edge and that ``keep`` accepts, drawn in at most 50 * count attempts."""
+    out = []
+    for _ in range(50 * count):
+        g = random_graph(rng, rng.randrange(*n_range), rng.randrange(*m_range))
         s, t = g.vertices[0], g.vertices[1]
-        if any({e.u, e.v} == {s, t} for e in g.edges):
-            continue
+        if not any({e.u, e.v} == {s, t} for e in g.edges) and keep(g):
+            out.append(g)
+            if len(out) == count:
+                break
+    assert len(out) == count
+    return out
+
+
+def test_split_path_counts_randomized(rng):
+    for g in _st_draws(rng, 10, (2, 6), (0, 7)):
+        s, t = g.vertices[0], g.vertices[1]
         g_prime, f, _ = split_and_close(g, s, t)
         before = enumerate_paths(g, {s}, {t})
         after = [p for p in enumerate_paths(g_prime, {s}, {t}) if f not in p.edges]
@@ -210,6 +222,29 @@ def test_double_oracle_parity_randomized(rng):
         )
 
 
+def test_double_walk_back_and_first_copy_randomized(rng):
+    # the doubling's own back-maps, which solve_xpaths applies to its
+    # packed paths and to its cut
+    nontrivial = 0
+    for _ in range(10):
+        g = random_graph(rng, rng.randrange(3, 6), rng.randrange(2, 9))
+        X = set(g.vertices[: rng.randrange(2, g.n + 1)])
+        g2, X1, X2, dmap = double_for_xpaths(g, X)
+        for copy in (dmap.copy1, dmap.copy2):
+            images = set(copy.values())
+            edge = {o: d for d, o in dmap.back_edge.items() if g2.edge(d).u in images}
+            for w in enumerate_paths(g, X, X):
+                lifted = Walk(tuple(copy[v] for v in w.vertices), tuple(edge[e] for e in w.edges))
+                assert check_walk(g2, lifted)
+                back = dmap.walk_back(lifted)
+                assert path_link(back).canonical_key() == path_link(w).canonical_key()
+                nontrivial += not w.is_trivial
+        A = set(rng.sample(g.vertices, rng.randrange(g.n + 1)))
+        B = set(rng.sample(g.vertices, rng.randrange(g.n + 1)))
+        assert dmap.first_copy({dmap.copy1[v] for v in A} | {dmap.copy2[v] for v in B}) == A
+    assert nontrivial >= 2 * 40  # each path lifts into both copies
+
+
 def test_lift_and_map_back_roundtrip(rng):
     for _ in range(10):
         g = random_graph(rng, rng.randrange(2, 6), rng.randrange(0, 7))
@@ -232,14 +267,12 @@ def test_lift_and_map_back_roundtrip(rng):
 
 
 def test_split_lift_roundtrip_st_links(rng):
-    for _ in range(8):
-        g = random_graph(rng, rng.randrange(3, 6), rng.randrange(1, 8))
+    def has_link(g):
+        return bool(oracle_st(g, *g.vertices[:2])[0].links)
+
+    for g in _st_draws(rng, 8, (3, 6), (1, 8), keep=has_link):
         s, t = g.vertices[0], g.vertices[1]
-        if any({e.u, e.v} == {s, t} for e in g.edges):
-            continue
         pk, _ = oracle_st(g, s, t)
-        if not pk.links:
-            continue
         g_prime, f, smap = split_and_close(g, s, t)
         for link in pk.links:
             lifted = Link(
@@ -266,7 +299,7 @@ def test_map_cut_split_edge_to_vertex():
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
     g_prime, f, smap = split_and_close(g, "s", "t")
-    split_eid = smap.special["split_edge_of"]["v"]
+    split_eid = smap.split_edge_of["v"]
     assert map_cut_to_separator([smap], {split_eid}) == {"v"}
     assert map_cut_to_separator([smap], set()) == frozenset()
 
@@ -295,11 +328,11 @@ def test_map_cut_gadget_edges_charge_the_guarded_vertex():
     g, X, Y = fig1a()
     g_hat, s, t, tmap = attach_terminals(g, X, Y)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    origin = tmap.special["gadget_origin"]
+    origin = tmap.gadget_origin
     for eid, x in list(origin.items())[:4]:
         mapped = map_cut_to_separator([tmap, smap], {eid})
         assert mapped == {x}
-    split_edge_of = smap.special["split_edge_of"]
-    for table in ("x_gadget", "y_gadget"):
-        for x, xg in tmap.special[table].items():
+    split_edge_of = smap.split_edge_of
+    for table in (tmap.x_gadget, tmap.y_gadget):
+        for x, xg in table.items():
             assert map_cut_to_separator([tmap, smap], {split_edge_of[xg]}) == {x}
