@@ -55,7 +55,6 @@ from .reduce import (
     double_for_xpaths,
     map_cut_to_separator,
     map_links_back,
-    mirror_doubled_edges,
     split_and_close,
 )
 from .walks import Link, Walk, classify_link, path_link
@@ -106,7 +105,8 @@ def _as_int(v) -> int:
 
 
 def decompose_packing(
-    g_prime: BidirectedGraph, f: EdgeId, x_star: dict, xf_star
+    g_prime: BidirectedGraph, f: EdgeId, x_star: dict, xf_star,
+    side: Optional[frozenset] = None,
 ) -> DecomposeResult:
     """Split a balanced 0/1 edge selection into explicit s-t links.
 
@@ -120,6 +120,11 @@ def decompose_packing(
     edge id) into turnarounds.  The edges left over are alternating
     cycles that avoid both terminals, each walked from its least edge
     back to that edge's first end, and discarded.
+
+    ``side``, the fold of ``solve_xpaths`` as in ``build_primal``, holds s
+    but not t.  The selection must then lie on it, balance is checked on
+    its rows, and the s-s segments, whose number x_f is twice, come back
+    as path links in the same order: the X-paths of the first copy.
     """
     xf = _as_int(xf_star)
     if xf < 0:
@@ -131,13 +136,15 @@ def decompose_packing(
             raise NotIntegral(f"edge variable x[{eid}] = {v} is not 0/1")
         if iv:
             chosen[eid] = g_prime.edge(eid)
+    if side is not None and any(not side.issuperset(e.endpoints) for e in chosen.values()):
+        raise NotBalanced("a chosen edge leaves the side")
 
     fe = g_prime.edge(f)
     s, t = fe.u, fe.v
 
-    # balance: at every vertex the signed sum over chosen ends plus the
-    # f contribution must vanish
-    for v in g_prime.vertices:
+    # balance: at every vertex (of the side) the signed sum over chosen
+    # ends plus the f contribution must vanish
+    for v in g_prime.vertices if side is None else [v for v in g_prime.vertices if v in side]:
         total = 0
         for e in g_prime.incident(v):
             if e.eid == f:
@@ -183,7 +190,7 @@ def decompose_packing(
             ss.append(w)
         else:
             tt.append(w)
-    if len(ss) != len(tt):
+    if side is None and len(ss) != len(tt):
         raise NotBalanced(
             f"segment parity violated: {len(ss)} s-s vs {len(tt)} t-t segments"
         )
@@ -192,9 +199,11 @@ def decompose_packing(
             f"segment weight {len(st) + 2 * len(ss)} does not match x_f = {xf}"
         )
 
-    links = [path_link(w) for w in st]
     ss.sort(key=lambda w: w.edges[0])
     tt.sort(key=lambda w: w.edges[0])
+    if side is not None:
+        return DecomposeResult(tuple(path_link(w) for w in ss), slack_cycles)
+    links = [path_link(w) for w in st]
     links.extend(Link("turnaround", (a, b)) for a, b in zip(ss, tt))
     return DecomposeResult(tuple(links), slack_cycles)
 
@@ -250,29 +259,23 @@ def _optimal(what: str, sol: LpSolution) -> LpSolution:
     return sol
 
 
-def _solve_lps(g_prime: BidirectedGraph, f: EdgeId, mirror: Optional[dict] = None) -> _LpBundle:
+def _solve_lps(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> _LpBundle:
     """Solve (P) and (D).  The packing is the integral optimum of (P),
     whose branch and bound also returns the plain relaxation; (D) falls
     back to exact integral search when its basic optimum comes back
     fractional.
 
-    ``mirror`` (``mirror_doubled_edges``) marks the doubled split graph of
-    ``solve_xpaths``: both programs are then built on its s side only,
-    the packing is mirrored onto the t side and the dual read as 0 there,
-    which gives optima of the full programs (README, "The fold").  x_f is
-    even at every integral point of the folded (P), so its branch and
-    bound rounds bounds down to even."""
-    side = None
-    if mirror is not None:
-        side = frozenset(v for eid in mirror for v in g_prime.edge(eid).endpoints)
+    ``side``, the s side of the doubled split graph of ``solve_xpaths``,
+    folds both programs onto it: the packing is read on it and the dual
+    as 0 off it, which gives optima of the full programs (README, "The
+    fold").  x_f is even at every integral point of the folded (P), so
+    its branch and bound rounds bounds down to even."""
     P, D = build_primal(g_prime, f, side), build_dual(g_prime, f, side)
     psol = solve_integral_max(P, step=1 if side is None else 2)
     plp = _optimal("primal relaxation", psol.relaxation)
     primal_integral_raw = is_integral(plp.values)
     x, xf = primal_vectors(P, _optimal("integral primal", psol))
     xf = _as_int(xf)
-    if mirror is not None:
-        x.update({mirror[eid]: v for eid, v in x.items()})
 
     dlp = _optimal("dual relaxation", simplex_max(D))
     z, y = dual_vectors(D, dlp, g_prime)
@@ -389,10 +392,10 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
 
 def _finish_certificate(
     chain: list[TerminalMap | SplitMap], g_prime: BidirectedGraph, f: EdgeId,
-    mirror: Optional[dict] = None,
+    side: Optional[frozenset] = None,
 ) -> MengerCertificate:
-    bundle = _solve_lps(g_prime, f, mirror)
-    dec = decompose_packing(g_prime, f, bundle.x, bundle.xf)
+    bundle = _solve_lps(g_prime, f, side)
+    dec = decompose_packing(g_prime, f, bundle.x, bundle.xf, side)
     links = map_links_back(chain, dec.links)
     cut = extract_cut(g_prime, f, bundle.z, bundle.y)
     separator = map_cut_to_separator(chain, cut)
@@ -430,14 +433,28 @@ def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     )
 
 
+def _s_side(g_prime: BidirectedGraph, f: EdgeId) -> frozenset:
+    """The vertices that s reaches in ``g_prime`` without the closing edge f."""
+    s = g_prime.edge(f).u
+    side, todo = {s}, [s]
+    while todo:
+        v = todo.pop()
+        for e in g_prime.incident(v):
+            if e.eid != f and e.other(v) not in side:
+                side.add(e.other(v))
+                todo.append(e.other(v))
+    return frozenset(side)
+
+
 def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     """Maximum vertex-disjoint nontrivial X-X path packing.
 
     Doubles the graph and solves the LP part of the set version between
-    the two copies of X, folded onto the first copy's side (see
-    ``_solve_lps``): each packed turnaround pairs an X-path from each
-    copy.  Reports the first copy's paths, taken back by the doubling
-    map's ``walk_back``.  The separator is the doubled cut projected by
+    the two copies of X, folded onto the s side, what s reaches without
+    f (see ``_solve_lps``): each packed turnaround of the doubled graph
+    pairs an X-path from each copy, and the folded packing holds the
+    first copy's.  Reports them, taken back by the doubling map's
+    ``walk_back``.  The separator is the doubled cut projected by
     the doubling map's own back-map, ``first_copy``, which keeps the
     first copy, where the folded dual puts all of the cut; or it is the
     empty set when no path was packed (the value is the exact optimum,
@@ -454,11 +471,11 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     g2, X1, X2, dmap = double_for_xpaths(g, X)
     g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    cert2 = _finish_certificate([tmap, smap], g_prime, f, mirror_doubled_edges(dmap, tmap, smap))
-    if cert2.value % 2 or any(link.kind != "turnaround" for link in cert2.links):
-        raise VerificationFailure("the doubled packing is not made of turnarounds")
+    cert2 = _finish_certificate([tmap, smap], g_prime, f, _s_side(g_prime, f))
+    if cert2.value != 2 * len(cert2.links):
+        raise VerificationFailure("the folded value is not twice its path count")
 
-    links = tuple(path_link(dmap.walk_back(link.ss_part)) for link in cert2.links)
+    links = tuple(path_link(dmap.walk_back(link.path)) for link in cert2.links)
     searchable = _checkable(g) or len(cert2.separator) > cert2.value
     return _certify(
         dataclasses.replace(cert2, value=len(links), links=links), g, (X, X),

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .bigraph import BidirectedGraph, EdgeId, VertexId
+from .bigraph import BidirectedGraph, EdgeId
 
 
 class DimensionMismatch(Exception):
@@ -512,15 +512,6 @@ def solve_integral_max(
 # the two programs of the pipeline
 
 
-def _on_side(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset]):
-    """The vertices of ``side`` and the edges other than f between them,
-    in ``g_prime``'s order; all of them when ``side`` is None."""
-    vertices = [v for v in g_prime.vertices if side is None or v in side]
-    edges = [e for e in g_prime.edges
-             if e.eid != f and (side is None or (e.u in side and e.v in side))]
-    return vertices, edges
-
-
 def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
     """max x_f  s.t.  M x + a x_f = 0,  0 <= x <= 1,  0 <= x_f <= |E|.
 
@@ -537,7 +528,9 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
     the same order: the folded program of the X-path pipeline (README,
     "The fold").
     """
-    vertices, others = _on_side(g_prime, f, side)
+    vertices = [v for v in g_prime.vertices if side is None or v in side]
+    others = [e for e in g_prime.edges
+              if e.eid != f and (side is None or (e.u in side and e.v in side))]
     names = tuple(f"x:{e.eid}" for e in others) + ("xf",)
     fe = g_prime.edge(f)
     nv = len(vertices)
@@ -562,50 +555,39 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
 def build_dual(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
     """min 1.y  s.t.  M^T z + 2y >= 0,  a^T z >= 2,  y >= 0.
 
-    The rows (M^T z)/2 + y >= 0 and (a^T z)/2 >= 1, doubled to ints as in
-    ``build_primal``, which leaves the tableau and every pivot unchanged.
-    Implemented as maximization of -1.y with the free z split as
-    z = z+ - z- and surplus columns turning the inequalities into
+    Read off ``build_primal`` on the same ``side``, so (D) is the dual of
+    that program, folded or not: row k of (D) is column k of (P), an edge
+    and then x_f, written as the z+ block and its negation, followed by
+    the edge's y and surplus entries (2 and -2), or by sl_f (-2).  These
+    are the rows (M^T z)/2 + y >= 0 and (a^T z)/2 >= 1 doubled to ints,
+    as in ``build_primal``, which leaves the tableau and every pivot
+    unchanged.  Implemented as maximization of -1.y with the free z split
+    as z = z+ - z- and surplus columns turning the inequalities into
     equalities, so a basic optimum is a vertex of the dual polyhedron.
-    The columns are z+ and z- per vertex, y and sl per edge other than f,
-    then sl_f.
-
-    ``side`` keeps the rows of the edges between its vertices and of f
-    and the columns of those vertices and edges, in the same order: the
-    dual of ``build_primal`` on that side, in which z is 0 off the side.
+    The columns are z+ and z- per vertex of (P)'s rows, y and sl per edge
+    column of (P), then sl_f.
     """
-    vertices, others = _on_side(g_prime, f, side)
-    fe = g_prime.edge(f)
-    nv, ne = len(vertices), len(others)
+    P = build_primal(g_prime, f, side)
+    vertices = [v for v in g_prime.vertices if side is None or v in side]
+    edges = [name[2:] for name in P.names[:-1]]
+    nv, ne = len(vertices), len(edges)
     names = tuple(
         [f"zp:{v}" for v in vertices] + [f"zn:{v}" for v in vertices]
-        + [f"y:{e.eid}" for e in others] + [f"sl:{e.eid}" for e in others] + ["sl:f"]
+        + [f"y:{e}" for e in edges] + [f"sl:{e}" for e in edges] + ["sl:f"]
     )
-    ncols = len(names)
-    vpos = {v: i for i, v in enumerate(vertices)}
-
-    def z_row(e) -> list:
-        row = [0] * ncols
-        for v, sign in ((e.u, e.sign_u), (e.v, e.sign_v)):
-            if v in vpos:
-                row[vpos[v]] += sign.unit
-                row[nv + vpos[v]] -= sign.unit
-        return row
-
     rows = []
-    for k, e in enumerate(others):
-        row = z_row(e)
-        row[2 * nv + k] = 2
-        row[2 * nv + ne + k] = -2
-        rows.append(row)
-    row = z_row(fe)
-    row[-1] = -2
-    rows.append(row)
+    for k, column in enumerate(zip(*P.a_eq)):
+        row = list(column) + [-a for a in column] + [0] * (2 * ne + 1)
+        if k < ne:
+            row[2 * nv + k], row[2 * nv + ne + k] = 2, -2
+        else:
+            row[-1] = -2
+        rows.append(tuple(row))
     return LpProblem(
         c=(0,) * (2 * nv) + (-1,) * ne + (0,) * (ne + 1),
-        a_eq=tuple(tuple(r) for r in rows),
+        a_eq=tuple(rows),
         b_eq=(0,) * ne + (2,),
-        bounds=((0, None),) * ncols,
+        bounds=((0, None),) * len(names),
         names=names,
     )
 

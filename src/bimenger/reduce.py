@@ -348,31 +348,6 @@ def double_for_xpaths(
     return g2, frozenset(copy1[x] for x in X), frozenset(copy2[x] for x in X), dmap
 
 
-def mirror_doubled_edges(
-    dmap: DoubleMap, tmap: TerminalMap, smap: SplitMap
-) -> dict[EdgeId, EdgeId]:
-    """The t-side mirror of each s-side edge of the doubled split graph.
-
-    ``dmap`` is a doubling, ``tmap`` the terminal attachment of its output
-    between X1 (at s) and X2 (at t), and ``smap`` the split of that.  The
-    s side, all that s reaches without f, is the first copy with the
-    gadgets of X1; swapping the copies, s with t and each gadget x'~X with
-    x''~Y (switched, so the gadget's plus half meets the other's minus
-    half) maps it onto the t side.  f is its own mirror and not a key.
-    """
-    vertex = {dmap.copy1[v]: dmap.copy2[v] for v in dmap.copy1}
-    vertex.update((xg, tmap.y_gadget[vertex[x]]) for x, xg in tmap.x_gadget.items())
-    edge = {e: d for d, e in dmap.back_edge.items() if d != e}
-    arrival = tmap.arrival_edge
-    edge.update((eid, arrival[(vertex[x], "Y", sign)])
-                for (x, side, sign), eid in arrival.items() if side == "X")
-    g_hat, s, t = tmap.derived, tmap.s, tmap.t
-    t_edge = {e.other(t): e.eid for e in g_hat.incident(t)}
-    edge.update((e.eid, t_edge[vertex[e.other(s)]]) for e in g_hat.incident(s))
-    edge.update((smap.split_edge_of[v], smap.split_edge_of[w]) for v, w in vertex.items())
-    return edge
-
-
 # ---------------------------------------------------------------------------
 # backward maps
 

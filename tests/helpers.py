@@ -19,11 +19,11 @@ from bimenger import (
     solve_menger,
 )
 from bimenger.bigraph import MINUS, PLUS
+from bimenger.certify import _s_side
 from bimenger.reduce import (
     InvalidDerivedLink,
     attach_terminals,
     double_for_xpaths,
-    mirror_doubled_edges,
     split_and_close,
 )
 
@@ -146,11 +146,9 @@ def lift_walk_through_split(smap: SplitMap, w: Walk) -> Walk:
 
 
 def doubled_split(g: BidirectedGraph, X: Iterable):
-    """(split doubled graph, f, t-side mirror of each s-side edge, s side)
-    of ``solve_xpaths`` on ``g`` and ``X``."""
-    g2, X1, X2, dmap = double_for_xpaths(g, X)
-    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
-    g_prime, f, smap = split_and_close(g_hat, s, t)
-    mirror = mirror_doubled_edges(dmap, tmap, smap)
-    side = frozenset(v for eid in mirror for v in g_prime.edge(eid).endpoints)
-    return g_prime, f, mirror, side
+    """(split doubled graph, f, s side) of ``solve_xpaths`` on ``g`` and
+    ``X``; the s side is what s reaches without f."""
+    g2, X1, X2, _ = double_for_xpaths(g, X)
+    g_hat, s, t, _ = attach_terminals(g2, X1, X2)
+    g_prime, f, _ = split_and_close(g_hat, s, t)
+    return g_prime, f, _s_side(g_prime, f)

@@ -5,6 +5,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "certdump.py"
 
 
@@ -37,3 +39,36 @@ def test_certdump_writes_one_line_per_run():
         gap = r["instance"] == "above-limits/11-1" and r["command"] == ["solve"]
         assert r["exit"] == (2 if gap else 0)
         assert isinstance(json.loads(r["stdout"])["value"], int)
+
+
+def test_compare_reports_only_the_runs_that_differ(tmp_path):
+    certdump = _load_tool()
+    before = io.StringIO()
+    certdump.dump(certdump.runs(3), before)
+    path = tmp_path / "before.jsonl"
+    path.write_text(before.getvalue(), encoding="utf-8")
+    out = io.StringIO()
+    assert certdump.main(["--compare", str(path)], certdump.runs(3), out) == 0
+    assert out.getvalue() == ""
+
+    records = [json.loads(line) for line in before.getvalue().splitlines()]
+    changed = next(r for r in records if json.loads(r["stdout"])["separator"])
+    doc = json.loads(changed["stdout"])
+    doc["separator"] = doc["separator"][1:]
+    changed["stdout"] = json.dumps(doc)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = io.StringIO()
+    assert certdump.main(["--compare", str(path)], certdump.runs(3), out) == 1
+    command = " ".join(changed["command"])
+    assert out.getvalue() == f"{changed['instance']} {command}: separator\n"
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_compare_reports_a_run_missing_from_one_dump(side):
+    certdump = _load_tool()
+    record = {"command": ["solve"], "instance": "a", "exit": 0, "stdout": "{}", "stderr": ""}
+    lines = [json.dumps(record)]
+    before, after = (lines, []) if side == "after" else ([], lines)
+    out = io.StringIO()
+    assert certdump.compare(before, after, out) == 1
+    assert out.getvalue() == f"a solve: missing from {side}\n"

@@ -43,6 +43,7 @@ from bimenger.reduce import (
     double_for_xpaths,
     split_and_close,
 )
+from bimenger.walks import path_link
 
 from .conftest import random_graph, random_sets, recording_cuts
 from .helpers import check_no_turnaround_equality, doubled_split, link_sigma_sum
@@ -459,16 +460,53 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
     # the s-side programs of solve_xpaths against (P) and (D) of the whole
     # doubled split graph, solved directly
     for g, X in _xpath_instances():
-        g_prime, f, mirror, _ = doubled_split(g, X)
+        g_prime, f, side = doubled_split(g, X)
         full = solve_integral_max(build_primal(g_prime, f))
         full_dual = simplex_max(build_dual(g_prime, f))
-        folded = _solve_lps(g_prime, f, mirror)
+        folded = _solve_lps(g_prime, f, side)
         assert folded.primal_lp.objective_value == full.relaxation.objective_value
         assert folded.xf == full.objective_value
         assert folded.dual_lp.objective_value == full_dual.objective_value
-        decompose_packing(g_prime, f, folded.x, folded.xf)
+        decompose_packing(g_prime, f, folded.x, folded.xf, side)
         cut = extract_cut(g_prime, f, folded.z, folded.y)
-        assert not cut & set(mirror.values())
+        assert all(side.issuperset(g_prime.edge(eid).endpoints) for eid in cut)
+
+
+def _doubled_x_triangle():
+    """The doubled split graph of ``x_triangle``, its s side, and the
+    integral optimum (x, x_f) of its full, unfolded (P)."""
+    g_prime, f, side = doubled_split(*x_triangle())
+    P = build_primal(g_prime, f)
+    x, xf = primal_vectors(P, solve_integral_max(P))
+    return g_prime, f, side, x, int(xf)
+
+
+def test_decompose_on_the_side_gives_the_ss_parts_of_the_unfolded_packing():
+    g_prime, f, side, x, xf = _doubled_x_triangle()
+    unfolded = decompose_packing(g_prime, f, x, xf)
+    assert xf > 0 and all(link.kind == "turnaround" for link in unfolded.links)
+    on_side = {eid: v for eid, v in x.items() if side.issuperset(g_prime.edge(eid).endpoints)}
+    folded = decompose_packing(g_prime, f, on_side, xf, side)
+    assert folded.links == tuple(path_link(link.ss_part) for link in unfolded.links)
+
+
+def test_decompose_on_the_side_rejects_an_unbalanced_side_vertex():
+    g_prime, f, side, x, xf = _doubled_x_triangle()
+    on_side = {eid: v for eid, v in x.items() if side.issuperset(g_prime.edge(eid).endpoints)}
+    dropped = dict(on_side)
+    dropped[max(eid for eid, v in on_side.items() if v == 1)] = 0
+    with pytest.raises(NotBalanced, match="signed degree"):
+        decompose_packing(g_prime, f, dropped, xf, side)
+    with pytest.raises(NotBalanced, match="leaves the side"):
+        decompose_packing(g_prime, f, x, xf, side)
+
+
+def test_decompose_on_the_side_wants_x_f_twice_the_ss_segments():
+    # a plus end at s lets the balance rows hold with one s-s segment at x_f = 0
+    g_prime = build_graph(["s", "t", "a"], [("s", "a", MINUS, PLUS), ("a", "s", MINUS, PLUS),
+                                            ("s", "t", PLUS, MINUS)])
+    with pytest.raises(NotBalanced, match="does not match x_f = 0"):
+        decompose_packing(g_prime, 2, {0: 1, 1: 1}, 0, frozenset({"s", "a"}))
 
 
 def _balanced_points(P):
@@ -511,7 +549,7 @@ def test_folded_primal_is_even_at_every_integral_point():
         inst = random_instance(_trial_params(301, i, 7))
         if not inst.X:
             continue
-        g_prime, f, _, side = doubled_split(inst.graph, inst.X)
+        g_prime, f, side = doubled_split(inst.graph, inst.X)
         P = build_primal(g_prime, f, side)
         if P.ncols - 1 > 16:
             continue
@@ -526,7 +564,7 @@ def test_folded_primal_search_by_even_steps_matches_unit_steps():
     above_limits = [random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
                     for n in (11, 12) for seed in range(5)]
     for g, X in _xpath_instances() + [(inst.graph, inst.X) for inst in above_limits]:
-        g_prime, f, _, side = doubled_split(g, X)
+        g_prime, f, side = doubled_split(g, X)
         P = build_primal(g_prime, f, side)
         assert solve_integral_max(P, step=2) == solve_integral_max(P)
 

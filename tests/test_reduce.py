@@ -77,12 +77,46 @@ def test_verbatim_parallel_wiring_would_inflate():
     assert sep.size == 1
 
 
-def test_gadget_oracle_parity_randomized(rng):
-    for _ in range(12):
+def _draws(count, draw):
+    """``count`` results of ``draw()`` other than None, in at most
+    50 * count calls."""
+    out = []
+    for _ in range(50 * count):
+        item = draw()
+        if item is not None:
+            out.append(item)
+            if len(out) == count:
+                break
+    assert len(out) == count
+    return out
+
+
+def _set_draws(rng, count, keep=lambda g, X, Y: True):
+    """``count`` random graphs with nonempty sets X and Y of at most two
+    vertices each, which may overlap, that ``keep`` accepts."""
+
+    def draw():
         g = random_graph(rng, rng.randrange(2, 6), rng.randrange(0, 7))
         X, Y = random_sets(rng, g, max_size=2, overlap=bool(rng.randrange(2)))
-        if not X or not Y:
-            continue
+        return (g, X, Y) if X and Y and keep(g, X, Y) else None
+
+    return _draws(count, draw)
+
+
+def _st_draws(rng, count, n_range, m_range, keep=lambda g: True):
+    """``count`` random graphs whose first two vertices, s and t, share no
+    edge and that ``keep`` accepts."""
+
+    def draw():
+        g = random_graph(rng, rng.randrange(*n_range), rng.randrange(*m_range))
+        s, t = g.vertices[0], g.vertices[1]
+        return g if not any({e.u, e.v} == {s, t} for e in g.edges) and keep(g) else None
+
+    return _draws(count, draw)
+
+
+def test_gadget_oracle_parity_randomized(rng):
+    for g, X, Y in _set_draws(rng, 12):
         g_hat, s, t, _ = attach_terminals(g, X, Y)
         pk, sep = oracle_st(g_hat, s, t, max_vertices=g_hat.n, max_edges=g_hat.m)
         assert pk.value == oracle_max_links(g, X, Y).value
@@ -94,11 +128,8 @@ def test_split_forces_terminal_signs(rng):
     # pinned by test_solve_st_separator_avoids_terminals, on graphs whose
     # terminal signs are mixed
     forced = 0
-    for _ in range(30):
-        g = random_graph(rng, rng.randrange(4, 8), rng.randrange(0, 10))
+    for g in _st_draws(rng, 30, (4, 8), (0, 10)):
         s, t = g.vertices[0], g.vertices[1]
-        if any({e.u, e.v} == {s, t} for e in g.edges):
-            continue
         g_prime, f, _ = split_and_close(g, s, t)
         assert all(e.sign_at(s) is MINUS for e in g_prime.incident(s) if e.eid != f)
         assert all(e.sign_at(t) is PLUS for e in g_prime.incident(t) if e.eid != f)
@@ -171,21 +202,6 @@ def test_split_path_correspondence():
     assert routed[0].vertices == ("s", vp, vm, "t")
 
 
-def _st_draws(rng, count, n_range, m_range, keep=lambda g: True):
-    """``count`` random graphs whose first two vertices, s and t, share no
-    edge and that ``keep`` accepts, drawn in at most 50 * count attempts."""
-    out = []
-    for _ in range(50 * count):
-        g = random_graph(rng, rng.randrange(*n_range), rng.randrange(*m_range))
-        s, t = g.vertices[0], g.vertices[1]
-        if not any({e.u, e.v} == {s, t} for e in g.edges) and keep(g):
-            out.append(g)
-            if len(out) == count:
-                break
-    assert len(out) == count
-    return out
-
-
 def test_split_path_counts_randomized(rng):
     for g in _st_draws(rng, 10, (2, 6), (0, 7)):
         s, t = g.vertices[0], g.vertices[1]
@@ -246,14 +262,8 @@ def test_double_walk_back_and_first_copy_randomized(rng):
 
 
 def test_lift_and_map_back_roundtrip(rng):
-    for _ in range(10):
-        g = random_graph(rng, rng.randrange(2, 6), rng.randrange(0, 7))
-        X, Y = random_sets(rng, g, max_size=2, overlap=bool(rng.randrange(2)))
-        if not X or not Y:
-            continue
+    for g, X, Y in _set_draws(rng, 10, keep=lambda g, X, Y: oracle_max_links(g, X, Y).links):
         pk = oracle_max_links(g, X, Y)
-        if not pk.links:
-            continue
         g_hat, s, t, tmap = attach_terminals(g, X, Y)
         g_prime, f, smap = split_and_close(g_hat, s, t)
         for link in pk.links:

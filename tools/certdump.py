@@ -15,16 +15,25 @@ The runs are in-process `bimenger.bmcli.run_cli` calls with `--json`:
 Each line holds the command (argv without the input path), the instance
 name, the exit code, stdout and stderr.  The package and the families are
 imported from the checkout this file sits in, so two checkouts can be
-compared line by line:
+compared run by run:
 
-    python3 tools/certdump.py > after.jsonl
-    diff before.jsonl after.jsonl
+    python3 tools/certdump.py > before.jsonl        # in the first checkout
+    python3 tools/certdump.py --compare before.jsonl  # in the second
+
+`--compare` dumps this checkout and prints one line for each run whose
+record differs from BEFORE's: the instance, the command and the fields
+that differ, among `exit`, `stderr` and the top-level fields of the JSON
+on stdout (`value`, `links`, `separator`, `separator_size`, `lp`,
+`checks`; `stdout` when it is not a JSON object).  A run that only one
+dump holds is reported as missing from the other.  It exits 1 when any
+run differs, and 0 otherwise.
 
 Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import sys
@@ -90,5 +99,49 @@ def dump(run_list: Iterable[tuple[str, list[str], str]], out: TextIO) -> None:
             out.write(json.dumps(record) + "\n")
 
 
+def _fields(record: dict) -> dict:
+    """`exit`, `stderr` and the top-level fields of the JSON on stdout."""
+    try:
+        doc = json.loads(record["stdout"])
+    except ValueError:
+        doc = None
+    fields = doc if isinstance(doc, dict) else {"stdout": record["stdout"]}
+    return {"exit": record["exit"], "stderr": record["stderr"], **fields}
+
+
+def compare(before: Iterable[str], after: Iterable[str], out: TextIO) -> int:
+    """Write a line to ``out`` for each run whose record differs between
+    the dump lines ``before`` and ``after``; return how many differ."""
+    old, new = ({(r["instance"], " ".join(r["command"])): r for r in map(json.loads, lines)}
+                for lines in (before, after))
+    differing = 0
+    for key in {**old, **new}:
+        if key not in old or key not in new:
+            diff = ["missing from " + ("after" if key in old else "before")]
+        else:
+            a, b = _fields(old[key]), _fields(new[key])
+            diff = [name for name in {**a, **b} if a.get(name) != b.get(name)]
+        if diff:
+            differing += 1
+            out.write(f"{key[0]} {key[1]}: {', '.join(diff)}\n")
+    return differing
+
+
+def main(argv: Optional[list[str]] = None, run_list=None, out: TextIO = sys.stdout) -> int:
+    """Dump ``run_list`` (every run by default) to ``out``, or with
+    ``--compare BEFORE`` report the runs that differ from BEFORE's dump."""
+    parser = argparse.ArgumentParser(description="Dump or compare the output of fixed bmcli runs.")
+    parser.add_argument("--compare", metavar="BEFORE", help="a dump to compare this checkout with")
+    args = parser.parse_args(argv)
+    run_list = runs() if run_list is None else run_list
+    if args.compare is None:
+        dump(run_list, out)
+        return 0
+    after = io.StringIO()
+    dump(run_list, after)
+    with open(args.compare, encoding="utf-8") as before:
+        return 1 if compare(before, after.getvalue().splitlines(), out) else 0
+
+
 if __name__ == "__main__":
-    dump(runs(), sys.stdout)
+    sys.exit(main())
