@@ -237,6 +237,10 @@ def check_instance(inst: InstanceFile) -> list[str]:
 
 def run_selfcheck(trials: int, seed: int, max_vertices: int, out: TextIO) -> bool:
     """Run the seeded oracle-equivalence property suite; fully reproducible."""
+    if trials < 0:
+        raise InvalidParams("the trial count must be nonnegative")
+    if max_vertices < 2:
+        raise InvalidParams("trial graphs have at least two vertices")
     bad = 0
     for i in range(trials):
         inst = random_instance(_trial_params(seed, i, max_vertices))
@@ -459,7 +463,7 @@ def run_cli(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args, out, err)
-    except (InstanceSyntaxError, GraphError, InvalidParams, FileNotFoundError,
+    except (InstanceSyntaxError, GraphError, InvalidParams, OSError, UnicodeDecodeError,
             SizeBoundExceeded, EqualTerminals) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -270,7 +270,8 @@ def _solve_lps(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = 
     as 0 off it, which gives optima of the full programs (README, "The
     fold").  x_f is even at every integral point of the folded (P), so
     its branch and bound rounds bounds down to even."""
-    P, D = build_primal(g_prime, f, side), build_dual(g_prime, f, side)
+    P = build_primal(g_prime, f, side)
+    D = build_dual(g_prime, f, side, P)
     psol = solve_integral_max(P, step=1 if side is None else 2)
     plp = _optimal("primal relaxation", psol.relaxation)
     primal_integral_raw = is_integral(plp.values)

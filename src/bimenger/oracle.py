@@ -17,6 +17,8 @@ from .bigraph import BidirectedGraph, VerificationFailure, VertexId, delete_vert
 from .reduce import EqualTerminals
 from .walks import (
     Link,
+    alternating_paths,
+    closed_trails,
     enumerate_almost_paths,
     enumerate_paths,
     enumerate_st_links,
@@ -97,44 +99,17 @@ def _dedupe_by_footprint(pairs: Iterable[tuple[frozenset, Link]]) -> list[tuple[
     return [(w, fs, link) for fs, (w, link) in best.items()]
 
 
-def _alternating_reach(g, cur, last_sign, visited, targets, forbidden) -> bool:
-    """Whether a sign-alternating path leaves ``cur`` (entered with
-    ``last_sign``) through unvisited, unforbidden vertices into ``targets``."""
-    for e in g.incident(cur):
-        if e.sign_at(cur) == last_sign:
-            continue
-        w = e.other(cur)
-        if w in visited or w in forbidden:
-            continue
-        if w in targets:
-            return True
-        visited.add(w)
-        if _alternating_reach(g, w, e.sign_at(w), visited, targets, forbidden):
-            return True
-        visited.discard(w)
-    return False
-
-
 def _exists_path(g, A, Bset, forbidden=frozenset(), nontrivial_only=False) -> bool:
-    A = {a for a in A if a in g.vertex_set and a not in forbidden}
     Bset = {b for b in Bset if b in g.vertex_set and b not in forbidden}
-    if not A or not Bset:
-        return False
-    if not nontrivial_only and A & Bset:
-        return True
-    return any(_alternating_reach(g, a, None, {a}, Bset, forbidden) for a in A)
+    return bool(Bset) and any(
+        w.end in Bset and not (nontrivial_only and w.is_trivial)
+        for a in A if a in g.vertex_set and a not in forbidden
+        for w in alternating_paths(g, a, avoid=forbidden, stop=Bset)
+    )
 
 
 def _exists_almost_path(g, v, forbidden=frozenset()) -> bool:
-    """A closed trail at v: leave v by one edge, come back by another (the
-    way back along the first edge breaks alternation)."""
-    if v in forbidden or v not in g.vertex_set:
-        return False
-    for e in g.incident(v):
-        w = e.other(v)
-        if w not in forbidden and _alternating_reach(g, w, e.sign_at(w), {w}, {v}, forbidden):
-            return True
-    return False
+    return v in g.vertex_set and v not in forbidden and any(closed_trails(g, v, forbidden))
 
 
 def has_xy_link(g: BidirectedGraph, X: Iterable, Y: Iterable) -> bool:

@@ -552,13 +552,19 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
     )
 
 
-def build_dual(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
+def build_dual(
+    g_prime: BidirectedGraph,
+    f: EdgeId,
+    side: Optional[frozenset] = None,
+    primal: Optional[LpProblem] = None,
+) -> LpProblem:
     """min 1.y  s.t.  M^T z + 2y >= 0,  a^T z >= 2,  y >= 0.
 
-    Read off ``build_primal`` on the same ``side``, so (D) is the dual of
-    that program, folded or not: row k of (D) is column k of (P), an edge
-    and then x_f, written as the z+ block and its negation, followed by
-    the edge's y and surplus entries (2 and -2), or by sl_f (-2).  These
+    Read off ``primal``, the (P) of ``build_primal(g_prime, f, side)``,
+    which is built here when the caller holds none, so (D) is the dual
+    of that program, folded or not: row k of (D) is column k of (P), an
+    edge and then x_f, written as the z+ block and its negation, followed
+    by the edge's y and surplus entries (2 and -2), or by sl_f (-2).  These
     are the rows (M^T z)/2 + y >= 0 and (a^T z)/2 >= 1 doubled to ints,
     as in ``build_primal``, which leaves the tableau and every pivot
     unchanged.  Implemented as maximization of -1.y with the free z split
@@ -567,7 +573,7 @@ def build_dual(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = 
     The columns are z+ and z- per vertex of (P)'s rows, y and sl per edge
     column of (P), then sl_f.
     """
-    P = build_primal(g_prime, f, side)
+    P = primal if primal is not None else build_primal(g_prime, f, side)
     vertices = [v for v in g_prime.vertices if side is None or v in side]
     edges = [name[2:] for name in P.names[:-1]]
     nv, ne = len(vertices), len(edges)

@@ -4,17 +4,18 @@ Consecutive edges of a walk must carry opposite signs at their common
 vertex; nothing is required at the two ends, not even when they coincide
 (closed trails impose no condition between the last and first edge).
 
-Enumeration here is deliberately brute force: depth-first with the last
-used sign as state, exponential in the worst case.  It is the ground
-truth the LP pipeline is checked against, never the fast path.
+Enumeration here is deliberately brute force: one depth-first search,
+``alternating_paths``, with the last used sign as state, exponential in
+the worst case.  It is the ground truth the LP pipeline is checked
+against, never the fast path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, NamedTuple, Optional
+from typing import Container, Iterable, Iterator, NamedTuple, Optional
 
-from .bigraph import BidirectedGraph, EdgeId, VertexId
+from .bigraph import BidirectedGraph, EdgeId, Sign, VertexId
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,6 +194,69 @@ def classify_link(g: BidirectedGraph, candidate: Link, X: Iterable, Y: Iterable)
     return LinkVerdict("turnaround")
 
 
+def alternating_paths(
+    g: BidirectedGraph,
+    start: VertexId,
+    sign: Optional[Sign] = None,
+    avoid: Container = frozenset(),
+    stop: Container = frozenset(),
+) -> Iterator[Walk]:
+    """Every path from ``start``, depth first in incidence order, each
+    yielded before its extensions, the trivial path first.
+
+    ``sign`` is the sign at ``start`` of the edge the walk arrived by
+    (None: none), so the first edge must carry the other one.  The paths
+    never enter a vertex of ``avoid`` and end at every vertex of ``stop``
+    they enter.  The enumerations here and the oracle's existence tests
+    all run on this search.
+    """
+    vertices, edges = [start], []
+    on_path = {start}
+
+    def extend(cur, last_sign):
+        yield Walk(tuple(vertices), tuple(edges))
+        if edges and cur in stop:
+            return
+        for e in g.incident(cur):
+            w = e.other(cur)
+            if e.sign_at(cur) == last_sign or w in on_path or w in avoid:
+                continue
+            vertices.append(w)
+            edges.append(e.eid)
+            on_path.add(w)
+            yield from extend(w, e.sign_at(w))
+            on_path.discard(w)
+            edges.pop()
+            vertices.pop()
+
+    return extend(start, sign)
+
+
+def closed_trails(g: BidirectedGraph, v: VertexId, avoid: Container = frozenset()) -> Iterator[Walk]:
+    """Every almost path at v that enters no vertex of ``avoid``, once in
+    each direction: leave v by one edge, come back by another.  Coming
+    back along the first edge breaks alternation, so no edge repeats."""
+    for e in g.incident(v):
+        w = e.other(v)
+        if w in avoid:
+            continue
+        for p in alternating_paths(g, w, e.sign_at(w), avoid, stop={v}):
+            if p.end == v:
+                yield Walk((v,) + p.vertices, (e.eid,) + p.edges)
+
+
+def _distinct(walks: Iterable[Walk]) -> list[Walk]:
+    """``walks`` in order, each kept once up to reversal."""
+    out: list[Walk] = []
+    seen = set()
+    for w in walks:
+        key = w.canonical_key()
+        if key not in seen:
+            seen.add(key)
+            out.append(w)
+    return out
+
+
 def enumerate_paths(
     g: BidirectedGraph,
     A: Iterable,
@@ -206,101 +270,42 @@ def enumerate_paths(
     ``nontrivial_only`` is set.
     """
     A, Bset = set(A), set(Bset)
-    out: list[Walk] = []
-    seen = set()
-
-    def emit(vertices, edges):
-        w = Walk(tuple(vertices), tuple(edges))
-        key = w.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(w)
-
-    def extend(v, last_sign, vertices, edges, visited):
-        for e in g.incident(v):
-            if last_sign is not None and e.sign_at(v) == last_sign:
-                continue
-            w = e.other(v)
-            if w in visited:
-                continue
-            vertices.append(w)
-            edges.append(e.eid)
-            visited.add(w)
-            if w in Bset:
-                emit(vertices, edges)
-            extend(w, e.sign_at(w), vertices, edges, visited)
-            visited.discard(w)
-            edges.pop()
-            vertices.pop()
-
-    for a in g.vertices:
-        if a not in A:
-            continue
-        if a in Bset and not nontrivial_only:
-            emit([a], [])
-        extend(a, None, [a], [], {a})
-    return out
+    return _distinct(
+        w for a in g.vertices if a in A for w in alternating_paths(g, a)
+        if w.end in Bset and not (nontrivial_only and w.is_trivial)
+    )
 
 
 def enumerate_almost_paths(g: BidirectedGraph, v: VertexId) -> list[Walk]:
     """All nontrivial closed trails at v with distinct interior vertices,
     deduplicated up to reversal."""
-    out: list[Walk] = []
-    seen = set()
+    return _distinct(closed_trails(g, v))
 
-    def emit(vertices, edges):
-        w = Walk(tuple(vertices), tuple(edges))
-        key = w.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(w)
 
-    def extend(cur, last_sign, vertices, edges, visited, used):
-        for e in g.incident(cur):
-            if e.sign_at(cur) == last_sign or e.eid in used:
-                continue
-            w = e.other(cur)
-            if w == v:
-                emit(vertices + [v], edges + [e.eid])
-                continue
-            if w in visited:
-                continue
-            visited.add(w)
-            used.add(e.eid)
-            extend(w, e.sign_at(w), vertices + [w], edges + [e.eid], visited, used)
-            used.discard(e.eid)
-            visited.discard(w)
-
-    for e in g.incident(v):
-        w = e.other(v)
-        extend(w, e.sign_at(w), [v, w], [e.eid], {v, w}, {e.eid})
-    return out
+def _with_turnarounds(paths: list[Walk], sources: list[Walk], targets: list[Walk]) -> list[Link]:
+    """The path links, then every vertex-disjoint pairing of a source-side
+    part with a target-side part as a turnaround."""
+    links = [path_link(w) for w in paths]
+    for p in sources:
+        pset = set(p.vertices)
+        links.extend(turnaround_link(p, q) for q in targets if pset.isdisjoint(q.vertices))
+    return links
 
 
 def enumerate_xy_links(g: BidirectedGraph, X: Iterable, Y: Iterable) -> list[Link]:
     """All X-Y paths plus all X-Y turnarounds (vertex-disjoint pairings of a
     nontrivial X-X path with a nontrivial Y-Y path)."""
     X, Y = set(X), set(Y)
-    links = [path_link(w) for w in enumerate_paths(g, X, Y)]
-    xx = enumerate_paths(g, X, X, nontrivial_only=True)
-    yy = enumerate_paths(g, Y, Y, nontrivial_only=True)
-    for p in xx:
-        pset = set(p.vertices)
-        for q in yy:
-            if pset.isdisjoint(q.vertices):
-                links.append(turnaround_link(p, q))
-    return links
+    return _with_turnarounds(
+        enumerate_paths(g, X, Y),
+        enumerate_paths(g, X, X, nontrivial_only=True),
+        enumerate_paths(g, Y, Y, nontrivial_only=True),
+    )
 
 
 def enumerate_st_links(g: BidirectedGraph, s: VertexId, t: VertexId) -> list[Link]:
     """All s-t paths plus all s-t turnarounds (vertex-disjoint pairings of an
     s-s almost path with a t-t almost path)."""
-    links = [path_link(w) for w in enumerate_paths(g, {s}, {t})]
-    ss = enumerate_almost_paths(g, s)
-    tt = enumerate_almost_paths(g, t)
-    for p in ss:
-        pset = set(p.vertices)
-        for q in tt:
-            if pset.isdisjoint(q.vertices):
-                links.append(turnaround_link(p, q))
-    return links
+    return _with_turnarounds(
+        enumerate_paths(g, {s}, {t}), enumerate_almost_paths(g, s), enumerate_almost_paths(g, t)
+    )

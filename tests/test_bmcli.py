@@ -256,6 +256,29 @@ def test_cli_missing_file():
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_cli_unreadable_input_exits_input(tmp_path, case):
+    if case == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "bad.bg"
+        path.write_bytes(b"vertex \xff\n")
+    for command in ("solve", "oracle"):
+        rc, out, err = cli(command, "--input", str(path))
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--max-vertices", "0"),
+                                         ("--max-vertices", "1")])
+def test_cli_selfcheck_rejects_invalid_params(flag, value):
+    rc, out, err = cli("selfcheck", flag, value)
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_selfcheck_reproducible():
     rc1, out1, _ = cli("selfcheck", "--trials", "8", "--seed", "5")
     rc2, out2, _ = cli("selfcheck", "--trials", "8", "--seed", "5")

@@ -26,14 +26,25 @@ def test_certdump_writes_one_line_per_run():
     assert [(r["instance"], r["command"]) for r in records] == expected
     sets = {(r["instance"].rsplit("/", 1)[0], r["command"][0]) for r in records}
     assert sets == {("suite200", "solve"), ("suite200", "xpaths"), ("suite200", "solve-st"),
-                    ("above-limits", "solve"), ("above-limits", "xpaths")} | {
+                    ("suite200", "oracle"), ("above-limits", "solve"), ("above-limits", "xpaths")} | {
         (f"{name}/{seed}", command)
         for name, command in (("small", "solve"), ("xpaths", "xpaths"))
         for seed in (101, 102, 103)
     }
+    # the oracle runs on the instances of the solve-st runs carry s and t
+    st = {r["instance"] for r in records if r["command"][0] == "solve-st"}
+    assert st
+    assert {r["instance"] for r in records
+            if r["command"] == ["oracle"] and "st" in json.loads(r["stdout"])} == st
     for r in records:
         assert set(r) == {"command", "instance", "exit", "stdout", "stderr"}
         assert r["stderr"] == ""
+        if r["command"] == ["oracle"]:
+            doc = json.loads(r["stdout"])
+            infinite = doc.get("st", {}).get("min_separator") == "infinite"
+            assert r["exit"] == (3 if infinite else 0)
+            assert isinstance(doc["max_links"], int)
+            continue
         # n = 11, seed 1 has an LP gap above the oracle limits: its proven
         # separator of 2 exceeds the value 1, and no search may shrink it
         gap = r["instance"] == "above-limits/11-1" and r["command"] == ["solve"]

@@ -21,6 +21,7 @@ from bimenger import (
     oracle_min_separator,
     oracle_st,
     oracle_xpaths,
+    ratlp,
     solve_menger,
     solve_st,
     solve_xpaths,
@@ -600,6 +601,33 @@ def test_fractional_dual_fallback_gives_the_same_certificates(monkeypatch, pipel
             assert not _exists_path(delete_vertices(g, cert.separator), X, X, nontrivial_only=True)
         assert failed_checks(cert, pipeline) == []
         assert cert.checks["dual_integral_raw"] is False
+
+
+def test_solve_lps_builds_the_primal_once(monkeypatch):
+    # build_dual reads (D) off the (P) that _solve_lps already holds
+    counts = {"build_primal": 0, "_solve_lps": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # certify's name and ratlp's (which build_dual falls back on) each
+    # wrap the original, so every build is counted once
+    count(certify, "build_primal")
+    count(ratlp, "build_primal")
+    count(certify, "_solve_lps")
+    for g, X, Y, s, t in _nontrivial_suite200(10):
+        solve_menger(g, X, Y)
+        solve_xpaths(g, X)
+        if s is not None:
+            solve_st(g, s, t)
+    assert counts["_solve_lps"] >= 20
+    assert counts["build_primal"] == counts["_solve_lps"]
 
 
 def test_no_turnaround_equality_on_dag_encoding():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -13,9 +15,18 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.fixtures import fig1a, fig1b
-from bimenger.walks import Link, Walk, is_almost_path, is_path, path_link, turnaround_link
+from bimenger.oracle import _exists_almost_path, _exists_path
+from bimenger.walks import (
+    Link,
+    Walk,
+    alternating_paths,
+    is_almost_path,
+    is_path,
+    path_link,
+    turnaround_link,
+)
 
-from .conftest import graphs
+from .conftest import graphs, random_graph
 
 
 def test_walk_alternation_valid():
@@ -199,3 +210,67 @@ def test_link_monotonicity_under_deletion(g):
         for l in enumerate_xy_links(delete_vertices(g, drop), X, Y)
     }
     assert after <= before
+
+
+def test_alternating_paths_order_avoid_stop_and_entry_sign():
+    # the path a - b - c - d, alternating at b and c, and a branch b - e
+    g = build_graph(
+        ["a", "b", "c", "d", "e"],
+        [("a", "b", PLUS, MINUS), ("b", "c", PLUS, MINUS),
+         ("c", "d", PLUS, MINUS), ("b", "e", PLUS, PLUS)],
+    )
+
+    def walks(**kw):
+        return ["".join(w.vertices) for w in alternating_paths(g, "a", **kw)]
+
+    assert walks() == ["a", "ab", "abc", "abcd", "abe"]
+    assert walks(stop={"c"}) == ["a", "ab", "abc", "abe"]
+    assert walks(avoid={"c"}) == ["a", "ab", "abe"]
+    assert walks(sign=PLUS) == ["a"]
+    assert walks(sign=MINUS) == walks()
+
+
+def _edge_sequences(g):
+    """Every walk of at most n edges that follows incidences, with no
+    condition on signs or repeats: the edge sequences the definitions
+    of a path and an almost path choose from."""
+    out = []
+
+    def extend(vertices, edges):
+        out.append(Walk(tuple(vertices), tuple(edges)))
+        if len(edges) < g.n:
+            for e in g.incident(vertices[-1]):
+                extend(vertices + [e.other(vertices[-1])], edges + [e.eid])
+
+    for v in g.vertices:
+        extend([v], [])
+    return out
+
+
+def _assert_same_up_to_reversal(found, expected):
+    keys = {w.canonical_key() for w in found}
+    assert len(keys) == len(found)
+    assert keys == {w.canonical_key() for w in expected}
+
+
+def test_search_finds_exactly_the_walks_of_the_definitions():
+    rng = random.Random(19)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 5), rng.randint(0, 7))
+        sequences = _edge_sequences(g)
+        paths = [w for w in sequences if is_path(g, w)]
+        almost = [w for w in sequences if is_almost_path(g, w)]
+        A = set(rng.sample(g.vertices, rng.randint(1, g.n)))
+        B = set(rng.sample(g.vertices, rng.randint(1, g.n)))
+        forbidden = frozenset(rng.sample(g.vertices, rng.randint(0, 2)))
+        for nontrivial_only in (False, True):
+            expected = [w for w in paths if w.start in A and w.end in B
+                        and not (nontrivial_only and w.is_trivial)]
+            _assert_same_up_to_reversal(enumerate_paths(g, A, B, nontrivial_only), expected)
+            exists = any(forbidden.isdisjoint(w.vertices) for w in expected)
+            assert _exists_path(g, A, B, forbidden, nontrivial_only) == exists
+        for v in g.vertices:
+            expected = [w for w in almost if w.start == v]
+            _assert_same_up_to_reversal(enumerate_almost_paths(g, v), expected)
+            exists = any(forbidden.isdisjoint(w.vertices) for w in expected)
+            assert _exists_almost_path(g, v, forbidden) == exists

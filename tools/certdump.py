@@ -3,8 +3,10 @@
 The runs are in-process `bimenger.bmcli.run_cli` calls with `--json`:
 
 - suite200, the acceptance suite's 200 instances (`_trial_params(301, i, 7)`):
-  `solve` and `xpaths` on every instance, and `solve-st` on each instance
-  whose smallest X vertex and smallest Y vertex differ (they become s and t);
+  `solve` and `xpaths` on every instance, `solve-st` on each instance
+  whose smallest X vertex and smallest Y vertex differ (they become s and
+  t), and `oracle` on every instance, whose file carries `terminal s` and
+  `terminal t` lines for those s and t, so the s-t oracle runs too;
 - the benchmark's `small` and `xpaths` instance sets of seeds 101-103, read
   from `benchmarks/families.py`;
 - 30 `solve` runs above the oracle limits of 10 vertices and 16 edges, on
@@ -23,8 +25,10 @@ compared run by run:
 `--compare` dumps this checkout and prints one line for each run whose
 record differs from BEFORE's: the instance, the command and the fields
 that differ, among `exit`, `stderr` and the top-level fields of the JSON
-on stdout (`value`, `links`, `separator`, `separator_size`, `lp`,
-`checks`; `stdout` when it is not a JSON object).  A run that only one
+on stdout (`value`, `links`, `separator`, `separator_size`, `lp` and
+`checks` of a certificate; `max_links`, `links`, `min_separator`,
+`separator`, `xpaths` and `st` of an oracle run; `stdout` when it is not
+a JSON object).  A run that only one
 dump holds is reported as missing from the other.  It exits 1 when any
 run differs, and 0 otherwise.
 
@@ -34,6 +38,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
@@ -60,6 +65,16 @@ ABOVE_LIMITS = [(n, seed) for n in range(11, 17) for seed in range(5)]
 XPATHS_ABOVE_LIMITS = [(n, seed) for n in range(11, 13) for seed in range(5)]
 
 
+def _terminals(inst) -> Optional[tuple[str, str]]:
+    """(s, t): the smallest X and the smallest Y vertex, when both exist
+    and differ."""
+    if inst.X and inst.Y:
+        s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+        if s != t:
+            return s, t
+    return None
+
+
 def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
     """(instance name, argv without the input, instance text) of every
     run; ``limit`` keeps the first instances of each set."""
@@ -68,11 +83,12 @@ def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
         for i, inst in enumerate(suite):
             yield f"suite200/{i:03d}", [command], serialize_instance(inst)
     for i, inst in enumerate(suite):
-        if inst.X and inst.Y:
-            s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
-            if s != t:
-                command = ["solve-st", "--s", s, "--t", t]
-                yield f"suite200/{i:03d}", command, serialize_instance(inst)
+        st = _terminals(inst)
+        if st:
+            yield f"suite200/{i:03d}", ["solve-st", "--s", st[0], "--t", st[1]], serialize_instance(inst)
+    for i, inst in enumerate(suite):
+        s, t = _terminals(inst) or (None, None)
+        yield f"suite200/{i:03d}", ["oracle"], serialize_instance(dataclasses.replace(inst, s=s, t=t))
     for family in (FAMILIES["small"], FAMILIES["xpaths"]):
         for seed in BENCH_SEEDS:
             for i, text in enumerate(family.instances(seed)[:limit]):
