@@ -55,7 +55,7 @@ for link in links:
     parts = ["-".join(map(str, w.vertices)) for w in link.walks]
     print("packed", link.kind, "weight", link.weight, ":", " + ".join(parts))
 
-D = build_dual(g_prime, f, primal=P)   # read off (P): row k of (D) is column k of (P)
+D = build_dual(P)   # read off (P) alone: row k of (D) is column k of (P)
 dsol = simplex_max(D)
 print("dual LP:", -dsol.objective_value, "(equals the primal LP exactly)")
 

@@ -310,8 +310,12 @@ def _report(cert: MengerCertificate, pipeline: str, as_json: bool, out: TextIO) 
 
 
 def _load(path: str) -> InstanceFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_instance(text)
 
 
 def _cmd_solve(args, out: TextIO, err: TextIO) -> int:
@@ -463,8 +467,8 @@ def run_cli(argv: Sequence[str], out: TextIO = None, err: TextIO = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args, out, err)
-    except (InstanceSyntaxError, GraphError, InvalidParams, OSError, UnicodeDecodeError,
-            SizeBoundExceeded, EqualTerminals) as exc:
+    except (InstanceSyntaxError, GraphError, InvalidParams, OSError, SizeBoundExceeded,
+            EqualTerminals) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT
     except DirectTerminalEdge as exc:

@@ -49,8 +49,16 @@ class SeparatorResult:
         return self.size == math.inf
 
 
+def within_limits(
+    g: BidirectedGraph, max_vertices: int = DEFAULT_MAX_VERTICES, max_edges: int = DEFAULT_MAX_EDGES
+) -> bool:
+    """Whether the exhaustive searches may run on ``g``: at most
+    ``max_vertices`` vertices and ``max_edges`` edges."""
+    return g.n <= max_vertices and g.m <= max_edges
+
+
 def _check_bounds(g: BidirectedGraph, max_vertices: int, max_edges: int) -> None:
-    if g.n > max_vertices or g.m > max_edges:
+    if not within_limits(g, max_vertices, max_edges):
         raise SizeBoundExceeded(
             f"oracle bound exceeded: {g.n} vertices / {g.m} edges "
             f"(limits {max_vertices}/{max_edges})"

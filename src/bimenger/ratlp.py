@@ -73,6 +73,7 @@ class LpProblem:
     b_eq: tuple
     bounds: tuple  # per column: (lo, up or None)
     names: tuple
+    row_names: tuple = ()  # per row, when the rows are labelled
 
     def __post_init__(self):
         n = len(self.c)
@@ -80,6 +81,8 @@ class LpProblem:
             raise DimensionMismatch("bounds/names do not match objective length")
         if len(self.a_eq) != len(self.b_eq):
             raise DimensionMismatch("constraint matrix and rhs disagree")
+        if self.row_names and len(self.row_names) != len(self.a_eq):
+            raise DimensionMismatch("row names do not match the constraint rows")
         for row in self.a_eq:
             if len(row) != n:
                 raise DimensionMismatch("constraint row has wrong length")
@@ -522,6 +525,7 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
     tableau and every pivot are those of the halved program.  The
     explicit cap on x_f keeps the feasible region a polytope; the
     balance row at s caps x_f at deg(s) anyway, so it is slack-safe.
+    Each row is labelled with its vertex (``row_names``).
 
     ``side``, a vertex set holding s but not t, keeps only the rows of
     its vertices and the columns of the edges between them and x_f, in
@@ -549,40 +553,34 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
         b_eq=tuple(0 for _ in range(nv)),
         bounds=bounds,
         names=names,
+        row_names=tuple(vertices),
     )
 
 
-def build_dual(
-    g_prime: BidirectedGraph,
-    f: EdgeId,
-    side: Optional[frozenset] = None,
-    primal: Optional[LpProblem] = None,
-) -> LpProblem:
+def build_dual(primal: LpProblem) -> LpProblem:
     """min 1.y  s.t.  M^T z + 2y >= 0,  a^T z >= 2,  y >= 0.
 
-    Read off ``primal``, the (P) of ``build_primal(g_prime, f, side)``,
-    which is built here when the caller holds none, so (D) is the dual
-    of that program, folded or not: row k of (D) is column k of (P), an
-    edge and then x_f, written as the z+ block and its negation, followed
-    by the edge's y and surplus entries (2 and -2), or by sl_f (-2).  These
+    The dual of ``primal``, a (P) of ``build_primal``, whole or folded,
+    read off its matrix alone: row k of (D) is column k of (P), an edge
+    and then x_f, written as the z+ block and its negation, followed by
+    the edge's y and surplus entries (2 and -2), or by sl_f (-2).  These
     are the rows (M^T z)/2 + y >= 0 and (a^T z)/2 >= 1 doubled to ints,
     as in ``build_primal``, which leaves the tableau and every pivot
     unchanged.  Implemented as maximization of -1.y with the free z split
     as z = z+ - z- and surplus columns turning the inequalities into
     equalities, so a basic optimum is a vertex of the dual polyhedron.
-    The columns are z+ and z- per vertex of (P)'s rows, y and sl per edge
+    The columns are z+ and z- per row label of (P), y and sl per edge
     column of (P), then sl_f.
     """
-    P = primal if primal is not None else build_primal(g_prime, f, side)
-    vertices = [v for v in g_prime.vertices if side is None or v in side]
-    edges = [name[2:] for name in P.names[:-1]]
+    vertices = primal.row_names
+    edges = [name[2:] for name in primal.names[:-1]]
     nv, ne = len(vertices), len(edges)
     names = tuple(
         [f"zp:{v}" for v in vertices] + [f"zn:{v}" for v in vertices]
         + [f"y:{e}" for e in edges] + [f"sl:{e}" for e in edges] + ["sl:f"]
     )
     rows = []
-    for k, column in enumerate(zip(*P.a_eq)):
+    for k, column in enumerate(zip(*primal.a_eq)):
         row = list(column) + [-a for a in column] + [0] * (2 * ne + 1)
         if k < ne:
             row[2 * nv + k], row[2 * nv + ne + k] = 2, -2

@@ -268,6 +268,7 @@ def test_cli_unreadable_input_exits_input(tmp_path, case):
         assert rc == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--max-vertices", "0"),

@@ -26,13 +26,15 @@ def test_certdump_writes_one_line_per_run():
     assert [(r["instance"], r["command"]) for r in records] == expected
     sets = {(r["instance"].rsplit("/", 1)[0], r["command"][0]) for r in records}
     assert sets == {("suite200", "solve"), ("suite200", "xpaths"), ("suite200", "solve-st"),
-                    ("suite200", "oracle"), ("above-limits", "solve"), ("above-limits", "xpaths")} | {
+                    ("suite200", "oracle"), ("above-limits", "solve"), ("above-limits", "xpaths"),
+                    ("fractional-dual", "solve-st")} | {
         (f"{name}/{seed}", command)
         for name, command in (("small", "solve"), ("xpaths", "xpaths"))
         for seed in (101, 102, 103)
     }
-    # the oracle runs on the instances of the solve-st runs carry s and t
-    st = {r["instance"] for r in records if r["command"][0] == "solve-st"}
+    # the oracle runs on the suite200 instances of the solve-st runs carry s and t
+    st = {r["instance"] for r in records
+          if r["command"][0] == "solve-st" and r["instance"].startswith("suite200/")}
     assert st
     assert {r["instance"] for r in records
             if r["command"] == ["oracle"] and "st" in json.loads(r["stdout"])} == st
@@ -49,7 +51,10 @@ def test_certdump_writes_one_line_per_run():
         # separator of 2 exceeds the value 1, and no search may shrink it
         gap = r["instance"] == "above-limits/11-1" and r["command"] == ["solve"]
         assert r["exit"] == (2 if gap else 0)
-        assert isinstance(json.loads(r["stdout"])["value"], int)
+        doc = json.loads(r["stdout"])
+        assert isinstance(doc["value"], int)
+        if r["instance"].startswith("fractional-dual/"):
+            assert doc["checks"]["dual_integral_raw"] is False
 
 
 def test_compare_reports_only_the_runs_that_differ(tmp_path):

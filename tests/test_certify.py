@@ -28,7 +28,7 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
 from bimenger.bmcli import GenParams, _trial_params, parse_instance, random_instance
-from bimenger.certify import _certify, _solve_lps
+from bimenger.certify import _certify, _finish_certificate
 from bimenger.fixtures import fig1a, fig1b, x_triangle
 from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_link
 from bimenger.ratlp import (
@@ -173,11 +173,11 @@ def test_cut_on_three_vertex_path():
         ["s", "v", "t"],
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
-    g_prime, f, _, _, _ = st_pipeline(g, "s", "t")
-    lps = _solve_lps(g_prime, f)
-    cut = extract_cut(g_prime, f, lps.z, lps.y)
+    with recording_cuts() as cuts:
+        cert = solve_st(g, "s", "t")
+    [(*_, cut)] = cuts
     assert len(cut) == 1
-    assert solve_st(g, "s", "t").separator == {"v"}
+    assert cert.separator == {"v"}
 
 
 def _assert_cut_soundness(g, X, Y):
@@ -461,22 +461,23 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
     # the s-side programs of solve_xpaths against (P) and (D) of the whole
     # doubled split graph, solved directly
     for g, X in _xpath_instances():
-        g_prime, f, side = doubled_split(g, X)
-        full = solve_integral_max(build_primal(g_prime, f))
-        full_dual = simplex_max(build_dual(g_prime, f))
-        folded = _solve_lps(g_prime, f, side)
-        assert folded.primal_lp.objective_value == full.relaxation.objective_value
-        assert folded.xf == full.objective_value
-        assert folded.dual_lp.objective_value == full_dual.objective_value
-        decompose_packing(g_prime, f, folded.x, folded.xf, side)
-        cut = extract_cut(g_prime, f, folded.z, folded.y)
+        g_prime, f, side, chain = doubled_split(g, X)
+        P = build_primal(g_prime, f)
+        full, full_dual = solve_integral_max(P), simplex_max(build_dual(P))
+        # the folded packing decomposes, or _finish_certificate raises
+        with recording_cuts() as cuts:
+            folded = _finish_certificate(chain, g_prime, f, side)
+        [(*_, cut)] = cuts
+        assert folded.primal_value == full.relaxation.objective_value
+        assert folded.value == full.objective_value
+        assert folded.dual_value == -full_dual.objective_value
         assert all(side.issuperset(g_prime.edge(eid).endpoints) for eid in cut)
 
 
 def _doubled_x_triangle():
     """The doubled split graph of ``x_triangle``, its s side, and the
     integral optimum (x, x_f) of its full, unfolded (P)."""
-    g_prime, f, side = doubled_split(*x_triangle())
+    g_prime, f, side, _ = doubled_split(*x_triangle())
     P = build_primal(g_prime, f)
     x, xf = primal_vectors(P, solve_integral_max(P))
     return g_prime, f, side, x, int(xf)
@@ -550,7 +551,7 @@ def test_folded_primal_is_even_at_every_integral_point():
         inst = random_instance(_trial_params(301, i, 7))
         if not inst.X:
             continue
-        g_prime, f, side = doubled_split(inst.graph, inst.X)
+        g_prime, f, side, _ = doubled_split(inst.graph, inst.X)
         P = build_primal(g_prime, f, side)
         if P.ncols - 1 > 16:
             continue
@@ -565,7 +566,7 @@ def test_folded_primal_search_by_even_steps_matches_unit_steps():
     above_limits = [random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
                     for n in (11, 12) for seed in range(5)]
     for g, X in _xpath_instances() + [(inst.graph, inst.X) for inst in above_limits]:
-        g_prime, f, side = doubled_split(g, X)
+        g_prime, f, side, _ = doubled_split(g, X)
         P = build_primal(g_prime, f, side)
         assert solve_integral_max(P, step=2) == solve_integral_max(P)
 
@@ -587,8 +588,10 @@ def test_xpaths_tests_one_separator_candidate(monkeypatch):
 
 @pytest.mark.parametrize("pipeline", ["menger", "xpaths"])
 def test_fractional_dual_fallback_gives_the_same_certificates(monkeypatch, pipeline):
-    # every dual root is integral in practice; force the integral dual search
-    # (primal_integral_raw reads False too, which only changes that flag)
+    # every dual root of these pipelines on suite200 is integral, so force
+    # the integral dual search (primal_integral_raw reads False too, which
+    # only changes that flag); solve-st meets real fractional dual roots
+    # (test_solve_st_certifies_fractional_dual_roots)
     monkeypatch.setattr(certify, "is_integral", lambda values: False)
     for g, X, Y, _, _ in _nontrivial_suite200(20):
         if pipeline == "menger":
@@ -603,9 +606,23 @@ def test_fractional_dual_fallback_gives_the_same_certificates(monkeypatch, pipel
         assert cert.checks["dual_integral_raw"] is False
 
 
-def test_solve_lps_builds_the_primal_once(monkeypatch):
-    # build_dual reads (D) off the (P) that _solve_lps already holds
-    counts = {"build_primal": 0, "_solve_lps": 0}
+@pytest.mark.parametrize("n, m, seed", [(5, 8, 12), (6, 14, 15), (7, 15, 36)])
+def test_solve_st_certifies_fractional_dual_roots(n, m, seed):
+    # s-t draws whose dual root is fractional, so the certificate's cut
+    # comes from the integral dual search
+    inst = random_instance(GenParams(n, m, seed, 2, 2))
+    s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+    cert = solve_st(inst.graph, s, t)
+    packing, separator = oracle_st(inst.graph, s, t)
+    assert cert.checks["dual_integral_raw"] is False
+    assert failed_checks(cert, "st") == []
+    assert cert.value == packing.value
+    assert len(cert.separator) == separator.size
+
+
+def test_finish_certificate_builds_the_primal_once(monkeypatch):
+    # build_dual reads (D) off the (P) that _finish_certificate already holds
+    counts = {"build_primal": 0, "_finish_certificate": 0}
 
     def count(module, name):
         fn = getattr(module, name)
@@ -616,18 +633,18 @@ def test_solve_lps_builds_the_primal_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    # certify's name and ratlp's (which build_dual falls back on) each
-    # wrap the original, so every build is counted once
+    # certify's name and ratlp's each wrap the original, so every build is
+    # counted once, whichever name it is called by
     count(certify, "build_primal")
     count(ratlp, "build_primal")
-    count(certify, "_solve_lps")
+    count(certify, "_finish_certificate")
     for g, X, Y, s, t in _nontrivial_suite200(10):
         solve_menger(g, X, Y)
         solve_xpaths(g, X)
         if s is not None:
             solve_st(g, s, t)
-    assert counts["_solve_lps"] >= 20
-    assert counts["build_primal"] == counts["_solve_lps"]
+    assert counts["_finish_certificate"] >= 20
+    assert counts["build_primal"] == counts["_finish_certificate"]
 
 
 def test_no_turnaround_equality_on_dag_encoding():

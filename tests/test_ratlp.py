@@ -77,6 +77,8 @@ def test_degenerate_pivoting_terminates():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         lp([1, 2], [[1]], [0], [(0, 1)])
+    with pytest.raises(DimensionMismatch, match="row names"):
+        LpProblem((1,), ((1,),), (0,), ((0, 1),), ("x",), ("a", "b"))
 
 
 def test_exactness_randomized(rng):
@@ -108,13 +110,16 @@ def test_primal_shape():
     assert all(b == 0 for b in P.b_eq)
     assert P.names[-1] == "xf"
     assert P.bounds[-1] == (0, g_prime.m)
+    assert P.row_names == tuple(g_prime.vertices)
 
 
 def test_dual_shape_and_variable_count():
     g, X, Y = fig1a()
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
-    D = build_dual(g_prime, f)
+    P = build_primal(g_prime, f)
+    D = build_dual(P)
+    assert D.names[:g_prime.n] == tuple(f"zp:{v}" for v in P.row_names)
     n_z = sum(1 for nm in D.names if nm.startswith("zp:"))
     n_y = sum(1 for nm in D.names if nm.startswith("y:"))
     assert n_z + n_y == g_prime.n + g_prime.m - 1
@@ -137,7 +142,7 @@ def _pipeline_programs():
             g_prime, f, _ = split_and_close(g_hat, s, t)
             out.append((g_prime, f, None))
         if X:
-            g_prime, f, side = doubled_split(g, X)
+            g_prime, f, side, _ = doubled_split(g, X)
             out.append((g_prime, f, side))
     return out
 
@@ -168,7 +173,8 @@ def test_builders_write_the_halved_programs_doubled_as_int_rows():
     assert sum(side is not None for *_, side in programs) >= 10
     for g_prime, f, side in programs:
         halved = _halved_programs(g_prime, f, side)
-        for built, reference in zip((build_primal(g_prime, f, side), build_dual(g_prime, f, side)), halved):
+        P = build_primal(g_prime, f, side)
+        for built, reference in zip((P, build_dual(P)), halved):
             assert len(built.a_eq) == len(reference)
             for row, rhs, (ref_row, ref_rhs) in zip(built.a_eq, built.b_eq, reference):
                 assert all(type(a) is int for a in row) and type(rhs) is int
@@ -202,7 +208,8 @@ def test_solving_one_problem_twice_gives_equal_solutions():
     g, X, Y = fig1a()
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
-    P, D = build_primal(g_prime, f), build_dual(g_prime, f)
+    P = build_primal(g_prime, f)
+    D = build_dual(P)
     assert solve_integral_max(P) == solve_integral_max(P)
     assert simplex_max(D) == simplex_max(D)
 
@@ -219,8 +226,8 @@ def test_strong_duality_on_figures_and_randoms(rng):
     for g, X, Y in cases:
         g_hat, s, t, _ = attach_terminals(g, X, Y)
         g_prime, f, _ = split_and_close(g_hat, s, t)
-        psol = simplex_max(build_primal(g_prime, f))
-        dsol = simplex_max(build_dual(g_prime, f))
+        P = build_primal(g_prime, f)
+        psol, dsol = simplex_max(P), simplex_max(build_dual(P))
         assert psol.status == dsol.status == "optimal"
         assert psol.objective_value == -dsol.objective_value
 
@@ -406,7 +413,8 @@ def test_no_tableau_row_holds_a_frozen_artificial(monkeypatch):
     g, X, Y = fig1a()
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
-    problems = [build_primal(g_prime, f), build_dual(g_prime, f)]
+    P = build_primal(g_prime, f)
+    problems = [P, build_dual(P)]
     rng = random.Random(4242)
     problems += [_random_bounded_lp(rng) for _ in range(300)]
     for problem in problems:

@@ -27,13 +27,14 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# the LP step of X-paths returns the doubled packing with an odd value
+# the LP step of X-paths reads the packing with x_f off by one, which
+# leaves s unbalanced
 FORCED_FAILURE = """
-import dataclasses, sys
+import sys
 assert False, "stripped under -O"
 from bimenger import bmcli, certify
-lp = certify._finish_certificate
-certify._finish_certificate = lambda *a, **k: dataclasses.replace(lp(*a, **k), value=1)
+vectors = certify.primal_vectors
+certify.primal_vectors = lambda *a: (lambda x, xf: (x, xf + 1))(*vectors(*a))
 sys.exit(bmcli.run_cli(sys.argv[1:]))
 """
 
@@ -53,4 +54,4 @@ def test_forced_verification_failure_under_python_O(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: VerificationFailure: ")
+    assert lines[0].startswith("error: NotBalanced: ")

@@ -12,7 +12,11 @@ The runs are in-process `bimenger.bmcli.run_cli` calls with `--json`:
 - 30 `solve` runs above the oracle limits of 10 vertices and 16 edges, on
   `GenParams(n, int(1.8 * n), seed, 2, 2)` with n = 11-16 and seeds 0-4;
 - 10 `xpaths` runs above those limits, on `GenParams(n, int(1.8 * n),
-  seed, 3, 0)` with n = 11-12 and seeds 0-4.
+  seed, 3, 0)` with n = 11-12 and seeds 0-4;
+- 37 `solve-st` runs whose dual root is fractional, so that they take
+  the integral dual search: the draws `GenParams(n, m, seed, 2, 2)` with
+  n = 5-10, m = n-16 and seeds 0-59 on which it is, with s and t the
+  smallest X and the smallest Y vertex, listed in `FRACTIONAL_DUAL_ST`.
 
 Each line holds the command (argv without the input path), the instance
 name, the exit code, stdout and stderr.  The package and the families are
@@ -63,6 +67,15 @@ SUITE_SIZE = 200
 BENCH_SEEDS = (101, 102, 103)
 ABOVE_LIMITS = [(n, seed) for n in range(11, 17) for seed in range(5)]
 XPATHS_ABOVE_LIMITS = [(n, seed) for n in range(11, 13) for seed in range(5)]
+FRACTIONAL_DUAL_ST = [
+    (5, 6, 11), (5, 6, 33), (5, 7, 11), (5, 8, 12), (5, 8, 57), (5, 9, 12),
+    (5, 12, 47), (6, 9, 37), (6, 9, 56), (6, 11, 56), (6, 14, 15), (6, 15, 24),
+    (7, 8, 6), (7, 8, 45), (7, 13, 8), (7, 15, 36), (7, 15, 39), (8, 9, 52),
+    (8, 10, 21), (8, 11, 26), (8, 11, 52), (8, 13, 47), (8, 14, 0), (8, 14, 26),
+    (8, 14, 58), (8, 15, 26), (8, 15, 39), (8, 16, 53), (9, 11, 16), (9, 11, 47),
+    (9, 13, 49), (9, 14, 58), (9, 15, 28), (9, 15, 58), (10, 12, 3), (10, 13, 12),
+    (10, 13, 15),
+]
 
 
 def _terminals(inst) -> Optional[tuple[str, str]]:
@@ -99,6 +112,11 @@ def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
     for n, seed in XPATHS_ABOVE_LIMITS[:limit]:
         inst = random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
         yield f"above-limits/{n}-{seed}", ["xpaths"], serialize_instance(inst)
+    for n, m, seed in FRACTIONAL_DUAL_ST[:limit]:
+        inst = random_instance(GenParams(n, m, seed, 2, 2))
+        s, t = _terminals(inst)
+        command = ["solve-st", "--s", s, "--t", t]
+        yield f"fractional-dual/{n}-{m}-{seed}", command, serialize_instance(inst)
 
 
 def dump(run_list: Iterable[tuple[str, list[str], str]], out: TextIO) -> None:
