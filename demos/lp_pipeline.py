@@ -4,7 +4,7 @@
 Shows each stage the solver normally hides: terminal attachment, vertex
 splitting, the packing program and its dual, support decomposition, and
 the cut that becomes the separator.  Ends with the relaxation-gap
-witness that explains why values come from branch and bound.
+witness that explains why values come from an integral search.
 """
 
 from bimenger import (
@@ -66,8 +66,8 @@ print("mapped separator:", sorted(map(str, map_cut_to_separator([tmap, smap], cu
 
 # the relaxation gap: on a linkless instance the LP still reaches 1 by
 # pushing half a unit into a same-signed gadget pair and cancelling it
-# through a split edge; no 0/1 point can do that, and branch and bound
-# lands at the true value 0
+# through a split edge; no 0/1 point can do that, and the rounds of cuts
+# land at the true value 0
 print()
 g0 = build_graph(["x", "y"], [])
 gh0, s0, t0, _ = attach_terminals(g0, {"x"}, {"y"})

@@ -4,9 +4,9 @@ min-max theorem on bidirected graphs.
 The packing side counts vertex-disjoint source-target links, with
 turnarounds weighted twice; the covering side is a vertex separator.
 Solving goes through exact rational linear programming over the split
-graph, with an integral branch-and-bound layer on top of the simplex
-(the plain relaxation is not integral on all bidirected inputs; see
-certify for the analysis).  Every certificate is cross-checked against
+graph, with rounds of Gomory cuts on top of the simplex for the integral
+optimum (the plain relaxation is not integral on all bidirected inputs;
+see certify for the analysis).  Every certificate is cross-checked against
 exhaustive oracles at small scale.
 """
 

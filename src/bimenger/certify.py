@@ -12,12 +12,12 @@ flow enters a same-signed pair of parallel edges and cancels through a
 split edge, so the plain LP optimum can strictly exceed the true packing
 (the smallest witness: an edgeless graph with one source and one target
 vertex, where the relaxation reaches 1 while no link exists).  The
-solver therefore computes the packing as the exact integral optimum by
-branch and bound over the same exact simplex.  Dual solutions are still
-used to extract the cut F; whenever the relaxation is tight, the classic
-chain |separator| <= |F| <= sum(y*) = value goes through, and the
-certificate records where it did not (falling back to the oracle's
-separator at checkable sizes).
+solver therefore computes the packing as the exact integral optimum, by
+rounds of Gomory cuts on the root tableau of the same exact simplex.
+Dual solutions are still used to extract the cut F; whenever the
+relaxation is tight, the classic chain |separator| <= |F| <= sum(y*) =
+value goes through, and the certificate records where it did not
+(falling back to the oracle's separator at checkable sizes).
 """
 
 from __future__ import annotations
@@ -232,7 +232,9 @@ def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict)
     return frozenset(cut)
 
 
-def _dual_branch_columns(problem: LpProblem) -> list[int]:
+def _dual_integral_columns(problem: LpProblem) -> list[int]:
+    """The z and y columns of (D).  Its surplus columns stay continuous:
+    at an integral (z, y) a surplus (sigma z)/2 + y_e can be half-integral."""
     return [
         j
         for j, nm in enumerate(problem.names)
@@ -350,18 +352,17 @@ def _finish_certificate(
 ) -> MengerCertificate:
     """Solve (P) and (D), decompose the packing, extract the cut and map
     both back through ``chain``.  The packing is the integral optimum of
-    (P), whose branch and bound also returns the plain relaxation; (D),
-    read off (P), falls back to exact integral search when its basic
-    optimum comes back fractional.
+    (P), whose integral search also returns the plain relaxation; (D),
+    read off (P), falls back to the same search, integral on z and y,
+    when its basic optimum comes back fractional.
 
     ``side``, the s side of the doubled split graph of ``solve_xpaths``,
     folds both programs onto it: the packing is read on it and the dual
     as 0 off it, which gives optima of the full programs (README, "The
-    fold").  x_f is even at every integral point of the folded (P), so
-    its branch and bound rounds bounds down to even."""
+    fold")."""
     P = build_primal(g_prime, f, side)
     D = build_dual(P)
-    psol = solve_integral_max(P, step=1 if side is None else 2)
+    psol = solve_integral_max(P)
     plp = _optimal("primal relaxation", psol.relaxation)
     primal_integral_raw = is_integral(plp.values)
     x, xf = primal_vectors(P, _optimal("integral primal", psol))
@@ -371,8 +372,7 @@ def _finish_certificate(
     z, y = dual_vectors(D, dlp, g_prime)
     dual_integral_raw = is_integral(z.values()) and is_integral(y.values())
     if not dual_integral_raw:
-        cap = 2 * (len(D.a_eq) + len(D.names)) + 8
-        dint = solve_integral_max(D, integral_cols=_dual_branch_columns(D), unbounded_cap=cap)
+        dint = solve_integral_max(D, integral_cols=_dual_integral_columns(D))
         z, y = dual_vectors(D, _optimal("integral dual", dint), g_prime)
 
     dec = decompose_packing(g_prime, f, x, xf, side)

@@ -14,14 +14,12 @@ ones, and during phase 1 the artificials of rows whose right-hand side
 starts nonzero.  The other artificials are fixed at zero, and leaving
 them out keeps every pivot: a pivot updates each column from that column
 and the entering one alone, and no pivoting rule picks a column whose
-bounds are equal.  Branch and bound
-(``solve_integral_max``) solves only its root cold.  Each child node
-copies its parent's optimal tableau, tightens the branched column's
-bound and re-optimises with an exact dual simplex, and a child whose
-parent's rounded-down bound cannot beat the incumbent is dropped before
-any pivot.  A warm-started node can stop at another optimal vertex than
-a cold solve of the same node would, so the integral optimum found
-(not its value) can differ from that of a search with cold nodes.
+bounds are equal.  The integral search (``solve_integral_max``) solves
+only its root cold.  It then adds rounds of Gomory mixed-integer cuts to
+that tableau, each as a new row with its own slack column, and
+re-optimises with an exact dual simplex after each round, until the
+vertex is integral.  Which integral optimum it stops at (not its value)
+depends on the cuts and the pivots.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ class LpFailure(RuntimeError):
 
 
 class BudgetExceeded(LpFailure):
-    """A pivot, node or cap limit stopped an exact solve."""
+    """A pivot or cut round limit stopped an exact solve."""
 
 
 def is_integral(values: Iterable) -> bool:
@@ -136,11 +134,12 @@ class _Tableau:
     """Bounded-variable simplex tableau over exact rationals.
 
     Column ids are the problem's n structural columns followed by one
-    artificial column per row.  ``T`` is B^-1 A for the current basis,
-    restricted to the columns that can still enter it; ``cols`` is the id
-    of each position of a row.  These are the structural columns, at
-    positions 0 to n-1, and during phase 1 only, the artificials of the
-    rows whose right-hand side starts nonzero, in id order.  Every other
+    artificial column per row, then one slack column per cut.  ``T`` is
+    B^-1 A for the current basis, restricted to the columns that can
+    still enter it; ``cols`` is the id of each position of a row.  These
+    are the structural columns, at positions 0 to n-1, then during
+    phase 1 only the artificials of the rows whose right-hand side starts
+    nonzero, in id order, or once cuts are added their slacks.  Every other
     artificial is frozen at lo = up = 0 and has no column in ``T``, but
     its id stays in ``basis`` and in the per-id lists, because Bland's
     rule compares basic column ids.  Leaving those columns out changes no
@@ -151,9 +150,9 @@ class _Tableau:
     ``xB[i]`` is the value of the basic column ``basis[i]``, and every
     nonbasic column sits at its lower bound, or at its upper bound when
     ``at_upper`` says so.  Bounds ``lo``/``up`` (``up`` may be None) are
-    those of the problem; branch and bound tightens them in place.  ``d``
-    holds the phase-2 reduced costs, one per position, once the cold
-    solve has reached them.  ``price`` computes the reduced costs of
+    those of the problem; the integral search tightens them in place.
+    ``d`` holds the phase-2 reduced costs, one per position, once the
+    cold solve has reached them.  ``price`` computes the reduced costs of
     either phase, and ``_shift`` moves the basic values along whenever a
     nonbasic column moves: in a pivot, a bound flip or a tightened bound.
     """
@@ -191,12 +190,6 @@ class _Tableau:
         basis = list(range(n, n + m))
         in_basis = [False] * n + [True] * m
         return cls(n, cols, T, xB, basis, in_basis, [False] * (n + m), lo, up, None)
-
-    def copy(self) -> "_Tableau":
-        return _Tableau(
-            self.n, self.cols, [row[:] for row in self.T], self.xB[:], self.basis[:],
-            self.in_basis[:], self.at_upper[:], self.lo[:], self.up[:], self.d[:],
-        )
 
     def values(self) -> list:
         """Current value of every column, basic or not."""
@@ -372,6 +365,50 @@ class _Tableau:
         self.lo[j], self.up[j] = lo, up
         return True
 
+    def cut(self, r, integral) -> None:
+        """Append the Gomory mixed-integer cut of row r, whose basic
+        column is in ``integral`` and has a fractional value f0.
+
+        Each nonbasic column moved off its bound by x' >= 0 (up from its
+        lower bound, down from its upper one) has the coefficient a of
+        row r in x'.  The cut is sum(pi * x') >= 1, with pi = fa / f0 or
+        (1 - fa) / (1 - f0) for an integral column, by whether the
+        fraction fa of a reaches f0, and a / f0 or -a / (1 - f0) for a
+        continuous one, by the sign of a.  It holds at every feasible
+        point that is integral on ``integral``, whose bounds must be
+        integers.  Its slack sum(pi * x') - 1 is a new continuous column
+        with lower bound 0, basic in the new row at -1."""
+        cols, in_basis, at_upper, lo, up = self.cols, self.in_basis, self.at_upper, self.lo, self.up
+        f0 = self.xB[r] - math.floor(self.xB[r])
+        row = []
+        for q, a in enumerate(self.T[r]):
+            j = cols[q]
+            if not a or in_basis[j] or lo[j] == up[j]:
+                row.append(0)
+                continue
+            if at_upper[j]:
+                a = -a
+            if j in integral:
+                fa = a - math.floor(a)
+                pi = _div(fa, f0) if fa <= f0 else _div(1 - fa, 1 - f0)
+            else:
+                pi = _div(a, f0) if a > 0 else _div(-a, 1 - f0)
+            # the slack is sum(pi * x') - 1, and x' = +-(x_j - bound)
+            row.append(pi if at_upper[j] else -pi)
+        k = len(lo)
+        lo.append(0)
+        up.append(None)
+        at_upper.append(False)
+        in_basis.append(True)
+        self.cols = (*cols, k)
+        for tr in self.T:
+            tr.append(0)
+        row.append(1)
+        self.T.append(row)
+        self.xB.append(-1)
+        self.basis.append(k)
+        self.d.append(0)
+
 
 _INFEASIBLE = LpSolution("infeasible", (), None)
 
@@ -421,94 +458,49 @@ def simplex_max(p: LpProblem) -> LpSolution:
     return _solve_cold(p)[0]
 
 
-_MAX_BNB_NODES = 50_000
+_MAX_CUT_ROUNDS = 100
 
 
-def solve_integral_max(
-    p: LpProblem,
-    integral_cols: Optional[Sequence[int]] = None,
-    unbounded_cap=None,
-    step: int = 1,
-) -> LpSolution:
-    """Exact maximum over the integral points of an LpProblem.
+def solve_integral_max(p: LpProblem, integral_cols: Optional[Sequence[int]] = None) -> LpSolution:
+    """Exact maximum over the points of an LpProblem that are integral on
+    ``integral_cols`` (all columns by default), by rounds of Gomory
+    mixed-integer cuts on the root tableau.
 
-    Depth-first branch and bound on the smallest-index fractional column
-    among ``integral_cols`` (all columns by default), down branch first.
-    Only the root relaxation is solved cold; it comes back as the
-    ``relaxation`` of the result.  Each child copies its parent's optimal
-    tableau (the second child takes it over), tightens the branched
-    column's bound and re-optimises with the dual simplex.  A child whose
-    parent's rounded-down bound cannot beat the incumbent is dropped
-    before any pivot, a node whose own bound cannot is not branched.
+    The root relaxation is solved cold; it comes back as the
+    ``relaxation`` of the result.  The bounds of the integral columns are
+    rounded inwards.  Then each round re-optimises with the dual simplex
+    and, for every row whose basic column is integral but whose value is
+    fractional, appends the row's Gomory mixed-integer cut with a new
+    continuous slack column, basic and at -1.  Each cut holds at every
+    feasible point that is integral on ``integral_cols``, so the search
+    ends at the integral optimum once a round leaves no such row, and
+    reports "infeasible" when the cuts leave no point at all.
 
-    Each node's bound is its relaxation value rounded down to a multiple
-    of ``step``, which must divide the objective at every integral point
-    (1, the default, needs an objective integral on ``integral_cols``).
-    A larger step stops the search sooner: a node that cannot beat the
-    incumbent by a whole step is dropped.  The nodes visited up to the
-    first incumbent, and the optimum returned, are those of step 1.
-
-    ``unbounded_cap`` replaces missing upper bounds on the branching
-    columns (required for termination on unbounded problems); the cap
-    must not be active at the optimum and BudgetExceeded flags it if it
-    is.  Pivot and node limits raise BudgetExceeded as well.
+    Gomory rounds are finite under a lexicographic dual simplex rule,
+    which ``_Tableau.dual`` does not follow, so termination is not
+    proven: the round limit raises BudgetExceeded, as the pivot limit
+    does.
     """
-    cols = list(range(p.ncols)) if integral_cols is None else sorted(integral_cols)
-    colset = set(cols)
-    for j in range(p.ncols):
-        if p.c[j] and j not in colset:
-            raise DimensionMismatch("objective touches a non-integral column")
-
-    bounds = list(p.bounds)
-    capped = []
-    if unbounded_cap is not None:
-        for j in cols:
-            lo, up = bounds[j]
-            if up is None:
-                bounds[j] = (lo, unbounded_cap)
-                capped.append(j)
-    root, tab = _solve_cold(dataclasses.replace(p, bounds=tuple(bounds)) if capped else p)
+    integral = set(range(p.ncols) if integral_cols is None else integral_cols)
+    root, tab = _solve_cold(p)
     if tab is None:
         return dataclasses.replace(root, relaxation=root)
-
-    best: Optional[LpSolution] = None
-    # (tableau, (column, lo, up) to impose, parent's bound, copy the tableau)
-    stack = [(tab, None, None, False)]
-    nodes = 0
-    while stack:
-        tab, branch, parent_bound, copy = stack.pop()
-        if best is not None and parent_bound <= best.objective_value:
-            continue
-        nodes += 1
-        if nodes > _MAX_BNB_NODES:
-            raise BudgetExceeded("branch-and-bound node limit exceeded")
-        if branch is None:
-            sol = root
-        else:
-            if copy:
-                tab = tab.copy()
-            if not (tab.tighten(*branch) and tab.dual()):
-                continue
-            sol = tab.solution(p.c)
-        bound = math.floor(sol.objective_value / step) * step
-        if best is not None and bound <= best.objective_value:
-            continue
-        frac = next((j for j in cols if not isinstance(sol.values[j], int)), None)
-        if frac is None:
-            best = sol
-            continue
-        floor_v = math.floor(sol.values[frac])
-        stack.append((tab, (frac, floor_v + 1, tab.up[frac]), bound, False))
-        stack.append((tab, (frac, tab.lo[frac], floor_v), bound, True))
-
-    if best is None:
-        return LpSolution("infeasible", (), None, relaxation=root)
-    for j in capped:
-        if best.values[j] >= bounds[j][1]:
-            raise BudgetExceeded(
-                "integral optimum pinned at the artificial cap; raise unbounded_cap"
-            )
-    return dataclasses.replace(best, relaxation=root)
+    infeasible = LpSolution("infeasible", (), None, relaxation=root)
+    for j in integral:
+        up = tab.up[j]
+        if not tab.tighten(j, math.ceil(tab.lo[j]), None if up is None else math.floor(up)):
+            return infeasible
+    for rounds in itertools.count():
+        if not tab.dual():
+            return infeasible
+        rows = [i for i, j in enumerate(tab.basis)
+                if j in integral and tab.xB[i] != math.floor(tab.xB[i])]
+        if not rows:
+            return dataclasses.replace(tab.solution(p.c), relaxation=root)
+        if rounds == _MAX_CUT_ROUNDS:
+            raise BudgetExceeded("cut round limit exceeded")
+        for i in rows:
+            tab.cut(i, integral)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,6 @@ class Walk:
     def is_closed(self) -> bool:
         return self.start == self.end
 
-    def reversed(self) -> "Walk":
-        return Walk(tuple(reversed(self.vertices)), tuple(reversed(self.edges)))
-
     def canonical_key(self):
         fwd = (tuple(map(str, self.vertices)), self.edges)
         rev = (tuple(map(str, reversed(self.vertices))), tuple(reversed(self.edges)))

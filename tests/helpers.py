@@ -1,9 +1,11 @@
 """Helpers that only the tests use: forward lifts through the reductions,
-the signed z-sum of a link, the no-turnaround equality verdict, and the
-doubled split graph of the X-path pipeline."""
+the signed z-sum of a link, the no-turnaround equality verdict, the
+doubled split graph of the X-path pipeline, and the scripts of `tools/`."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from bimenger import (
@@ -152,3 +154,12 @@ def doubled_split(g: BidirectedGraph, X: Iterable):
     g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
     g_prime, f, smap = split_and_close(g_hat, s, t)
     return g_prime, f, _s_side(g_prime, f), [tmap, smap]
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py`` as a module (`tools/` is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -346,7 +346,7 @@ def test_selfcheck_engine_batch_order_independence():
     assert run_selfcheck(5, 123, 6, out)
 
 
-# an edgeless graph whose relaxation is fractional: solving it branches
+# an edgeless graph whose relaxation is fractional: solving it cuts
 GAP_INSTANCE = "vertex x\nvertex y\nset X x\nset Y y\n"
 
 
@@ -355,15 +355,15 @@ def _one_error_line(err):
     return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
 
 
-def test_cli_node_limit_exits_budget(tmp_path, monkeypatch):
+def test_cli_round_limit_exits_budget(tmp_path, monkeypatch):
     p = tmp_path / "gap.bg"
     p.write_text(GAP_INSTANCE)
-    monkeypatch.setattr(ratlp, "_MAX_BNB_NODES", 1)
+    monkeypatch.setattr(ratlp, "_MAX_CUT_ROUNDS", 0)
     rc, out, err = cli("solve", "--input", str(p), "--json")
     assert rc == EXIT_BUDGET
     assert out == ""
     assert _one_error_line(err)
-    assert "node limit" in err
+    assert "round limit" in err
 
 
 def test_cli_pivot_limit_exits_budget(monkeypatch):

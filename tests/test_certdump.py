@@ -1,24 +1,19 @@
 """Smoke test of `tools/certdump.py` on the first instances of each set."""
 
-import importlib.util
+import dataclasses
 import io
 import json
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "certdump.py"
+from bimenger import solve_menger
+from bimenger.bmcli import parse_instance
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("certdump", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from .helpers import load_tool
 
 
 def test_certdump_writes_one_line_per_run():
-    certdump = _load_tool()
+    certdump = load_tool("certdump")
     out = io.StringIO()
     certdump.dump(certdump.runs(3), out)
     records = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -27,7 +22,7 @@ def test_certdump_writes_one_line_per_run():
     sets = {(r["instance"].rsplit("/", 1)[0], r["command"][0]) for r in records}
     assert sets == {("suite200", "solve"), ("suite200", "xpaths"), ("suite200", "solve-st"),
                     ("suite200", "oracle"), ("above-limits", "solve"), ("above-limits", "xpaths"),
-                    ("fractional-dual", "solve-st")} | {
+                    ("fractional-dual", "solve-st"), ("unions", "solve"), ("unions", "xpaths")} | {
         (f"{name}/{seed}", command)
         for name, command in (("small", "solve"), ("xpaths", "xpaths"))
         for seed in (101, 102, 103)
@@ -47,9 +42,10 @@ def test_certdump_writes_one_line_per_run():
             assert r["exit"] == (3 if infinite else 0)
             assert isinstance(doc["max_links"], int)
             continue
-        # n = 11, seed 1 has an LP gap above the oracle limits: its proven
-        # separator of 2 exceeds the value 1, and no search may shrink it
-        gap = r["instance"] == "above-limits/11-1" and r["command"] == ["solve"]
+        # n = 11, seed 1 and the union of two copies have an LP gap above
+        # the oracle limits: the proven separator exceeds the value, and no
+        # search may shrink it
+        gap = r["command"] == ["solve"] and r["instance"] in ("above-limits/11-1", "unions/2-disjoint")
         assert r["exit"] == (2 if gap else 0)
         doc = json.loads(r["stdout"])
         assert isinstance(doc["value"], int)
@@ -58,7 +54,7 @@ def test_certdump_writes_one_line_per_run():
 
 
 def test_compare_reports_only_the_runs_that_differ(tmp_path):
-    certdump = _load_tool()
+    certdump = load_tool("certdump")
     before = io.StringIO()
     certdump.dump(certdump.runs(3), before)
     path = tmp_path / "before.jsonl"
@@ -81,10 +77,28 @@ def test_compare_reports_only_the_runs_that_differ(tmp_path):
 
 @pytest.mark.parametrize("side", ["before", "after"])
 def test_compare_reports_a_run_missing_from_one_dump(side):
-    certdump = _load_tool()
+    certdump = load_tool("certdump")
     record = {"command": ["solve"], "instance": "a", "exit": 0, "stdout": "{}", "stderr": ""}
     lines = [json.dumps(record)]
     before, after = (lines, []) if side == "after" else ([], lines)
     out = io.StringIO()
     assert certdump.compare(before, after, out) == 1
     assert out.getvalue() == f"a solve: missing from {side}\n"
+
+
+def test_recheck_accepts_the_solver_and_rejects_a_smaller_separator(tmp_path):
+    recheck = load_tool("recheck")
+    run_list = list(load_tool("certdump").runs(2))
+    report = tmp_path / "report.txt"
+    report.write_text("".join(f"{name} {' '.join(command)}: links\n" for name, command, _ in run_list),
+                      encoding="utf-8")
+    out = io.StringIO()
+    assert recheck.main([str(report)], out) == 0
+    assert sum(int(line.rsplit(" ", 2)[1]) for line in out.getvalue().splitlines()) == len(run_list)
+
+    name, command, text = next(r for r in run_list if r[1] == ["solve"] and r[0] == "suite200/000")
+    inst = parse_instance(text)
+    cert = solve_menger(inst.graph, inst.X, inst.Y)
+    assert cert.separator and recheck.recheck(command, text, cert) == ([], True)
+    smaller = dataclasses.replace(cert, separator=frozenset(sorted(cert.separator)[1:]))
+    assert recheck.recheck(command, text, smaller) == (["separator_separates"], True)

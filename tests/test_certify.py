@@ -562,15 +562,6 @@ def test_folded_primal_is_even_at_every_integral_point():
     assert checked >= 10 and packings >= 10, (checked, packings)
 
 
-def test_folded_primal_search_by_even_steps_matches_unit_steps():
-    above_limits = [random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
-                    for n in (11, 12) for seed in range(5)]
-    for g, X in _xpath_instances() + [(inst.graph, inst.X) for inst in above_limits]:
-        g_prime, f, side, _ = doubled_split(g, X)
-        P = build_primal(g_prime, f, side)
-        assert solve_integral_max(P, step=2) == solve_integral_max(P)
-
-
 def test_xpaths_tests_one_separator_candidate(monkeypatch):
     # the second copy's projection is always empty: the one candidate is
     # the first copy's when a path is packed, the empty set when none is

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -399,17 +398,21 @@ def test_rank_deficient_lp_pivots_a_zero_artificial_out_in_phase_2(monkeypatch):
 
 
 def test_no_tableau_row_holds_a_frozen_artificial(monkeypatch):
-    # after a cold solve, and in every branch-and-bound node, T holds the
-    # structural columns only: position j is column j
-    seen = []
-    copy = ratlp._Tableau.copy
+    # after a cold solve, and at every re-solve of the cut rounds, T holds
+    # the structural columns and the cut slacks only: position j is column
+    # j up to n, and the slacks follow the ids of the frozen artificials
+    dual = ratlp._Tableau.dual
+    cut = [0]
 
-    def recorded(tab):
-        child = copy(tab)
-        seen.append(child)
-        return child
+    def checked(tab):
+        slacks = tuple(range(tab.n + m, len(tab.lo)))
+        assert tab.cols == (*range(tab.n), *slacks) and len(tab.T) == m + len(slacks)
+        assert all(len(row) == len(tab.cols) for row in tab.T) and len(tab.d) == len(tab.cols)
+        assert all(tab.lo[j] == tab.up[j] == 0 for j in range(tab.n, tab.n + m))
+        cut[0] += bool(slacks)
+        return dual(tab)
 
-    monkeypatch.setattr(ratlp._Tableau, "copy", recorded)
+    monkeypatch.setattr(ratlp._Tableau, "dual", checked)
     g, X, Y = fig1a()
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
@@ -418,15 +421,13 @@ def test_no_tableau_row_holds_a_frozen_artificial(monkeypatch):
     rng = random.Random(4242)
     problems += [_random_bounded_lp(rng) for _ in range(300)]
     for problem in problems:
+        m = len(problem.a_eq)
         root, tab = _solve_cold(problem)
         if tab is not None:
-            seen.append(tab)
+            assert tab.cols == tuple(range(tab.n))
+            assert all(len(row) == tab.n for row in tab.T) and len(tab.d) == tab.n
             solve_integral_max(problem)
-    assert len(seen) > len(problems)  # some searches branched
-    for tab in seen:
-        assert tab.cols == tuple(range(tab.n))
-        assert all(len(row) == tab.n for row in tab.T) and len(tab.d) == tab.n
-        assert all(tab.lo[j] == tab.up[j] == 0 for j in range(tab.n, len(tab.lo)))
+    assert cut[0] >= 10  # some searches cut
 
 
 def test_kregular_two_by_two():
@@ -465,7 +466,7 @@ def test_ratio_str():
 
 
 # ---------------------------------------------------------------------------
-# branch and bound: cold root, warm-started children
+# integral search: cold root, warm cut rounds
 
 
 def _integral_box_optimum(problem, cap=None):
@@ -535,65 +536,29 @@ def test_integral_search_matches_box_enumeration():
     assert min(outcomes.values()) >= 10, outcomes
 
 
-def _count_node_re_solves(monkeypatch):
-    """Count the dual-simplex re-solves of branch-and-bound nodes."""
-    calls = [0]
-    dual = ratlp._Tableau.dual
-
-    def counted(tab):
-        calls[0] += 1
-        return dual(tab)
-
-    monkeypatch.setattr(ratlp._Tableau, "dual", counted)
-    return calls
-
-
-def test_even_step_matches_box_enumeration_with_fewer_re_solves(monkeypatch):
-    # an even objective is even at every integral point, so step 2 is valid:
-    # the search returns what step 1 returns and never re-solves more nodes
-    calls = _count_node_re_solves(monkeypatch)
-    rng = random.Random(2468)
-    outcomes = {"optimal": 0, "infeasible": 0, "fewer": 0}
-    for _ in range(1000):
-        problem = _random_bounded_lp(rng)
-        problem = dataclasses.replace(problem, c=tuple(2 * v for v in problem.c))
-        expected, _ = _integral_box_optimum(problem)
-        start = calls[0]
-        one = solve_integral_max(problem)
-        middle = calls[0]
-        two = solve_integral_max(problem, step=2)
-        assert two == one
-        if expected is None:
-            assert two.status == "infeasible"
-        else:
-            _check_integral_solution(problem, two, expected)
-        assert calls[0] - middle <= middle - start
-        outcomes[two.status] += 1
-        outcomes["fewer"] += calls[0] - middle < middle - start
-    assert min(outcomes.values()) >= 10, outcomes
-
-
 def test_capped_integral_search_matches_box_enumeration():
+    # columns without an upper bound: the search runs on them as they are,
+    # and box enumeration with a cap on them checks every answer whose
+    # point lies below the cap; no integral point lies in an infeasible
+    # search's box, and none beats an optimum found
     rng = random.Random(777)
     cap = 3
-    outcomes = {"optimal": 0, "infeasible": 0, "pinned": 0}
+    outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0, "below_cap": 0}
     for _ in range(150):
         problem = _random_bounded_lp(rng, unbounded=True)
-        expected, points = _integral_box_optimum(problem, cap)
+        expected, _ = _integral_box_optimum(problem, cap)
         capped = [j for j, (_, up) in enumerate(problem.bounds) if up is None]
-        try:
-            sol = solve_integral_max(problem, unbounded_cap=cap)
-        except BudgetExceeded:
-            # only when some optimum of the capped box sits at the cap
-            assert any(x[j] == cap for x in points for j in capped)
-            outcomes["pinned"] += 1
-            continue
-        if expected is None:
-            assert sol.status == "infeasible"
-        else:
-            _check_integral_solution(problem, sol, expected)
-            assert all(sol.values[j] < cap for j in capped)
+        sol = solve_integral_max(problem)
         outcomes[sol.status] += 1
+        if sol.status == "unbounded":
+            assert sol.relaxation.status == "unbounded"
+        elif sol.status == "infeasible":
+            assert expected is None
+        elif all(sol.values[j] < cap for j in capped):
+            _check_integral_solution(problem, sol, expected)
+            outcomes["below_cap"] += 1
+        else:
+            assert expected is None or expected <= sol.objective_value
     assert min(outcomes.values()) >= 5, outcomes
 
 
@@ -603,11 +568,11 @@ def test_branch_that_empties_a_child_is_infeasible():
     problem = lp([1, 0], [[1, 1]], [Fraction(3, 2)], [(0, 1), (0, 1)])
     root, tab = _solve_cold(problem)
     assert root.values == (1, Fraction(1, 2))
-    child = tab.copy()
-    assert child.tighten(1, 0, 0)
-    assert not child.dual()
+    assert tab.tighten(1, 0, 0)
+    assert not tab.dual()
     assert simplex_max(lp([1, 0], [[1, 1]], [Fraction(3, 2)], [(0, 1), (0, 0)])).status == "infeasible"
-    # the other branch y >= 1 leaves x = 1/2, and no integral point exists
+    # the other bound y >= 1 leaves x = 1/2, and no integral point exists
+    _, tab = _solve_cold(problem)
     assert tab.tighten(1, 1, 1) and tab.dual()
     assert tab.solution(problem.c).values == (Fraction(1, 2), 1)
     sol = solve_integral_max(problem)
@@ -615,13 +580,13 @@ def test_branch_that_empties_a_child_is_infeasible():
     assert sol.relaxation == root
 
 
-def test_node_limit_raises(monkeypatch):
-    # x - y = 1/2 has no integral point; proving it takes several nodes
+def test_round_limit_raises(monkeypatch):
+    # x - y = 1/2 has no integral point; one round of cuts proves it
     problem = lp([1, 0], [[1, -1]], [Fraction(1, 2)], [(0, 3), (0, 3)])
+    monkeypatch.setattr(ratlp, "_MAX_CUT_ROUNDS", 1)
     assert solve_integral_max(problem).status == "infeasible"
-    monkeypatch.setattr(ratlp, "_MAX_BNB_NODES", 2)
-    with pytest.raises(BudgetExceeded, match="node limit"):
+    monkeypatch.setattr(ratlp, "_MAX_CUT_ROUNDS", 0)
+    with pytest.raises(BudgetExceeded, match="round limit"):
         solve_integral_max(problem)
-    monkeypatch.setattr(ratlp, "_MAX_BNB_NODES", 1)
-    with pytest.raises(BudgetExceeded, match="node limit"):
-        solve_integral_max(problem)
+    # an integral root needs no round
+    assert solve_integral_max(lp([1, 1], [[1, 1]], [1], [(0, 1), (0, 1)])).values == (1, 0)

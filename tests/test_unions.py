@@ -1,0 +1,94 @@
+"""Unions of k copies of one small instance (`tools/unions.py`): answers
+known above the oracle limits, and the rounds of cuts that find them."""
+
+import io
+
+import pytest
+
+from bimenger import certify, oracle_max_links, oracle_min_separator, oracle_xpaths, ratlp
+from bimenger.bmcli import run_cli, serialize_instance
+from bimenger.fixtures import fig1a
+
+from .helpers import load_tool
+
+unions = load_tool("unions")
+
+
+def test_copies_have_the_stated_values():
+    inst = unions.union("solve", 1)
+    assert (oracle_max_links(inst.graph, inst.X, inst.Y).value,
+            oracle_min_separator(inst.graph, inst.X, inst.Y).size) == unions.expected("solve", 1)
+    inst = unions.union("xpaths", 1)
+    assert oracle_xpaths(inst.graph, inst.X) == unions.expected("xpaths", 1)
+
+
+def test_unions_copy_the_copy():
+    copy = unions.union("solve", 1)
+    for chained in (False, True):
+        inst = unions.union("solve", 3, chained)
+        g = inst.graph
+        assert (g.n, g.m) == (3 * copy.graph.n, 3 * copy.graph.m + 2 * chained)
+        assert len(inst.X) == 3 * len(copy.X) and len(inst.Y) == 3 * len(copy.Y)
+    assert unions.expected("xpaths", 5) == (5, 10)
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_solve_unions_finish_with_the_value_of_their_copies(chained):
+    # a disjoint union packs k times its copy's value; a chained one has no
+    # such ground truth, but its search finishes within the LP bound
+    for k in range(1, 9):
+        inst = unions.union("solve", k, chained)
+        cert = certify.solve_menger(inst.graph, inst.X, inst.Y)
+        if chained:
+            assert k <= cert.value <= cert.primal_value
+        else:
+            assert cert.value == unions.expected("solve", k)[0]
+        assert cert.checks["separator_verified"]
+
+
+@pytest.mark.xfail(strict=True, reason="the mapped cut keeps 2 vertices per copy, and above "
+                   "the oracle limits no smaller separator is searched (ROADMAP item 11)")
+def test_solve_union_of_two_copies_exits_0(tmp_path):
+    path = tmp_path / "union.bg"
+    path.write_text(serialize_instance(unions.union("solve", 2)), encoding="utf-8")
+    assert run_cli(["solve", "--input", str(path)], io.StringIO(), io.StringIO()) == 0
+
+
+def test_xpaths_union_of_one_copy():
+    # from k = 2 on, the projected separator exceeds the value and the
+    # exhaustive hitting-set search runs above the oracle limits
+    inst = unions.union("xpaths", 1)
+    cert = certify.solve_xpaths(inst.graph, inst.X)
+    assert (cert.value, len(cert.separator)) == unions.expected("xpaths", 1)
+    assert cert.checks["cor15_bound"]
+
+
+def _rounds_per_search(monkeypatch, run) -> list:
+    """The rounds of cuts of each integral search that ``run()`` makes:
+    its dual-simplex calls, less the one after the bounds are rounded."""
+    rounds = []
+    search, dual = ratlp.solve_integral_max, ratlp._Tableau.dual
+
+    def counted_search(*args, **kwargs):
+        rounds.append(-1)
+        return search(*args, **kwargs)
+
+    def counted_dual(tab):
+        rounds[-1] += 1
+        return dual(tab)
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "solve_integral_max", counted_search)
+        m.setattr(ratlp._Tableau, "dual", counted_dual)
+        run()
+    return rounds
+
+
+def test_rounds_per_search_are_pinned(monkeypatch):
+    g, X, Y = fig1a()
+    assert _rounds_per_search(monkeypatch, lambda: certify.solve_menger(g, X, Y)) == [2]
+    assert _rounds_per_search(monkeypatch, lambda: certify.solve_xpaths(g, X | Y)) == [2]
+    for k in (2, 4, 8):
+        inst = unions.union("solve", k)
+        run = lambda: certify.solve_menger(inst.graph, inst.X, inst.Y)  # noqa: E731
+        assert _rounds_per_search(monkeypatch, run) == [2]

@@ -178,7 +178,7 @@ def test_enumerated_paths_are_paths_and_reversal_invariant(g):
     B = set(g.vertices[2:])
     for w in enumerate_paths(g, A, B):
         assert is_path(g, w)
-        assert check_walk(g, w.reversed()).ok
+        assert check_walk(g, Walk(w.vertices[::-1], w.edges[::-1])).ok
 
 
 @given(graphs(max_n=5, max_m=6))

@@ -16,7 +16,10 @@ The runs are in-process `bimenger.bmcli.run_cli` calls with `--json`:
 - 37 `solve-st` runs whose dual root is fractional, so that they take
   the integral dual search: the draws `GenParams(n, m, seed, 2, 2)` with
   n = 5-10, m = n-16 and seeds 0-59 on which it is, with s and t the
-  smallest X and the smallest Y vertex, listed in `FRACTIONAL_DUAL_ST`.
+  smallest X and the smallest Y vertex, listed in `FRACTIONAL_DUAL_ST`;
+- 10 `unions` runs, `solve` and `xpaths` on the unions of
+  `tools/unions.py` for k = 1-3, disjoint and, from k = 2, chained
+  (`UNIONS`, smallest k first).
 
 Each line holds the command (argv without the input path), the instance
 name, the exit code, stdout and stderr.  The package and the families are
@@ -51,7 +54,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT / "tools")]
 
 from bimenger.bigraph import vertex_sort_key  # noqa: E402
 from bimenger.bmcli import (  # noqa: E402
@@ -62,6 +65,7 @@ from bimenger.bmcli import (  # noqa: E402
     serialize_instance,
 )
 from families import FAMILIES, SUITE_SEED  # noqa: E402
+from unions import union  # noqa: E402
 
 SUITE_SIZE = 200
 BENCH_SEEDS = (101, 102, 103)
@@ -76,6 +80,8 @@ FRACTIONAL_DUAL_ST = [
     (9, 13, 49), (9, 14, 58), (9, 15, 28), (9, 15, 58), (10, 12, 3), (10, 13, 12),
     (10, 13, 15),
 ]
+UNIONS = [(command, k, chained) for k in (1, 2, 3) for command in ("solve", "xpaths")
+          for chained in (False, True)[: 1 + (k > 1)]]
 
 
 def _terminals(inst) -> Optional[tuple[str, str]]:
@@ -117,6 +123,9 @@ def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
         s, t = _terminals(inst)
         command = ["solve-st", "--s", s, "--t", t]
         yield f"fractional-dual/{n}-{m}-{seed}", command, serialize_instance(inst)
+    for command, k, chained in UNIONS[:limit]:
+        name = f"unions/{k}-{'chained' if chained else 'disjoint'}"
+        yield name, [command], serialize_instance(union(command, k, chained))
 
 
 def dump(run_list: Iterable[tuple[str, list[str], str]], out: TextIO) -> None:
