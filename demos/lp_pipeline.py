@@ -45,7 +45,7 @@ relaxed = simplex_max(P)
 print("relaxed packing LP:", relaxed.objective_value,
       "(integral:", is_integral(relaxed.values), ")")
 
-exact = solve_integral_max(P)
+exact = solve_integral_max(P, relaxed)   # the cut rounds refine the root
 x, xf = primal_vectors(P, exact)
 print("exact integral optimum:", xf)
 
@@ -73,5 +73,6 @@ g0 = build_graph(["x", "y"], [])
 gh0, s0, t0, _ = attach_terminals(g0, {"x"}, {"y"})
 gp0, f0, _ = split_and_close(gh0, s0, t0)
 P0 = build_primal(gp0, f0)
-print("linkless instance: relaxed =", simplex_max(P0).objective_value,
-      " exact =", solve_integral_max(P0).objective_value)
+relaxed0 = simplex_max(P0)
+print("linkless instance: relaxed =", relaxed0.objective_value,
+      " exact =", solve_integral_max(P0, relaxed0).objective_value)

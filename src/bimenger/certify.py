@@ -351,10 +351,12 @@ def _finish_certificate(
     side: Optional[frozenset] = None,
 ) -> MengerCertificate:
     """Solve (P) and (D), decompose the packing, extract the cut and map
-    both back through ``chain``.  The packing is the integral optimum of
-    (P), whose integral search also returns the plain relaxation; (D),
-    read off (P), falls back to the same search, integral on z and y,
-    when its basic optimum comes back fractional.
+    both back through ``chain``.  ``simplex_max`` solves (P) and (D), read
+    off (P), cold once each: the plain relaxations.  The integral search
+    refines the root of (P) to the packing, and that of (D), integral on z
+    and y, only when it is fractional.  So the benchmark's traced
+    ``ratlp.bnb.total_s`` holds cut rounds alone, and the primal root is
+    ``ratlp.simplex_primal_root.self_s``.
 
     ``side``, the s side of the doubled split graph of ``solve_xpaths``,
     folds both programs onto it: the packing is read on it and the dual
@@ -362,17 +364,15 @@ def _finish_certificate(
     fold")."""
     P = build_primal(g_prime, f, side)
     D = build_dual(P)
-    psol = solve_integral_max(P)
-    plp = _optimal("primal relaxation", psol.relaxation)
-    primal_integral_raw = is_integral(plp.values)
-    x, xf = primal_vectors(P, _optimal("integral primal", psol))
+    plp = _optimal("primal relaxation", simplex_max(P))
+    x, xf = primal_vectors(P, _optimal("integral primal", solve_integral_max(P, plp)))
     xf = _as_int(xf)
 
     dlp = _optimal("dual relaxation", simplex_max(D))
     z, y = dual_vectors(D, dlp, g_prime)
     dual_integral_raw = is_integral(z.values()) and is_integral(y.values())
     if not dual_integral_raw:
-        dint = solve_integral_max(D, integral_cols=_dual_integral_columns(D))
+        dint = solve_integral_max(D, dlp, _dual_integral_columns(D))
         z, y = dual_vectors(D, _optimal("integral dual", dint), g_prime)
 
     dec = decompose_packing(g_prime, f, x, xf, side)
@@ -383,7 +383,7 @@ def _finish_certificate(
     dual_value = -Fraction(dlp.objective_value)
     checks = {
         "duality": primal_value == dual_value,
-        "primal_integral_raw": primal_integral_raw,
+        "primal_integral_raw": is_integral(plp.values),
         "dual_integral_raw": dual_integral_raw,
         "lp_tight": primal_value == xf,
         "slack_cycles": dec.slack_cycles,

@@ -110,9 +110,9 @@ def _dedupe_by_footprint(pairs: Iterable[tuple[frozenset, Link]]) -> list[tuple[
 def _exists_path(g, A, Bset, forbidden=frozenset(), nontrivial_only=False) -> bool:
     Bset = {b for b in Bset if b in g.vertex_set and b not in forbidden}
     return bool(Bset) and any(
-        w.end in Bset and not (nontrivial_only and w.is_trivial)
+        vertices[-1] in Bset and (edges or not nontrivial_only)
         for a in A if a in g.vertex_set and a not in forbidden
-        for w in alternating_paths(g, a, avoid=forbidden, stop=Bset)
+        for vertices, edges in alternating_paths(g, a, avoid=forbidden, stop=Bset)
     )
 
 

@@ -14,12 +14,12 @@ ones, and during phase 1 the artificials of rows whose right-hand side
 starts nonzero.  The other artificials are fixed at zero, and leaving
 them out keeps every pivot: a pivot updates each column from that column
 and the entering one alone, and no pivoting rule picks a column whose
-bounds are equal.  The integral search (``solve_integral_max``) solves
-only its root cold.  It then adds rounds of Gomory mixed-integer cuts to
-that tableau, each as a new row with its own slack column, and
-re-optimises with an exact dual simplex after each round, until the
-vertex is integral.  Which integral optimum it stops at (not its value)
-depends on the cuts and the pivots.
+bounds are equal.  Each program is solved cold once.  The integral
+search (``solve_integral_max``) refines that root: it adds rounds of
+Gomory mixed-integer cuts to the root's own tableau, each as a new row
+with its own slack column, and re-optimises with an exact dual simplex
+after each round, until the vertex is integral.  Which integral optimum
+it stops at (not its value) depends on the cuts and the pivots.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: tuple
     objective_value: Optional[Fraction]
-    # the root LP relaxation, on results of solve_integral_max
-    relaxation: Optional["LpSolution"] = None
+    # an optimal solve's final tableau, which solve_integral_max refines
+    _tableau: Optional[_Tableau] = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def _div(a, b):
@@ -201,7 +201,7 @@ class _Tableau:
     def solution(self, c) -> LpSolution:
         values = tuple(_exact(v) for v in self.values()[: self.n])
         objective = Fraction(sum(cj * v for cj, v in zip(c, values) if cj))
-        return LpSolution("optimal", values, objective)
+        return LpSolution("optimal", values, objective, self)
 
     def price(self, cost) -> list:
         """The reduced costs c - c_B B^-1 A, one per position, of the
@@ -413,14 +413,17 @@ class _Tableau:
 _INFEASIBLE = LpSolution("infeasible", (), None)
 
 
-def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
-    """Two-phase primal simplex from the all-artificial basis.  Returns
-    the solution and, when it is optimal, the final tableau."""
+def simplex_max(p: LpProblem) -> LpSolution:
+    """Exact bounded-variable simplex, Bland's rule, basic optimum: two
+    phases from the all-artificial basis.  Lower bounds must be finite;
+    upper bounds may be None.  The returned solution satisfies every
+    constraint exactly and, when optimal, holds its final tableau.
+    """
     for lo, up in p.bounds:
         if lo is None:
             raise DimensionMismatch("lower bounds must be finite")
         if up is not None and Fraction(up) < Fraction(lo):
-            return _INFEASIBLE, None
+            return _INFEASIBLE
     tab = _Tableau.all_artificial(p)
     n, m, T = tab.n, len(p.a_eq), tab.T
 
@@ -433,7 +436,7 @@ def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
         if not tab.primal(tab.price(c1)):
             raise LpFailure("phase 1 is bounded by zero yet ended unbounded")
         if any(v != 0 for v in tab.values()[n:]):
-            return _INFEASIBLE, None
+            return _INFEASIBLE
         # they may stay basic at zero (a redundant row, or degeneracy);
         # freeze them and drop their columns
         for j in live:
@@ -445,58 +448,50 @@ def _solve_cold(p: LpProblem) -> tuple[LpSolution, Optional[_Tableau]]:
     # phase 2
     tab.d = tab.price([_exact(v) for v in p.c] + [0] * m)
     if not tab.primal(tab.d):
-        return LpSolution("unbounded", (), None), None
-    return tab.solution(p.c), tab
-
-
-def simplex_max(p: LpProblem) -> LpSolution:
-    """Exact bounded-variable simplex, Bland's rule, basic optimum.
-
-    Lower bounds must be finite; upper bounds may be None.  The returned
-    solution satisfies every constraint exactly.
-    """
-    return _solve_cold(p)[0]
+        return LpSolution("unbounded", (), None)
+    return tab.solution(p.c)
 
 
 _MAX_CUT_ROUNDS = 100
 
 
-def solve_integral_max(p: LpProblem, integral_cols: Optional[Sequence[int]] = None) -> LpSolution:
+def solve_integral_max(p: LpProblem, root: LpSolution,
+                       integral_cols: Optional[Sequence[int]] = None) -> LpSolution:
     """Exact maximum over the points of an LpProblem that are integral on
     ``integral_cols`` (all columns by default), by rounds of Gomory
-    mixed-integer cuts on the root tableau.
+    mixed-integer cuts on the tableau of ``root``, ``simplex_max(p)``.
 
-    The root relaxation is solved cold; it comes back as the
-    ``relaxation`` of the result.  The bounds of the integral columns are
-    rounded inwards.  Then each round re-optimises with the dual simplex
-    and, for every row whose basic column is integral but whose value is
-    fractional, appends the row's Gomory mixed-integer cut with a new
-    continuous slack column, basic and at -1.  Each cut holds at every
-    feasible point that is integral on ``integral_cols``, so the search
-    ends at the integral optimum once a round leaves no such row, and
-    reports "infeasible" when the cuts leave no point at all.
+    A root that is not optimal comes back as it is.  Otherwise the search
+    refines the root's tableau in place, so a root serves one search.
+    The bounds of the integral columns are rounded inwards.  Then each
+    round re-optimises with the dual simplex and, for every row whose
+    basic column is integral but whose value is fractional, appends the
+    row's Gomory mixed-integer cut with a new continuous slack column,
+    basic and at -1.  Each cut holds at every feasible point that is
+    integral on ``integral_cols``, so the search ends at the integral
+    optimum once a round leaves no such row, and reports "infeasible"
+    when the cuts leave no point at all.
 
     Gomory rounds are finite under a lexicographic dual simplex rule,
     which ``_Tableau.dual`` does not follow, so termination is not
     proven: the round limit raises BudgetExceeded, as the pivot limit
     does.
     """
+    if root.status != "optimal":
+        return root
     integral = set(range(p.ncols) if integral_cols is None else integral_cols)
-    root, tab = _solve_cold(p)
-    if tab is None:
-        return dataclasses.replace(root, relaxation=root)
-    infeasible = LpSolution("infeasible", (), None, relaxation=root)
+    tab = root._tableau
     for j in integral:
         up = tab.up[j]
         if not tab.tighten(j, math.ceil(tab.lo[j]), None if up is None else math.floor(up)):
-            return infeasible
+            return _INFEASIBLE
     for rounds in itertools.count():
         if not tab.dual():
-            return infeasible
+            return _INFEASIBLE
         rows = [i for i, j in enumerate(tab.basis)
                 if j in integral and tab.xB[i] != math.floor(tab.xB[i])]
         if not rows:
-            return dataclasses.replace(tab.solution(p.c), relaxation=root)
+            return tab.solution(p.c)
         if rounds == _MAX_CUT_ROUNDS:
             raise BudgetExceeded("cut round limit exceeded")
         for i in rows:

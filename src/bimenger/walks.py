@@ -197,9 +197,10 @@ def alternating_paths(
     sign: Optional[Sign] = None,
     avoid: Container = frozenset(),
     stop: Container = frozenset(),
-) -> Iterator[Walk]:
+) -> Iterator[tuple[list, list]]:
     """Every path from ``start``, depth first in incidence order, each
-    yielded before its extensions, the trivial path first.
+    yielded before its extensions, the trivial path first, as the search's
+    own vertex and edge lists, which change as it resumes (copy to keep).
 
     ``sign`` is the sign at ``start`` of the edge the walk arrived by
     (None: none), so the first edge must carry the other one.  The paths
@@ -211,7 +212,7 @@ def alternating_paths(
     on_path = {start}
 
     def extend(cur, last_sign):
-        yield Walk(tuple(vertices), tuple(edges))
+        yield vertices, edges
         if edges and cur in stop:
             return
         for e in g.incident(cur):
@@ -237,9 +238,9 @@ def closed_trails(g: BidirectedGraph, v: VertexId, avoid: Container = frozenset(
         w = e.other(v)
         if w in avoid:
             continue
-        for p in alternating_paths(g, w, e.sign_at(w), avoid, stop={v}):
-            if p.end == v:
-                yield Walk((v,) + p.vertices, (e.eid,) + p.edges)
+        for vertices, edges in alternating_paths(g, w, e.sign_at(w), avoid, stop={v}):
+            if vertices[-1] == v:
+                yield Walk((v, *vertices), (e.eid, *edges))
 
 
 def _distinct(walks: Iterable[Walk]) -> list[Walk]:
@@ -268,8 +269,9 @@ def enumerate_paths(
     """
     A, Bset = set(A), set(Bset)
     return _distinct(
-        w for a in g.vertices if a in A for w in alternating_paths(g, a)
-        if w.end in Bset and not (nontrivial_only and w.is_trivial)
+        Walk(tuple(vertices), tuple(edges))
+        for a in g.vertices if a in A for vertices, edges in alternating_paths(g, a)
+        if vertices[-1] in Bset and (edges or not nontrivial_only)
     )
 
 

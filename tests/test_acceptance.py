@@ -6,8 +6,9 @@ written straight through so they stay visible under output capture.
 Criterion 4's raw-relaxation integrality clause is expected to fail and is
 marked strict-xfail: the plain LP relaxation of the packing program is not
 integral on bidirected inputs (a half-unit of flow can cancel through a
-split edge), which is why the solver computes values by exact branch and
-bound instead.  README and the repository notes document the witness.
+split edge), which is why the solver computes values as exact integral
+optima, by Gomory cut rounds on the root tableau.  README and the
+repository notes document the witness.
 """
 
 import io
@@ -138,7 +139,7 @@ def test_criterion_4_strong_duality(suite200):
 @pytest.mark.xfail(
     strict=True,
     reason="the plain LP relaxation is not integral on bidirected inputs; "
-    "exact values come from branch and bound (see README, relaxation gap)",
+    "exact values come from cut rounds on the root (see README, relaxation gap)",
 )
 def test_criterion_4_raw_relaxation_integrality(suite200):
     records, _ = suite200
@@ -150,7 +151,7 @@ def test_criterion_4_raw_relaxation_integrality(suite200):
     report(
         f"criterion 4 (raw LP integrality): FAIL (expected) - fractional basic "
         f"optima on {bad}/200 instances; packing values recovered exactly by "
-        f"branch and bound"
+        f"Gomory cut rounds on the root tableau"
     )
     assert bad == 0, f"{bad}/200 raw relaxations came back fractional"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 from pathlib import Path
@@ -19,7 +18,6 @@ from bimenger import (
     oracle_max_links,
     oracle_min_separator,
     ratlp,
-    solve_integral_max,
     solve_menger,
 )
 from bimenger import bmcli
@@ -379,12 +377,8 @@ def _unbounded(*args, **kwargs):
     return LpSolution("unbounded", (), None)
 
 
-def _unbounded_relaxation(*args, **kwargs):
-    return dataclasses.replace(solve_integral_max(*args, **kwargs), relaxation=_unbounded())
-
-
 @pytest.mark.parametrize(
-    "attr, fake", [("simplex_max", _unbounded), ("solve_integral_max", _unbounded_relaxation)]
+    "attr, fake", [("simplex_max", _unbounded), ("solve_integral_max", _unbounded)]
 )
 def test_cli_non_optimal_lp_status_exits_verify(monkeypatch, attr, fake):
     monkeypatch.setattr(certify, attr, fake)

@@ -53,8 +53,7 @@ from .helpers import check_no_turnaround_equality, doubled_split, link_sigma_sum
 def st_pipeline(g, s, t):
     g_prime, f, smap = split_and_close(g, s, t)
     P = build_primal(g_prime, f)
-    sol = solve_integral_max(P)
-    x, xf = primal_vectors(P, sol)
+    x, xf = primal_vectors(P, solve_integral_max(P, simplex_max(P)))
     return g_prime, f, smap, x, int(xf)
 
 
@@ -463,12 +462,13 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
     for g, X in _xpath_instances():
         g_prime, f, side, chain = doubled_split(g, X)
         P = build_primal(g_prime, f)
-        full, full_dual = solve_integral_max(P), simplex_max(build_dual(P))
+        root, full_dual = simplex_max(P), simplex_max(build_dual(P))
+        full = solve_integral_max(P, root)
         # the folded packing decomposes, or _finish_certificate raises
         with recording_cuts() as cuts:
             folded = _finish_certificate(chain, g_prime, f, side)
         [(*_, cut)] = cuts
-        assert folded.primal_value == full.relaxation.objective_value
+        assert folded.primal_value == root.objective_value
         assert folded.value == full.objective_value
         assert folded.dual_value == -full_dual.objective_value
         assert all(side.issuperset(g_prime.edge(eid).endpoints) for eid in cut)
@@ -479,7 +479,7 @@ def _doubled_x_triangle():
     integral optimum (x, x_f) of its full, unfolded (P)."""
     g_prime, f, side, _ = doubled_split(*x_triangle())
     P = build_primal(g_prime, f)
-    x, xf = primal_vectors(P, solve_integral_max(P))
+    x, xf = primal_vectors(P, solve_integral_max(P, simplex_max(P)))
     return g_prime, f, side, x, int(xf)
 
 

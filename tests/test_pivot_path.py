@@ -11,28 +11,32 @@ import random
 from pathlib import Path
 
 from bimenger import ratlp
-from bimenger.bmcli import _trial_params, random_instance, run_cli, serialize_instance
+from bimenger.bigraph import vertex_sort_key
+from bimenger.bmcli import GenParams, _trial_params, random_instance, run_cli, serialize_instance
 
-from .test_ratlp import _random_bounded_lp
+from .test_ratlp import _random_bounded_lp, search
 
 FIG1A = Path(__file__).resolve().parent.parent / "fixtures" / "fig1a.bg"
 SUITE_SEED = 301  # the acceptance suite's seed (suite200)
+# GenParams(n, m, seed, 2, 2) s-t draws whose dual root is fractional
+FRACTIONAL_DUAL_ST = [(5, 8, 12), (6, 14, 15), (7, 15, 36)]
 
 
 def pivot_path(monkeypatch, run) -> tuple:
     """One (pivots, bound flips, re-solves, re-solve pivots) per cold
-    solve that ``run()`` makes, in call order.  The re-solves are those of
-    the integral search that starts from that cold solve: dual-simplex
-    calls, one after the bounds are rounded and one per round of cuts,
-    and the dual simplex makes no bound flip."""
+    solve that ``run()`` makes, in call order: per tableau built on the
+    all-artificial basis.  The re-solves are those of the integral search
+    that continues from that cold solve: dual-simplex calls, one after the
+    bounds are rounded and one per round of cuts, and the dual simplex
+    makes no bound flip."""
     log = []
     in_re_solve = [False]
-    solve_cold, exchange = ratlp._solve_cold, ratlp._Tableau._exchange
+    all_artificial, exchange = ratlp._Tableau.all_artificial, ratlp._Tableau._exchange
     flip, dual = ratlp._Tableau._flip, ratlp._Tableau.dual
 
-    def counted_cold(p):
+    def counted_cold(cls, p):
         log.append([0, 0, 0, 0])
-        return solve_cold(p)
+        return all_artificial(p)
 
     def counted_exchange(tab, *args):
         log[-1][3 if in_re_solve[0] else 0] += 1
@@ -51,7 +55,7 @@ def pivot_path(monkeypatch, run) -> tuple:
             in_re_solve[0] = False
 
     with monkeypatch.context() as m:
-        m.setattr(ratlp, "_solve_cold", counted_cold)
+        m.setattr(ratlp._Tableau, "all_artificial", classmethod(counted_cold))
         m.setattr(ratlp._Tableau, "_exchange", counted_exchange)
         m.setattr(ratlp._Tableau, "_flip", counted_flip)
         m.setattr(ratlp._Tableau, "dual", counted_dual)
@@ -67,7 +71,9 @@ def _cli(argv):
 
 def _runs(tmp_path):
     """(name, argv) of fig1a and of the first ten suite200 instances,
-    each under ``solve`` and ``xpaths``."""
+    each under ``solve`` and ``xpaths``, and of the three s-t draws of
+    ``test_solve_st_certifies_fractional_dual_roots`` under ``solve-st``,
+    whose dual root is fractional."""
     paths = [("fig1a", FIG1A)]
     for i in range(10):
         path = tmp_path / f"suite200-{i:03d}.bg"
@@ -77,6 +83,13 @@ def _runs(tmp_path):
     for name, path in paths:
         for command in ("solve", "xpaths"):
             yield (name, command), _cli([command, "--input", str(path), "--json"])
+    for n, m, seed in FRACTIONAL_DUAL_ST:
+        inst = random_instance(GenParams(n, m, seed, 2, 2))
+        s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+        path = tmp_path / f"{n}-{m}-{seed}.bg"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        argv = ["solve-st", "--input", str(path), "--s", s, "--t", t, "--json"]
+        yield (f"{n}-{m}-{seed}", "solve-st"), _cli(argv)
 
 
 def _random_lps():
@@ -85,12 +98,13 @@ def _random_lps():
     they start phase 1 with several live artificials."""
     rng = random.Random(4242)
     for _ in range(300):
-        ratlp.solve_integral_max(_random_bounded_lp(rng))
+        search(_random_bounded_lp(rng))
 
 
 # the cold solves measured on the tableau that still carried every frozen
 # artificial column, the re-solves on the rounds of Gomory cuts; a run
-# without a solve has an empty X, or for `solve` an empty Y
+# without a solve has an empty X, or for `solve` an empty Y.  The
+# integral search on a fractional dual root continues from that root.
 EXPECTED = {
     ('fig1a', 'solve'): ((31, 0, 3, 9), (113, 0, 0, 0)),
     ('fig1a', 'xpaths'): ((16, 0, 3, 6), (61, 0, 0, 0)),
@@ -114,6 +128,9 @@ EXPECTED = {
     ('suite200/008', 'xpaths'): ((16, 0, 5, 16), (147, 0, 0, 0)),
     ('suite200/009', 'solve'): (),
     ('suite200/009', 'xpaths'): (),
+    ('5-8-12', 'solve-st'): ((13, 1, 2, 1), (25, 0, 3, 7)),
+    ('6-14-15', 'solve-st'): ((17, 1, 1, 0), (38, 0, 2, 5)),
+    ('7-15-36', 'solve-st'): ((19, 0, 2, 2), (59, 0, 2, 15)),
 }
 RANDOM_LPS_TOTAL = (427, 263, 259, 33)
 
@@ -123,6 +140,6 @@ def test_pivot_path_is_pinned(monkeypatch, tmp_path):
     assert measured == EXPECTED
 
 
-def test_pivot_path_of_random_branch_and_bound_is_pinned(monkeypatch):
+def test_pivot_path_of_random_integral_searches_is_pinned(monkeypatch):
     # summed over the 300 solves, one per column
     assert tuple(map(sum, zip(*pivot_path(monkeypatch, _random_lps)))) == RANDOM_LPS_TOTAL

@@ -24,7 +24,7 @@ from bimenger import (
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.bmcli import _trial_params, random_instance
 from bimenger.fixtures import fig1a
-from bimenger.ratlp import _scaled_int_row, _solve_cold, dual_vectors, primal_vectors
+from bimenger.ratlp import _scaled_int_row, dual_vectors, primal_vectors
 from bimenger.reduce import attach_terminals, split_and_close
 
 from .conftest import random_graph, random_sets
@@ -34,6 +34,11 @@ from .helpers import doubled_split
 def lp(c, a, b, bounds, names=None):
     names = names or tuple(f"c{i}" for i in range(len(c)))
     return LpProblem(tuple(c), tuple(map(tuple, a)), tuple(b), tuple(bounds), tuple(names))
+
+
+def search(p, integral_cols=None):
+    """The integral search from a fresh cold root of ``p``."""
+    return solve_integral_max(p, simplex_max(p), integral_cols)
 
 
 def test_box_maximum():
@@ -209,7 +214,7 @@ def test_solving_one_problem_twice_gives_equal_solutions():
     g_prime, f, _ = split_and_close(g_hat, s, t)
     P = build_primal(g_prime, f)
     D = build_dual(P)
-    assert solve_integral_max(P) == solve_integral_max(P)
+    assert search(P) == search(P)
     assert simplex_max(D) == simplex_max(D)
 
 
@@ -237,7 +242,7 @@ def test_integral_search_beats_fractional_relaxation():
            names=("x", "y", "sl"))
     )
     assert sol.objective_value == Fraction(3, 2)
-    isol = solve_integral_max(
+    isol = search(
         lp([1, 1, 0], [[1, 1, 1]], [Fraction(3, 2)], [(0, 1), (0, 1), (0, Fraction(3, 2))],
            names=("x", "y", "sl")),
         integral_cols=(0, 1),
@@ -248,9 +253,9 @@ def test_integral_search_beats_fractional_relaxation():
 def test_relaxation_gap_witness():
     """The plain relaxation overshoots the packing on a linkless instance.
 
-    This pins the reason the solver carries a branch-and-bound layer: a
-    half-unit of flow can enter a same-signed gadget pair and cancel
-    through a split edge, which no 0/1 point can imitate.
+    This pins the reason the solver refines the root with an integral
+    search: a half-unit of flow can enter a same-signed gadget pair and
+    cancel through a split edge, which no 0/1 point can imitate.
     """
     g = build_graph(["x", "y"], [])
     g_hat, s, t, _ = attach_terminals(g, {"x"}, {"y"})
@@ -259,7 +264,7 @@ def test_relaxation_gap_witness():
     relaxed = simplex_max(P)
     assert relaxed.objective_value == 1
     assert not is_integral(relaxed.values)
-    exact = solve_integral_max(P)
+    exact = solve_integral_max(P, relaxed)
     assert exact.objective_value == 0
     assert oracle_max_links(g, {"x"}, {"y"}).value == 0
 
@@ -273,7 +278,7 @@ def test_integral_primal_matches_oracle_randomized(rng):
         g_hat, s, t, _ = attach_terminals(g, X, Y)
         g_prime, f, _ = split_and_close(g_hat, s, t)
         P = build_primal(g_prime, f)
-        sol = solve_integral_max(P)
+        sol = search(P)
         assert is_integral(sol.values)
         x, xf = primal_vectors(P, sol)
         assert xf == oracle_max_links(g, X, Y).value
@@ -361,7 +366,8 @@ def test_phase_1_carries_the_artificial_of_each_nonzero_row(rng, monkeypatch):
         b = [rng.choice((-2, -1, 0, 1, 2, 3)) for _ in range(m)]
         problem = lp(c, a, b, [(0, rng.randrange(1, 4)) for _ in range(n)])
         starts.clear()
-        sol, tab = _solve_cold(problem)
+        sol = simplex_max(problem)
+        tab = sol._tableau
         live = sum(v != 0 for v in b)
         if live:
             # phase 1 pivots n structural columns and one artificial per
@@ -387,7 +393,8 @@ def test_rank_deficient_lp_pivots_a_zero_artificial_out_in_phase_2(monkeypatch):
     starts = _record_primal_starts(monkeypatch)
     c, a, b = [2, 1, 2], [[-1, 1, 2], [0, 1, 1], [-1, 2, 3]], [3, 2, 5]
     bounds = [(0, 1), (0, 2), (0, 1)]
-    sol, tab = _solve_cold(lp(c, a, b, bounds))
+    sol = simplex_max(lp(c, a, b, bounds))
+    tab = sol._tableau
     (phase_1, width_1), (phase_2, width_2) = starts
     assert (phase_1, width_1) == ([3, 4, 5], {6})
     assert ([j for j in phase_2 if j >= 3], width_2) == ([3, 5], {3})
@@ -422,11 +429,12 @@ def test_no_tableau_row_holds_a_frozen_artificial(monkeypatch):
     problems += [_random_bounded_lp(rng) for _ in range(300)]
     for problem in problems:
         m = len(problem.a_eq)
-        root, tab = _solve_cold(problem)
+        root = simplex_max(problem)
+        tab = root._tableau
         if tab is not None:
             assert tab.cols == tuple(range(tab.n))
             assert all(len(row) == tab.n for row in tab.T) and len(tab.d) == tab.n
-            solve_integral_max(problem)
+            solve_integral_max(problem, root)
     assert cut[0] >= 10  # some searches cut
 
 
@@ -522,17 +530,17 @@ def test_integral_search_matches_box_enumeration():
     for _ in range(300):
         problem = _random_bounded_lp(rng)
         expected, _ = _integral_box_optimum(problem)
-        sol = solve_integral_max(problem)
-        assert sol.relaxation == simplex_max(problem)
+        root = simplex_max(problem)
+        sol = solve_integral_max(problem, root)
+        # the search refines the root's tableau, not the root's values
+        assert root == simplex_max(problem)
         if expected is None:
             assert sol.status == "infeasible"
         else:
             _check_integral_solution(problem, sol, expected)
             assert all(lo <= v <= up for (lo, up), v in zip(problem.bounds, sol.values))
         outcomes[sol.status] += 1
-        outcomes["branched"] += sol.relaxation.status == "optimal" and not is_integral(
-            sol.relaxation.values
-        )
+        outcomes["branched"] += root.status == "optimal" and not is_integral(root.values)
     assert min(outcomes.values()) >= 10, outcomes
 
 
@@ -548,10 +556,11 @@ def test_capped_integral_search_matches_box_enumeration():
         problem = _random_bounded_lp(rng, unbounded=True)
         expected, _ = _integral_box_optimum(problem, cap)
         capped = [j for j, (_, up) in enumerate(problem.bounds) if up is None]
-        sol = solve_integral_max(problem)
+        root = simplex_max(problem)
+        sol = solve_integral_max(problem, root)
         outcomes[sol.status] += 1
         if sol.status == "unbounded":
-            assert sol.relaxation.status == "unbounded"
+            assert sol is root
         elif sol.status == "infeasible":
             assert expected is None
         elif all(sol.values[j] < cap for j in capped):
@@ -566,27 +575,28 @@ def test_branch_that_empties_a_child_is_infeasible():
     # x + y = 3/2 with x, y in [0, 1]: the relaxation takes x = 1, y = 1/2;
     # y <= 0 forces x = 3/2 > 1, which the dual simplex must detect
     problem = lp([1, 0], [[1, 1]], [Fraction(3, 2)], [(0, 1), (0, 1)])
-    root, tab = _solve_cold(problem)
+    root = simplex_max(problem)
+    tab = root._tableau
     assert root.values == (1, Fraction(1, 2))
     assert tab.tighten(1, 0, 0)
     assert not tab.dual()
     assert simplex_max(lp([1, 0], [[1, 1]], [Fraction(3, 2)], [(0, 1), (0, 0)])).status == "infeasible"
     # the other bound y >= 1 leaves x = 1/2, and no integral point exists
-    _, tab = _solve_cold(problem)
+    tab = simplex_max(problem)._tableau
     assert tab.tighten(1, 1, 1) and tab.dual()
     assert tab.solution(problem.c).values == (Fraction(1, 2), 1)
-    sol = solve_integral_max(problem)
-    assert sol.status == "infeasible"
-    assert sol.relaxation == root
+    root = simplex_max(problem)
+    assert solve_integral_max(problem, root).status == "infeasible"
+    assert root.values == (1, Fraction(1, 2))
 
 
 def test_round_limit_raises(monkeypatch):
     # x - y = 1/2 has no integral point; one round of cuts proves it
     problem = lp([1, 0], [[1, -1]], [Fraction(1, 2)], [(0, 3), (0, 3)])
     monkeypatch.setattr(ratlp, "_MAX_CUT_ROUNDS", 1)
-    assert solve_integral_max(problem).status == "infeasible"
+    assert search(problem).status == "infeasible"
     monkeypatch.setattr(ratlp, "_MAX_CUT_ROUNDS", 0)
     with pytest.raises(BudgetExceeded, match="round limit"):
-        solve_integral_max(problem)
+        search(problem)
     # an integral root needs no round
-    assert solve_integral_max(lp([1, 1], [[1, 1]], [1], [(0, 1), (0, 1)])).values == (1, 0)
+    assert search(lp([1, 1], [[1, 1]], [1], [(0, 1), (0, 1)])).values == (1, 0)

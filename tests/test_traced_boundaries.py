@@ -27,23 +27,31 @@ def _spans():
     return module
 
 
-def test_every_declared_per_layer_metric_is_traced():
+def _traced(command):
+    """The per-layer metrics and the missing ones of one traced fig1a run."""
     spans = _spans()
     tracer = spans.Tracer()
     installed = spans.Installed(tracer, {"bmcli": bmcli, "certify": certify, "ratlp": ratlp})
-    checks = []
     try:
-        for command in ("solve", "xpaths"):
-            out, err = io.StringIO(), io.StringIO()
-            argv = [command, "--input", str(FIG1A), "--json"]
-            assert tracer.call(spans.ROOT, bmcli.run_cli, argv, out, err) == 0, err.getvalue()
-            checks.append(json.loads(out.getvalue())["checks"])
+        out, err = io.StringIO(), io.StringIO()
+        argv = [command, "--input", str(FIG1A), "--json"]
+        assert tracer.call(spans.ROOT, bmcli.run_cli, argv, out, err) == 0, err.getvalue()
     finally:
         installed.restore()
-    metrics, missing = spans.layer_metrics(
-        tracer.spans, tracer.counts, installed.found, checks, len(checks)
-    )
-    assert missing == []
+    checks = [json.loads(out.getvalue())["checks"]]
+    return spans.layer_metrics(tracer.spans, tracer.counts, installed.found, checks, 1)
+
+
+def test_every_declared_per_layer_metric_is_traced():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"] for m in spec["per_layer"]} - RUN_METRICS
-    assert sorted(declared - set(metrics)) == []
+    for command in ("solve", "xpaths"):
+        metrics, missing = _traced(command)
+        assert missing == []
+        assert sorted(declared - set(metrics)) == []
+        # the primal root is solved where certify calls simplex_max, once
+        # per program, as the dual root is
+        primal_roots = metrics["ratlp.simplex_primal_root.calls"][0]
+        assert primal_roots == metrics["ratlp.simplex_dual_root.calls"][0] > 0
+        assert metrics["ratlp.primal.rows"][0] > 0
+        assert metrics["ratlp.primal.cols"][0] > 0

@@ -221,7 +221,7 @@ def test_alternating_paths_order_avoid_stop_and_entry_sign():
     )
 
     def walks(**kw):
-        return ["".join(w.vertices) for w in alternating_paths(g, "a", **kw)]
+        return ["".join(vertices) for vertices, _ in alternating_paths(g, "a", **kw)]
 
     assert walks() == ["a", "ab", "abc", "abcd", "abe"]
     assert walks(stop={"c"}) == ["a", "ab", "abc", "abe"]
