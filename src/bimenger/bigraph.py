@@ -8,6 +8,7 @@ that matrices and certificates built from a graph are reproducible.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from enum import Enum
 from typing import Hashable, Iterable, Sequence
 
@@ -115,35 +116,28 @@ class BidirectedGraph:
             if e.u not in seen or e.v not in seen:
                 raise UnknownVertex(f"edge {e.eid} has undeclared endpoint")
 
-    @property
+    @functools.cached_property
     def vertex_set(self) -> frozenset:
-        try:
-            return self.__dict__["_vset"]
-        except KeyError:
-            vset = frozenset(self.vertices)
-            self.__dict__["_vset"] = vset
-            return vset
+        return frozenset(self.vertices)
+
+    @functools.cached_property
+    def _incidence(self) -> dict[VertexId, tuple[Edge, ...]]:
+        table = {w: [] for w in self.vertices}
+        for e in self.edges:
+            table[e.u].append(e)
+            table[e.v].append(e)
+        return {w: tuple(es) for w, es in table.items()}
+
+    @functools.cached_property
+    def _edge_index(self) -> dict[EdgeId, Edge]:
+        return {e.eid: e for e in self.edges}
 
     def incident(self, v: VertexId) -> tuple[Edge, ...]:
         """Edges incident to v, in edge order."""
-        try:
-            table = self.__dict__["_inc"]
-        except KeyError:
-            table = {w: [] for w in self.vertices}
-            for e in self.edges:
-                table[e.u].append(e)
-                table[e.v].append(e)
-            table = {w: tuple(es) for w, es in table.items()}
-            self.__dict__["_inc"] = table
-        return table[v]
+        return self._incidence[v]
 
     def edge(self, eid: EdgeId) -> Edge:
-        try:
-            table = self.__dict__["_eix"]
-        except KeyError:
-            table = {e.eid: e for e in self.edges}
-            self.__dict__["_eix"] = table
-        return table[eid]
+        return self._edge_index[eid]
 
     def has_vertex(self, v: VertexId) -> bool:
         return v in self.vertex_set

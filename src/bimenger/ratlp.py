@@ -228,7 +228,8 @@ class _Tableau:
         row r, whose basic column leaves at its upper bound or its lower
         bound; the reduced costs d are pivoted along."""
         T = self.T
-        self._shift(q, t)
+        if t:
+            self._shift(q, t)
         j = self.cols[q]
         self.xB[r] = (self.up[j] if self.at_upper[j] else self.lo[j]) + t
         leaving = self.basis[r]
@@ -288,13 +289,17 @@ class _Tableau:
                     continue
                 b = basis[i]
                 if (ci > 0) == (direction == 1):  # the basic column moves down
-                    ti = _div(xB[i] - lo[b], abs(ci))
-                    hits_upper = False
+                    gap, hits_upper = xB[i] - lo[b], False
                 elif up[b] is None:
                     continue
                 else:
-                    ti = _div(up[b] - xB[i], abs(ci))
-                    hits_upper = True
+                    gap, hits_upper = up[b] - xB[i], True
+                if not gap:
+                    ti = 0
+                elif best_t == 0 and gap > 0:  # can neither beat nor tie a zero step
+                    continue
+                else:
+                    ti = _div(gap, abs(ci))
                 if best_t is None or ti < best_t:
                     best_t, leave_row, leave_to_upper = ti, i, hits_upper
                 elif ti == best_t and b < basis[leave_row]:

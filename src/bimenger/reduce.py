@@ -15,8 +15,11 @@ Three constructions feed the LP pipeline:
 Each construction also returns a frozen record of what it built,
 ``TerminalMap``, ``SplitMap`` or ``DoubleMap``: the tables that are read,
 and its own backward maps.  ``walk_back`` takes a walk back one step,
-``charge`` does the same for cut tokens (terminal and split maps), and
-``DoubleMap.first_copy`` projects a doubled vertex set into the first copy.
+``back_vertex`` takes each vertex it made to the vertex it stands for,
+and ``DoubleMap.first_copy`` projects a doubled vertex set into the first
+copy.  One rule charges a cut edge to a separator vertex: the least image
+of its ends in the original graph, terminals excepted
+(``map_cut_to_separator``).
 
 The terminal attachment deliberately does not wire x to s by two
 parallel edges: that would create a two-edge closed trail at s standing
@@ -63,18 +66,14 @@ class UnmappableEdge(VerificationFailure):
     """A cut edge with no original vertex to charge (the closing edge f)."""
 
 
-# A cut token is ("edge", eid) or ("vertex", v) in the graph at hand.
-Token = tuple[str, object]
-
-
 @dataclasses.dataclass(frozen=True)
 class TerminalMap:
     """What ``attach_terminals`` added to ``source`` to make ``derived``.
 
     ``x_gadget``/``y_gadget`` give each X/Y vertex its gadget vertex,
-    ``gadget_origin`` each gadget edge the X/Y vertex it guards, and
-    ``arrival_edge[(v, side, sign)]`` the gadget edge that meets v with
-    that sign ("X" or "Y" side).
+    ``back_vertex`` each gadget vertex and ``gadget_origin`` each gadget
+    edge the X/Y vertex it guards, and ``arrival_edge[(v, side, sign)]``
+    the gadget edge that meets v with that sign ("X" or "Y" side).
     """
 
     source: BidirectedGraph
@@ -83,10 +82,9 @@ class TerminalMap:
     t: VertexId
     x_gadget: dict[VertexId, VertexId]
     y_gadget: dict[VertexId, VertexId]
+    back_vertex: dict[VertexId, VertexId]
     gadget_origin: dict[EdgeId, VertexId]
     arrival_edge: dict[tuple[VertexId, str, Sign], EdgeId]
-
-    uncharged = frozenset()  # s and t are not in the source
 
     def walk_back(self, w: Walk) -> Walk:
         """Remove the two-edge gadget prefix/suffix of an s-t, s-s or t-t walk."""
@@ -99,19 +97,6 @@ class TerminalMap:
         out = Walk(tuple(w.vertices[2:-2]), tuple(w.edges[2:-2]))
         if not check_walk(self.source, out):
             raise InvalidDerivedLink("stripped walk is not valid in the source graph")
-        return out
-
-    def charge(self, tokens: Iterable[Token]) -> list[Token]:
-        """Gadget edges and gadget vertices go to the X/Y vertex they guard."""
-        gadget_vertex = {w: v for table in (self.x_gadget, self.y_gadget) for v, w in table.items()}
-        out = []
-        for kind, payload in tokens:
-            if kind == "vertex":  # a link through a gadget vertex passes its X/Y vertex
-                out.append((kind, gadget_vertex.get(payload, payload)))
-            elif payload in self.gadget_origin:
-                out.append(("vertex", self.gadget_origin[payload]))
-            else:
-                out.append(("edge", payload))
         return out
 
 
@@ -133,10 +118,6 @@ class SplitMap:
     split_origin: dict[EdgeId, VertexId]
     back_vertex: dict[VertexId, VertexId]
 
-    @property
-    def uncharged(self) -> frozenset:  # no cut edge is charged to s or t
-        return frozenset((self.s, self.t))
-
     def walk_back(self, w: Walk) -> Walk:
         """Collapse v+/v- pairs and drop split edges; result lives in ``source``."""
         if self.f in w.edges:
@@ -157,20 +138,6 @@ class SplitMap:
         out = Walk(tuple(vertices), tuple(edges))
         if not check_walk(self.source, out):
             raise InvalidDerivedLink("collapsed walk is not valid in the source graph")
-        return out
-
-    def charge(self, tokens: Iterable[Token]) -> list[Token]:
-        """Split edges and halves go to the vertex they split; f raises."""
-        out = []
-        for kind, payload in tokens:
-            if kind == "vertex":
-                out.append((kind, self.back_vertex.get(payload, payload)))
-            elif payload == self.f:
-                raise UnmappableEdge("the closing edge f cannot be charged to a vertex")
-            elif payload in self.split_origin:
-                out.append(("vertex", self.split_origin[payload]))
-            else:
-                out.append(("edge", payload))
         return out
 
 
@@ -257,8 +224,11 @@ def attach_terminals(
                 arrival_edge[(v, side, sign_at_v)] = eid
                 eid += 1
 
+    back_vertex = {w: v for table in (x_gadget, y_gadget) for v, w in table.items()}
     g_hat = BidirectedGraph(tuple(vertices), tuple(edges))
-    return g_hat, s, t, TerminalMap(g, g_hat, s, t, x_gadget, y_gadget, gadget_origin, arrival_edge)
+    return g_hat, s, t, TerminalMap(
+        g, g_hat, s, t, x_gadget, y_gadget, back_vertex, gadget_origin, arrival_edge
+    )
 
 
 def split_and_close(
@@ -365,27 +335,25 @@ def map_links_back(map_chain: Sequence[TerminalMap | SplitMap], links: Iterable[
 
 
 def map_cut_to_separator(map_chain: Sequence[TerminalMap | SplitMap], F: Iterable[EdgeId]) -> frozenset:
-    """Charge every cut edge to one original vertex.
+    """Charge every cut edge to one original vertex: the least, by
+    ``vertex_sort_key``, of the images of its two ends under the chain's
+    ``back_vertex`` maps that lie in the original graph and are not its
+    terminals s and t.
 
-    Split edges map to the vertex they split, gadget edges and the split
-    edges of gadget vertices to the terminal-set vertex they guard, and
-    surviving original edges to their lexicographically least endpoint
-    outside the terminals.
+    So a split edge goes to the vertex it splits, a gadget edge or the
+    split edge of a gadget vertex to the X/Y vertex it guards, and an
+    original edge to its least endpoint outside the terminals.  An edge
+    with no such image, the closing edge f, raises ``UnmappableEdge``.
     """
-    tokens = [("edge", eid) for eid in F]
-    for rmap in reversed(map_chain):
-        tokens = rmap.charge(tokens)
-
-    original, exclude = map_chain[0].source, map_chain[0].uncharged
+    derived, first = map_chain[-1].derived, map_chain[0]
+    keep = first.source.vertex_set - {first.s, first.t}
     out = set()
-    for kind, payload in tokens:
-        if kind == "vertex":
-            out.add(payload)
-            continue
-        e = original.edge(payload)
-        candidates = [v for v in e.endpoints if v not in exclude]
+    for eid in F:
+        images = derived.edge(eid).endpoints
+        for rmap in reversed(map_chain):
+            images = [rmap.back_vertex.get(v, v) for v in images]
+        candidates = [v for v in images if v in keep]
         if not candidates:
-            raise UnmappableEdge(f"edge {payload} joins the terminals directly")
+            raise UnmappableEdge(f"cut edge {eid} has no original vertex to charge")
         out.add(min(candidates, key=vertex_sort_key))
     return frozenset(out)
-

@@ -6,6 +6,8 @@ from bimenger import (
     UnknownVertex,
     build_graph,
     enumerate_paths,
+    enumerate_st_links,
+    enumerate_xy_links,
     oracle_max_links,
     oracle_min_separator,
     oracle_st,
@@ -346,3 +348,47 @@ def test_map_cut_gadget_edges_charge_the_guarded_vertex():
     for table in (tmap.x_gadget, tmap.y_gadget):
         for x, xg in table.items():
             assert map_cut_to_separator([tmap, smap], {split_edge_of[xg]}) == {x}
+
+
+def _check_charging_rule(chain, links, lift):
+    """Every edge of the chain's split graph but f charges to one vertex,
+    which lies on every link of ``links`` whose lift uses the edge; f
+    raises.  Returns the number of (edge, link) pairs checked."""
+    smap = chain[-1]
+    with pytest.raises(UnmappableEdge):
+        map_cut_to_separator(chain, {smap.f})
+    charged = {}
+    for e in smap.derived.edges:
+        if e.eid != smap.f:
+            (charged[e.eid],) = map_cut_to_separator(chain, {e.eid})
+    pairs = 0
+    for link in links:
+        on_link = {v for w in link.walks for v in w.vertices}
+        for eid in {eid for w in lift(link).walks for eid in w.edges}:
+            assert charged[eid] in on_link
+            pairs += 1
+    return pairs
+
+
+def test_cut_charging_rule_randomized(rng):
+    # the step of the separator proof in certify._certify: an F edge on
+    # the lift of a link is charged to a vertex of that link
+    pairs = 0
+    for g, X, Y in _set_draws(rng, 12):
+        g_hat, s, t, tmap = attach_terminals(g, X, Y)
+        _, _, smap = split_and_close(g_hat, s, t)
+
+        def lift(link):
+            up = lift_link_through_terminal(tmap, link)
+            return Link(up.kind, tuple(lift_walk_through_split(smap, w) for w in up.walks))
+
+        pairs += _check_charging_rule([tmap, smap], enumerate_xy_links(g, X, Y), lift)
+    for g in _st_draws(rng, 12, (3, 6), (1, 8)):
+        s, t = g.vertices[0], g.vertices[1]
+        _, _, smap = split_and_close(g, s, t)
+
+        def lift(link):
+            return Link(link.kind, tuple(lift_walk_through_split(smap, w) for w in link.walks))
+
+        pairs += _check_charging_rule([smap], enumerate_st_links(g, s, t), lift)
+    assert pairs >= 100
