@@ -311,7 +311,7 @@ def _report(cert: MengerCertificate, pipeline: str, as_json: bool, out: TextIO) 
 
 def _load(path: str) -> InstanceFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc})") from None

@@ -37,10 +37,10 @@ from .oracle import (
 )
 from .ratlp import (
     LpFailure,
-    LpProblem,
     LpSolution,
     build_dual,
     build_primal,
+    dual_integral_columns,
     dual_vectors,
     is_integral,
     primal_vectors,
@@ -232,16 +232,6 @@ def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict)
     return frozenset(cut)
 
 
-def _dual_integral_columns(problem: LpProblem) -> list[int]:
-    """The z and y columns of (D).  Its surplus columns stay continuous:
-    at an integral (z, y) a surplus (sigma z)/2 + y_e can be half-integral."""
-    return [
-        j
-        for j, nm in enumerate(problem.names)
-        if nm.startswith(("zp:", "zn:", "y:"))
-    ]
-
-
 def _optimal(what: str, sol: LpSolution) -> LpSolution:
     if sol.status != "optimal":
         raise LpFailure(f"{what} ended {sol.status}")
@@ -372,7 +362,7 @@ def _finish_certificate(
     z, y = dual_vectors(D, dlp, g_prime)
     dual_integral_raw = is_integral(z.values()) and is_integral(y.values())
     if not dual_integral_raw:
-        dint = solve_integral_max(D, dlp, _dual_integral_columns(D))
+        dint = solve_integral_max(D, dlp, dual_integral_columns(D))
         z, y = dual_vectors(D, _optimal("integral dual", dint), g_prime)
 
     dec = decompose_packing(g_prime, f, x, xf, side)
@@ -435,15 +425,15 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     graph pairs an X-path from each copy, and the folded packing holds
     the first copy's, whose number ``decompose_packing`` checks to be
     half of x_f.  Reports them, taken back by the doubling map's
-    ``walk_back``.  The separator is the doubled cut projected by
-    the doubling map's own back-map, ``first_copy``, which keeps the
-    first copy, where the folded dual puts all of the cut; or it is the
-    empty set when no path was packed (the value is the exact optimum,
-    so then no X-path exists); one path search on ``g`` confirms it.
-    When it is not within the packing value, the separator is a minimum
-    X-path hitting set of ``g``.  That search is exhaustive, so above the
-    oracle limits it runs only when the doubled cut exceeds the doubled
-    value; otherwise the projection is within 2 * value already.  The
+    ``walk_back``.  The separator is the image of the mapped folded cut
+    under the doubling map's ``back_vertex``: that cut lies on the s
+    side, so in the first copy; or it is the empty set when no path was
+    packed (the value is the exact optimum, so then no X-path exists);
+    one path search on ``g`` confirms it.  When it is not within the
+    packing value, the separator is a minimum X-path hitting set of
+    ``g``.  That search is exhaustive, so above the oracle limits it runs
+    only when the doubled cut exceeds the doubled value; otherwise the
+    image is within 2 * value already.  The
     guarantee here is |separator| <= 2 * value (checks key cor15_bound).
     """
     X = set(X)
@@ -457,7 +447,7 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     searchable = within_limits(g) or len(cert2.separator) > cert2.value
     return _certify(
         dataclasses.replace(cert2, value=len(links), links=links), g, (X, X),
-        dmap.first_copy(cert2.separator) if links else frozenset(),
+        frozenset(dmap.back_vertex[v] for v in cert2.separator) if links else frozenset(),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
         (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
         ("cor15_bound", 2 * len(links)),

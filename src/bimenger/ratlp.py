@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .bigraph import BidirectedGraph, EdgeId
+from .bigraph import BidirectedGraph, EdgeId, incidence_matrix
 
 
 class DimensionMismatch(Exception):
@@ -510,42 +510,34 @@ def solve_integral_max(p: LpProblem, root: LpSolution,
 def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
     """max x_f  s.t.  M x + a x_f = 0,  0 <= x <= 1,  0 <= x_f <= |E|.
 
-    M is the incidence matrix of the split graph without f, a the column
-    of f: the balance rows (M x + a x_f)/2 = 0, doubled so that every
-    entry is an int.  Doubling keeps the solution set and gives exactly
-    the rows that ``_scaled_int_row`` makes of the halved ones, so the
-    tableau and every pivot are those of the halved program.  The
-    explicit cap on x_f keeps the feasible region a polytope; the
+    Cut from the signed incidence matrix of the split graph
+    (``incidence_matrix``): M is its part without the column of f, and a
+    that column.  These are the balance rows (M x + a x_f)/2 = 0, doubled
+    so that every entry is an int.  Doubling keeps the solution set and
+    gives exactly the rows that ``_scaled_int_row`` makes of the halved
+    ones, so the tableau and every pivot are those of the halved program.
+    The explicit cap on x_f keeps the feasible region a polytope; the
     balance row at s caps x_f at deg(s) anyway, so it is slack-safe.
     Each row is labelled with its vertex (``row_names``).
 
     ``side``, a vertex set holding s but not t, keeps only the rows of
-    its vertices and the columns of the edges between them and x_f, in
+    its vertices and the columns of the edges between them, then x_f, in
     the same order: the folded program of the X-path pipeline (README,
     "The fold").
     """
-    vertices = [v for v in g_prime.vertices if side is None or v in side]
-    others = [e for e in g_prime.edges
-              if e.eid != f and (side is None or (e.u in side and e.v in side))]
-    names = tuple(f"x:{e.eid}" for e in others) + ("xf",)
-    fe = g_prime.edge(f)
-    nv = len(vertices)
-    rows = [[0] * len(names) for _ in range(nv)]
-    vpos = {v: i for i, v in enumerate(vertices)}
-    for j, e in enumerate(others):
-        rows[vpos[e.u]][j] += e.sign_u.unit
-        rows[vpos[e.v]][j] += e.sign_v.unit
-    for v, sign in ((fe.u, fe.sign_u), (fe.v, fe.sign_v)):
-        if v in vpos:
-            rows[vpos[v]][-1] += sign.unit
-    bounds = tuple((0, 1) for _ in others) + ((0, g_prime.m),)
+    inc = incidence_matrix(g_prime)
+    rows = [i for i, v in enumerate(inc.row_ids) if side is None or v in side]
+    cols = [j for j, e in enumerate(g_prime.edges)
+            if e.eid != f and (side is None or side.issuperset(e.endpoints))]
+    ne = len(cols)
+    cols.append(inc.col_ids.index(f))
     return LpProblem(
-        c=tuple(0 for _ in others) + (1,),
-        a_eq=tuple(tuple(r) for r in rows),
-        b_eq=tuple(0 for _ in range(nv)),
-        bounds=bounds,
-        names=names,
-        row_names=tuple(vertices),
+        c=(0,) * ne + (1,),
+        a_eq=tuple(tuple(inc.rows[i][j] for j in cols) for i in rows),
+        b_eq=(0,) * len(rows),
+        bounds=((0, 1),) * ne + ((0, g_prime.m),),
+        names=tuple(f"x:{inc.col_ids[j]}" for j in cols[:ne]) + ("xf",),
+        row_names=tuple(inc.row_ids[i] for i in rows),
     )
 
 
@@ -586,6 +578,14 @@ def build_dual(primal: LpProblem) -> LpProblem:
         bounds=((0, None),) * len(names),
         names=names,
     )
+
+
+def dual_integral_columns(dual: LpProblem) -> range:
+    """The z and y columns of a (D) of ``build_dual``: every column before
+    its surplus columns, which close the layout, one per row.  Those stay
+    continuous: at an integral (z, y) a surplus (sigma z)/2 + y_e can be
+    half-integral."""
+    return range(dual.ncols - len(dual.a_eq))
 
 
 def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:

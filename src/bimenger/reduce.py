@@ -15,9 +15,8 @@ Three constructions feed the LP pipeline:
 Each construction also returns a frozen record of what it built,
 ``TerminalMap``, ``SplitMap`` or ``DoubleMap``: the tables that are read,
 and its own backward maps.  ``walk_back`` takes a walk back one step,
-``back_vertex`` takes each vertex it made to the vertex it stands for,
-and ``DoubleMap.first_copy`` projects a doubled vertex set into the first
-copy.  One rule charges a cut edge to a separator vertex: the least image
+and ``back_vertex`` takes each vertex it made to the vertex it stands
+for.  One rule charges a cut edge to a separator vertex: the least image
 of its ends in the original graph, terminals excepted
 (``map_cut_to_separator``).
 
@@ -147,7 +146,10 @@ class DoubleMap:
 
     ``copy1``/``copy2`` give each input vertex its image in each copy;
     ``back_vertex`` and ``back_edge`` take either copy's vertices and
-    edges back to the input.
+    edges back to the input.  ``solve_xpaths`` takes its separator back
+    by ``back_vertex`` alone: its folded cut lies on the s side, which
+    holds no vertex of the second copy (README, "The cut lies on the s
+    side").
     """
 
     copy1: dict[VertexId, VertexId]
@@ -159,11 +161,6 @@ class DoubleMap:
         """The input walk that a walk of either copy is an image of."""
         return Walk(tuple(self.back_vertex[v] for v in w.vertices),
                     tuple(self.back_edge[eid] for eid in w.edges))
-
-    def first_copy(self, vertices: Iterable[VertexId]) -> frozenset:
-        """The input vertices whose first-copy images are in ``vertices``."""
-        images = set(self.copy1.values())
-        return frozenset(self.back_vertex[v] for v in vertices if v in images)
 
 
 def _fresh(base: str, used: set) -> str:

@@ -269,6 +269,15 @@ def test_cli_unreadable_input_exits_input(tmp_path, case):
         assert str(path) in err
 
 
+def test_cli_reads_a_file_saved_with_a_utf8_bom(tmp_path):
+    # editors on some platforms start UTF-8 files with U+FEFF
+    path = tmp_path / "bom.bg"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "fig1a.bg").read_bytes())
+    plain = cli("solve", "--input", str(FIXTURES / "fig1a.bg"))
+    assert plain[0] == EXIT_OK
+    assert cli("solve", "--input", str(path)) == plain
+
+
 @pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--max-vertices", "0"),
                                          ("--max-vertices", "1")])
 def test_cli_selfcheck_rejects_invalid_params(flag, value):

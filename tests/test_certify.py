@@ -458,9 +458,10 @@ def _xpath_instances():
 
 def test_folded_xpath_programs_match_the_full_doubled_programs():
     # the s-side programs of solve_xpaths against (P) and (D) of the whole
-    # doubled split graph, solved directly
+    # doubled split graph, solved directly; the mapped cut lies on the
+    # first copy, which solve_xpaths relies on when it maps it back
     for g, X in _xpath_instances():
-        g_prime, f, side, chain = doubled_split(g, X)
+        g_prime, f, side, chain, dmap = doubled_split(g, X)
         P = build_primal(g_prime, f)
         root, full_dual = simplex_max(P), simplex_max(build_dual(P))
         full = solve_integral_max(P, root)
@@ -472,12 +473,13 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
         assert folded.value == full.objective_value
         assert folded.dual_value == -full_dual.objective_value
         assert all(side.issuperset(g_prime.edge(eid).endpoints) for eid in cut)
+        assert folded.separator <= set(dmap.copy1.values())
 
 
 def _doubled_x_triangle():
     """The doubled split graph of ``x_triangle``, its s side, and the
     integral optimum (x, x_f) of its full, unfolded (P)."""
-    g_prime, f, side, _ = doubled_split(*x_triangle())
+    g_prime, f, side, *_ = doubled_split(*x_triangle())
     P = build_primal(g_prime, f)
     x, xf = primal_vectors(P, solve_integral_max(P, simplex_max(P)))
     return g_prime, f, side, x, int(xf)
@@ -551,7 +553,7 @@ def test_folded_primal_is_even_at_every_integral_point():
         inst = random_instance(_trial_params(301, i, 7))
         if not inst.X:
             continue
-        g_prime, f, side, _ = doubled_split(inst.graph, inst.X)
+        g_prime, f, side, *_ = doubled_split(inst.graph, inst.X)
         P = build_primal(g_prime, f, side)
         if P.ncols - 1 > 16:
             continue

@@ -146,7 +146,7 @@ def _pipeline_programs():
             g_prime, f, _ = split_and_close(g_hat, s, t)
             out.append((g_prime, f, None))
         if X:
-            g_prime, f, side, _ = doubled_split(g, X)
+            g_prime, f, side, *_ = doubled_split(g, X)
             out.append((g_prime, f, side))
     return out
 

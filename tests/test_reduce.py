@@ -240,9 +240,9 @@ def test_double_oracle_parity_randomized(rng):
         )
 
 
-def test_double_walk_back_and_first_copy_randomized(rng):
-    # the doubling's own back-maps, which solve_xpaths applies to its
-    # packed paths and to its cut
+def test_double_walk_back_randomized(rng):
+    # the doubling's own back-map, which solve_xpaths applies to its
+    # packed paths
     nontrivial = 0
     for _ in range(10):
         g = random_graph(rng, rng.randrange(3, 6), rng.randrange(2, 9))
@@ -257,9 +257,6 @@ def test_double_walk_back_and_first_copy_randomized(rng):
                 back = dmap.walk_back(lifted)
                 assert path_link(back).canonical_key() == path_link(w).canonical_key()
                 nontrivial += not w.is_trivial
-        A = set(rng.sample(g.vertices, rng.randrange(g.n + 1)))
-        B = set(rng.sample(g.vertices, rng.randrange(g.n + 1)))
-        assert dmap.first_copy({dmap.copy1[v] for v in A} | {dmap.copy2[v] for v in B}) == A
     assert nontrivial >= 2 * 40  # each path lifts into both copies
 
 

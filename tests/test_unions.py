@@ -20,6 +20,10 @@ def test_copies_have_the_stated_values():
             oracle_min_separator(inst.graph, inst.X, inst.Y).size) == unions.expected("solve", 1)
     inst = unions.union("xpaths", 1)
     assert oracle_xpaths(inst.graph, inst.X) == unions.expected("xpaths", 1)
+    for name in ("fig1a", "fig1b"):
+        inst = unions.union(name, 1)
+        assert (oracle_max_links(inst.graph, inst.X, inst.Y).value,
+                oracle_min_separator(inst.graph, inst.X, inst.Y).size) == unions.expected(name, 1)
 
 
 def test_unions_copy_the_copy():
@@ -46,12 +50,36 @@ def test_solve_unions_finish_with_the_value_of_their_copies(chained):
         assert cert.checks["separator_verified"]
 
 
+def _solve_exit(tmp_path, name: str, k: int) -> int:
+    """The exit code of `bmcli solve` on the disjoint union of k copies."""
+    path = tmp_path / "union.bg"
+    path.write_text(serialize_instance(unions.union(name, k)), encoding="utf-8")
+    return run_cli(["solve", "--input", str(path)], io.StringIO(), io.StringIO())
+
+
 @pytest.mark.xfail(strict=True, reason="the mapped cut keeps 2 vertices per copy, and above "
                    "the oracle limits no smaller separator is searched (ROADMAP item 11)")
 def test_solve_union_of_two_copies_exits_0(tmp_path):
-    path = tmp_path / "union.bg"
-    path.write_text(serialize_instance(unions.union("solve", 2)), encoding="utf-8")
-    assert run_cli(["solve", "--input", str(path)], io.StringIO(), io.StringIO()) == 0
+    assert _solve_exit(tmp_path, "solve", 2) == 0
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b"])
+def test_figure1_unions_pack_twice_their_copies(tmp_path, name):
+    # every link of a triangle pair is a turnaround, counted twice; one
+    # copy is within the oracle limits, so its separator is the minimum
+    for k in range(1, 6):
+        inst = unions.union(name, k)
+        cert = certify.solve_menger(inst.graph, inst.X, inst.Y)
+        assert cert.value == unions.expected(name, k)[0] == 2 * k
+    assert _solve_exit(tmp_path, name, 1) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="the mapped cut keeps 3 vertices per copy (6 > value 4), "
+                   "and above the oracle limits no smaller separator is searched "
+                   "(ROADMAP items 4 and 11)")
+@pytest.mark.parametrize("name", ["fig1a", "fig1b"])
+def test_figure1_union_of_two_copies_exits_0(tmp_path, name):
+    assert _solve_exit(tmp_path, name, 2) == 0
 
 
 def test_xpaths_union_of_one_copy():

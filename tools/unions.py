@@ -1,11 +1,14 @@
 """k copies of one small instance, disjoint or chained, with known answers.
 
-Each union is built from one copy, drawn by `bmcli`'s generator:
+Each union is built from one copy, drawn by `bmcli`'s generator or
+taken from the paper's Figure 1:
 
 - `solve`: `GenParams(6, 8, 0, 2, 2)`, packing value 1 and minimum
   separator 1, whose LP relaxation reaches 2;
 - `xpaths`: `GenParams(6, 10, 0, 3, 0)`, X-path packing 1 and minimum
-  X-path hitting set 2.
+  X-path hitting set 2;
+- `fig1a` and `fig1b`: `bimenger.fixtures`' two triangle pairs, for
+  `solve`, packing value 2 and minimum separator 2 and 1.
 
 Copy i renames vertex v to `c<i>.v` and keeps every edge, sign and
 terminal-set membership.  No link crosses copies of a disjoint union, so
@@ -17,6 +20,7 @@ component structure.
 
     python3 tools/unions.py solve 4             # the disjoint union, k = 4
     python3 tools/unions.py xpaths 3 --chained
+    python3 tools/unions.py fig1b 2
 
 writes the instance file to standard output; a disjoint union starts with
 a comment line that gives its expected packing value and minimum
@@ -36,17 +40,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bimenger.bigraph import MINUS, PLUS, build_graph  # noqa: E402
 from bimenger.bmcli import GenParams, InstanceFile, random_instance, serialize_instance  # noqa: E402
+from bimenger.fixtures import fig1a, fig1b  # noqa: E402
 
-# per command: the copy's generator parameters, packing value and minimum separator
+# per copy: how to build it, its packing value and its minimum separator
 COPIES = {
-    "solve": (GenParams(6, 8, 0, 2, 2), 1, 1),
-    "xpaths": (GenParams(6, 10, 0, 3, 0), 1, 2),
+    "solve": (lambda: random_instance(GenParams(6, 8, 0, 2, 2)), 1, 1),
+    "xpaths": (lambda: random_instance(GenParams(6, 10, 0, 3, 0)), 1, 2),
+    "fig1a": (lambda: InstanceFile(*fig1a()), 2, 2),
+    "fig1b": (lambda: InstanceFile(*fig1b()), 2, 1),
 }
 
 
-def union(command: str, k: int, chained: bool = False) -> InstanceFile:
-    """k copies of the copy of ``command``, disjoint or chained."""
-    copy = random_instance(COPIES[command][0])
+def union(copy_name: str, k: int, chained: bool = False) -> InstanceFile:
+    """k copies of the copy ``copy_name``, disjoint or chained."""
+    copy = COPIES[copy_name][0]()
     g = copy.graph
 
     def name(i, v):
@@ -64,24 +71,24 @@ def union(command: str, k: int, chained: bool = False) -> InstanceFile:
     )
 
 
-def expected(command: str, k: int) -> tuple[int, int]:
+def expected(copy_name: str, k: int) -> tuple[int, int]:
     """(packing value, minimum separator) of the disjoint union of k copies."""
-    _, value, separator = COPIES[command]
+    _, value, separator = COPIES[copy_name]
     return k * value, k * separator
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description="Write a union of k copies of a small instance.")
-    parser.add_argument("command", choices=sorted(COPIES))
+    parser.add_argument("copy", choices=sorted(COPIES))
     parser.add_argument("k", type=int)
     parser.add_argument("--chained", action="store_true", help="join consecutive copies by one edge")
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error("k must be positive")
     if not args.chained:
-        value, separator = expected(args.command, args.k)
+        value, separator = expected(args.copy, args.k)
         print(f"# expected packing value {value}, minimum separator {separator}")
-    sys.stdout.write(serialize_instance(union(args.command, args.k, args.chained)))
+    sys.stdout.write(serialize_instance(union(args.copy, args.k, args.chained)))
     return 0
 
 
