@@ -59,10 +59,10 @@ print("s-t certificate agrees:", cert.value == pk.value)
 # can be packed but two vertices must be deleted to kill all of them
 tri, X = x_triangle()
 print("triangle oracle (packing, hitting):", oracle_xpaths(tri, X))
-doubled, X1, X2, _ = double_for_xpaths(tri, X)
+doubled, X2 = double_for_xpaths(tri, X)
 print(
     "doubled-copy turnaround value:",
-    oracle_max_links(doubled, X1, X2, max_vertices=doubled.n, max_edges=doubled.m).value,
+    oracle_max_links(doubled, X, X2, max_vertices=doubled.n, max_edges=doubled.m).value,
 )
 cert = solve_xpaths(tri, X)
 print("xpath certificate: packing", cert.value, "separator", sorted(cert.separator))

@@ -48,7 +48,6 @@ from .oracle import (
 )
 from .reduce import (
     DirectTerminalEdge,
-    DoubleMap,
     EqualTerminals,
     InvalidDerivedLink,
     SplitMap,

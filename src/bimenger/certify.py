@@ -424,32 +424,31 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     (see ``_finish_certificate``): each packed turnaround of the doubled
     graph pairs an X-path from each copy, and the folded packing holds
     the first copy's, whose number ``decompose_packing`` checks to be
-    half of x_f.  Reports them, taken back by the doubling map's
-    ``walk_back``.  The separator is the image of the mapped folded cut
-    under the doubling map's ``back_vertex``: that cut lies on the s
-    side, so in the first copy; or it is the empty set when no path was
-    packed (the value is the exact optimum, so then no X-path exists);
-    one path search on ``g`` confirms it.  When it is not within the
-    packing value, the separator is a minimum X-path hitting set of
-    ``g``.  That search is exhaustive, so above the oracle limits it runs
-    only when the doubled cut exceeds the doubled value; otherwise the
-    image is within 2 * value already.  The
-    guarantee here is |separator| <= 2 * value (checks key cor15_bound).
+    half of x_f.  The first copy is ``g`` itself, with its vertex names
+    and edge ids, and the chain maps the s side into it, so the packed
+    paths are paths of ``g`` and the mapped folded cut is a vertex set
+    of ``g``, with no map back.  The separator is that cut, or the empty
+    set when no path was packed (the value is the exact optimum, so then
+    no X-path exists); one path search on ``g`` confirms it.  When it is
+    not within the packing value, the separator is a minimum X-path
+    hitting set of ``g``.  That search is exhaustive, so above the oracle
+    limits it runs only when the doubled cut exceeds the doubled value;
+    otherwise the cut is within 2 * value already.  The guarantee here
+    is |separator| <= 2 * value (checks key cor15_bound).
     """
     X = set(X)
     if not X:
         return _trivial_certificate("xpaths")
-    g2, X1, X2, dmap = double_for_xpaths(g, X)
-    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+    g2, X2 = double_for_xpaths(g, X)
+    g_hat, s, t, tmap = attach_terminals(g2, X, X2)
     g_prime, f, smap = split_and_close(g_hat, s, t)
     cert2 = _finish_certificate([tmap, smap], g_prime, f, _s_side(g_prime, f))
-    links = tuple(path_link(dmap.walk_back(link.path)) for link in cert2.links)
     searchable = within_limits(g) or len(cert2.separator) > cert2.value
     return _certify(
-        dataclasses.replace(cert2, value=len(links), links=links), g, (X, X),
-        frozenset(dmap.back_vertex[v] for v in cert2.separator) if links else frozenset(),
+        dataclasses.replace(cert2, value=len(cert2.links)), g, (X, X),
+        cert2.separator if cert2.links else frozenset(),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
         (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
-        ("cor15_bound", 2 * len(links)),
+        ("cor15_bound", 2 * len(cert2.links)),
     )
 

@@ -9,16 +9,18 @@ Three constructions feed the LP pipeline:
   capacity-one split edge, plus a closing edge f from t back to s, which
   turns internal vertex-disjointness into edge-disjointness; the edge
   ends at s become minus and those at t plus;
-* doubling: two disjoint copies, used to reduce X-path packing to
-  turnaround packing between the copies.
+* doubling: the input itself and a disjoint second copy, used to reduce
+  X-path packing to turnaround packing between the copies.
 
-Each construction also returns a frozen record of what it built,
-``TerminalMap``, ``SplitMap`` or ``DoubleMap``: the tables that are read,
-and its own backward maps.  ``walk_back`` takes a walk back one step,
-and ``back_vertex`` takes each vertex it made to the vertex it stands
-for.  One rule charges a cut edge to a separator vertex: the least image
-of its ends in the original graph, terminals excepted
-(``map_cut_to_separator``).
+Attachment and splitting also return a frozen record of what they built,
+``TerminalMap`` or ``SplitMap``: the tables that are read, and their own
+backward maps.  ``walk_back`` takes a walk back one step, and
+``back_vertex`` takes each vertex a construction made to the vertex it
+stands for.  One rule charges a cut edge to a separator vertex: the
+least image of its ends in the original graph, terminals excepted
+(``map_cut_to_separator``).  The doubling needs no record: its first
+copy is the input, where the X-path certificate lies (README, "The cut
+lies on the s side").
 
 The terminal attachment deliberately does not wire x to s by two
 parallel edges: that would create a two-edge closed trail at s standing
@@ -138,29 +140,6 @@ class SplitMap:
         if not check_walk(self.source, out):
             raise InvalidDerivedLink("collapsed walk is not valid in the source graph")
         return out
-
-
-@dataclasses.dataclass(frozen=True)
-class DoubleMap:
-    """The two copies ``double_for_xpaths`` made of its input graph.
-
-    ``copy1``/``copy2`` give each input vertex its image in each copy;
-    ``back_vertex`` and ``back_edge`` take either copy's vertices and
-    edges back to the input.  ``solve_xpaths`` takes its separator back
-    by ``back_vertex`` alone: its folded cut lies on the s side, which
-    holds no vertex of the second copy (README, "The cut lies on the s
-    side").
-    """
-
-    copy1: dict[VertexId, VertexId]
-    copy2: dict[VertexId, VertexId]
-    back_vertex: dict[VertexId, VertexId]
-    back_edge: dict[EdgeId, EdgeId]
-
-    def walk_back(self, w: Walk) -> Walk:
-        """The input walk that a walk of either copy is an image of."""
-        return Walk(tuple(self.back_vertex[v] for v in w.vertices),
-                    tuple(self.back_edge[eid] for eid in w.edges))
 
 
 def _fresh(base: str, used: set) -> str:
@@ -287,32 +266,26 @@ def split_and_close(
     return g_prime, f, SplitMap(g, g_prime, s, t, f, split_edge_of, split_origin, back_vertex)
 
 
-def double_for_xpaths(
-    g: BidirectedGraph, X: Iterable
-) -> tuple[BidirectedGraph, frozenset, frozenset, DoubleMap]:
-    """Disjoint union of two relabelled copies; X1 and X2 are the images of X."""
+def double_for_xpaths(g: BidirectedGraph, X: Iterable) -> tuple[BidirectedGraph, frozenset]:
+    """Disjoint union of ``g`` itself, the first copy, and a relabelled
+    second copy; X2 is the image of X in the second copy.
+
+    The first copy keeps the vertex names and edge ids of ``g``, so what
+    lies in it needs no map back; the second copy's vertices are v'' (or
+    a fresh name) and its edges take fresh ids, in the order of ``g``.
+    """
     X = set(X)
     missing = X - g.vertex_set
     if missing:
         raise UnknownVertex(f"X references undeclared vertices {sorted(map(str, missing))}")
     used = {str(v) for v in g.vertices}
-    copy1 = {v: _fresh(f"{v}'", used) for v in g.vertices}
     copy2 = {v: _fresh(f"{v}''", used) for v in g.vertices}
-
-    vertices = [copy1[v] for v in g.vertices] + [copy2[v] for v in g.vertices]
-    edges = [Edge(e.eid, copy1[e.u], copy1[e.v], e.sign_u, e.sign_v) for e in g.edges]
-    eid = _next_eid(edges)
-    back_edge = {}
-    for e in g.edges:
-        edges.append(Edge(eid, copy2[e.u], copy2[e.v], e.sign_u, e.sign_v))
-        back_edge[e.eid] = back_edge[eid] = e.eid
-        eid += 1
-
-    g2 = BidirectedGraph(tuple(vertices), tuple(edges))
-    back_vertex = {w: v for v, w in copy1.items()}
-    back_vertex.update({w: v for v, w in copy2.items()})
-    dmap = DoubleMap(copy1, copy2, back_vertex, back_edge)
-    return g2, frozenset(copy1[x] for x in X), frozenset(copy2[x] for x in X), dmap
+    eid = _next_eid(g.edges)
+    edges = tuple(
+        Edge(eid + i, copy2[e.u], copy2[e.v], e.sign_u, e.sign_v) for i, e in enumerate(g.edges)
+    )
+    g2 = BidirectedGraph(g.vertices + tuple(copy2.values()), g.edges + edges)
+    return g2, frozenset(copy2[x] for x in X)
 
 
 # ---------------------------------------------------------------------------

@@ -148,13 +148,13 @@ def lift_walk_through_split(smap: SplitMap, w: Walk) -> Walk:
 
 
 def doubled_split(g: BidirectedGraph, X: Iterable):
-    """(split doubled graph, f, s side, reduction chain, doubling map) of
+    """(split doubled graph, f, s side, reduction chain) of
     ``solve_xpaths`` on ``g`` and ``X``; the s side is what s reaches
     without f."""
-    g2, X1, X2, dmap = double_for_xpaths(g, X)
-    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+    g2, X2 = double_for_xpaths(g, X)
+    g_hat, s, t, tmap = attach_terminals(g2, X, X2)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    return g_prime, f, _s_side(g_prime, f), [tmap, smap], dmap
+    return g_prime, f, _s_side(g_prime, f), [tmap, smap]
 
 
 def load_tool(name: str):

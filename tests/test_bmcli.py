@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from bimenger import (
     UnknownVertex,
     UnmappableEdge,
     VerificationFailure,
+    build_graph,
     certify,
     oracle_max_links,
     oracle_min_separator,
+    oracle_xpaths,
     ratlp,
     solve_menger,
 )
@@ -28,6 +31,7 @@ from bimenger.bmcli import (
     EXIT_SEPARATOR_INFINITE,
     EXIT_VERIFY,
     GenParams,
+    InstanceFile,
     InstanceSyntaxError,
     InvalidParams,
     derive_seed,
@@ -223,6 +227,31 @@ def test_cli_xpaths(tmp_path):
     doc = json.loads(out)
     assert doc["value"] == 1
     assert doc["separator_size"] <= 2
+
+
+# Ids that the reductions make themselves: the terminals, the doubling's
+# primes, the split halves and the gadget names.
+CLASHING_IDS = "s t s' t' a a' a'' a+ a- a~X a~Y a'+".split()
+
+
+def test_cli_solve_and_xpaths_step_round_ids_that_clash_with_fresh_names(tmp_path):
+    path = tmp_path / "clash.bg"
+    for seed in range(12):
+        draw = random_instance(GenParams(7, 10, seed, 2, 2))
+        g = draw.graph
+        name = dict(zip(g.vertices, random.Random(seed).sample(CLASHING_IDS, 7)))
+        inst = InstanceFile(
+            build_graph([name[v] for v in g.vertices],
+                        [(name[e.u], name[e.v], e.sign_u, e.sign_v) for e in g.edges]),
+            frozenset(name[x] for x in draw.X), frozenset(name[y] for y in draw.Y),
+        )
+        path.write_text(serialize_instance(inst))
+        for cmd, want in (
+            ("solve", oracle_max_links(inst.graph, inst.X, inst.Y).value),
+            ("xpaths", oracle_xpaths(inst.graph, inst.X)[0]),
+        ):
+            rc, out, err = cli(cmd, "--input", str(path), "--json")
+            assert (rc, json.loads(out)["value"]) == (EXIT_OK, want), (seed, cmd, err)
 
 
 def test_cli_oracle_json():

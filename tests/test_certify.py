@@ -44,7 +44,7 @@ from bimenger.reduce import (
     double_for_xpaths,
     split_and_close,
 )
-from bimenger.walks import path_link
+from bimenger.walks import check_walk, path_link
 
 from .conftest import random_graph, random_sets, recording_cuts
 from .helpers import check_no_turnaround_equality, doubled_split, link_sigma_sum
@@ -355,14 +355,12 @@ def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
     inst = random_instance(_trial_params(301, 0, 7))  # suite200 instance 0
     g, X = inst.graph, inst.X
     cert = solve_xpaths(g, X)
-    g2, X1, X2, dmap = double_for_xpaths(g, X)
-    g_hat, s, t, tmap = attach_terminals(g2, X1, X2)
+    g2, X2 = double_for_xpaths(g, X)
+    g_hat, s, t, tmap = attach_terminals(g2, X, X2)
     g_prime, f, smap = split_and_close(g_hat, s, t)
     cut = certify._finish_certificate([tmap, smap], g_prime, f).separator
-    back, copy1 = dmap.back_vertex, set(dmap.copy1.values())
-    projections = {
-        frozenset(back[v] for v in cut if (v in copy1) == first) for first in (True, False)
-    }
+    copy2 = dict(zip(g2.vertices[g.n:], g.vertices))
+    projections = {cut & g.vertex_set, frozenset(copy2[v] for v in cut if v in copy2)}
     assert cert.separator in projections
     assert cert.checks["separator_from_oracle"] is False
 
@@ -458,10 +456,11 @@ def _xpath_instances():
 
 def test_folded_xpath_programs_match_the_full_doubled_programs():
     # the s-side programs of solve_xpaths against (P) and (D) of the whole
-    # doubled split graph, solved directly; the mapped cut lies on the
-    # first copy, which solve_xpaths relies on when it maps it back
+    # doubled split graph, solved directly; the mapped cut and the packed
+    # paths lie in the first copy, g itself, which solve_xpaths relies on
+    # when it reports them with no map back
     for g, X in _xpath_instances():
-        g_prime, f, side, chain, dmap = doubled_split(g, X)
+        g_prime, f, side, chain = doubled_split(g, X)
         P = build_primal(g_prime, f)
         root, full_dual = simplex_max(P), simplex_max(build_dual(P))
         full = solve_integral_max(P, root)
@@ -473,7 +472,8 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
         assert folded.value == full.objective_value
         assert folded.dual_value == -full_dual.objective_value
         assert all(side.issuperset(g_prime.edge(eid).endpoints) for eid in cut)
-        assert folded.separator <= set(dmap.copy1.values())
+        assert folded.separator <= g.vertex_set
+        assert all(check_walk(g, link.path) for link in folded.links)
 
 
 def _doubled_x_triangle():

@@ -23,7 +23,7 @@ from bimenger.reduce import (
     map_links_back,
     split_and_close,
 )
-from bimenger.walks import Link, Walk, check_walk, path_link
+from bimenger.walks import Link, Walk, check_walk
 
 from .conftest import random_graph, random_sets
 from .helpers import lift_link_through_terminal, lift_walk_through_split
@@ -215,49 +215,50 @@ def test_split_path_counts_randomized(rng):
 
 def test_double_sizes_and_disjointness():
     g, X = x_triangle()
-    g2, X1, X2, _ = double_for_xpaths(g, X)
+    g2, X2 = double_for_xpaths(g, X)
     assert g2.n == 2 * g.n and g2.m == 2 * g.m
-    assert not (X1 & X2)
-    assert enumerate_paths(g2, X1, X2) == []
+    assert not (X & X2)
+    assert enumerate_paths(g2, X, X2) == []
 
 
 def test_double_oracle_parity():
     g, X = x_triangle()
-    g2, X1, X2, _ = double_for_xpaths(g, X)
+    g2, X2 = double_for_xpaths(g, X)
     packing, _ = oracle_xpaths(g, X)
-    assert oracle_max_links(g2, X1, X2).value == 2 * packing
+    assert oracle_max_links(g2, X, X2).value == 2 * packing
 
 
 def test_double_oracle_parity_randomized(rng):
     for _ in range(8):
         g = random_graph(rng, rng.randrange(2, 5), rng.randrange(0, 6))
         X = set(g.vertices[: rng.randrange(1, g.n + 1)])
-        g2, X1, X2, _ = double_for_xpaths(g, X)
+        g2, X2 = double_for_xpaths(g, X)
         packing, _ = oracle_xpaths(g, X)
         assert (
-            oracle_max_links(g2, X1, X2, max_vertices=g2.n, max_edges=g2.m).value
+            oracle_max_links(g2, X, X2, max_vertices=g2.n, max_edges=g2.m).value
             == 2 * packing
         )
 
 
-def test_double_walk_back_randomized(rng):
-    # the doubling's own back-map, which solve_xpaths applies to its
-    # packed paths
+def test_double_keeps_the_input_as_its_first_copy_randomized(rng):
+    # the first copy is g itself, so solve_xpaths reports its paths and
+    # separator with no map back; every X-path also lifts into the second
+    # copy, read by position
     nontrivial = 0
     for _ in range(10):
         g = random_graph(rng, rng.randrange(3, 6), rng.randrange(2, 9))
         X = set(g.vertices[: rng.randrange(2, g.n + 1)])
-        g2, X1, X2, dmap = double_for_xpaths(g, X)
-        for copy in (dmap.copy1, dmap.copy2):
-            images = set(copy.values())
-            edge = {o: d for d, o in dmap.back_edge.items() if g2.edge(d).u in images}
-            for w in enumerate_paths(g, X, X):
-                lifted = Walk(tuple(copy[v] for v in w.vertices), tuple(edge[e] for e in w.edges))
-                assert check_walk(g2, lifted)
-                back = dmap.walk_back(lifted)
-                assert path_link(back).canonical_key() == path_link(w).canonical_key()
-                nontrivial += not w.is_trivial
-    assert nontrivial >= 2 * 40  # each path lifts into both copies
+        g2, X2 = double_for_xpaths(g, X)
+        assert g2.vertices[: g.n] == g.vertices
+        assert g2.edges[: g.m] == g.edges
+        copy2 = dict(zip(g.vertices, g2.vertices[g.n:]))
+        edge2 = {e.eid: e2.eid for e, e2 in zip(g.edges, g2.edges[g.m:])}
+        assert X2 == {copy2[x] for x in X}
+        for w in enumerate_paths(g, X, X):
+            lifted = Walk(tuple(copy2[v] for v in w.vertices), tuple(edge2[e] for e in w.edges))
+            assert check_walk(g2, lifted)
+            nontrivial += not w.is_trivial
+    assert nontrivial >= 40
 
 
 def test_lift_and_map_back_roundtrip(rng):
