@@ -4,7 +4,8 @@
 Shows each stage the solver normally hides: terminal attachment, vertex
 splitting, the packing program and its dual, support decomposition, and
 the cut that becomes the separator.  Ends with the relaxation-gap
-witness that explains why values come from an integral search.
+witness that explains why values come from a perfect matching, not from
+the relaxation.
 """
 
 from bimenger import (
@@ -16,11 +17,11 @@ from bimenger import (
     map_cut_to_separator,
     map_links_back,
     simplex_max,
-    solve_integral_max,
     is_integral,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.ratlp import dual_vectors, primal_vectors
+from bimenger.matching import max_packing
+from bimenger.ratlp import dual_vectors
 from bimenger.reduce import attach_terminals, split_and_close
 
 # a five-vertex instance with one genuine path and one turnaround
@@ -45,8 +46,8 @@ relaxed = simplex_max(P)
 print("relaxed packing LP:", relaxed.objective_value,
       "(integral:", is_integral(relaxed.values), ")")
 
-exact = solve_integral_max(P, relaxed)   # the cut rounds refine the root
-x, xf = primal_vectors(P, exact)
+# an integral point of (P) is a perfect matching of the half vertices
+x, xf = max_packing(g_prime, f, smap.split_origin)
 print("exact integral optimum:", xf)
 
 dec = decompose_packing(g_prime, f, x, xf)
@@ -66,13 +67,11 @@ print("mapped separator:", sorted(map(str, map_cut_to_separator([tmap, smap], cu
 
 # the relaxation gap: on a linkless instance the LP still reaches 1 by
 # pushing half a unit into a same-signed gadget pair and cancelling it
-# through a split edge; no 0/1 point can do that, and the rounds of cuts
-# land at the true value 0
+# through a split edge; no 0/1 point can do that, and the matching finds
+# the true value 0
 print()
 g0 = build_graph(["x", "y"], [])
 gh0, s0, t0, _ = attach_terminals(g0, {"x"}, {"y"})
-gp0, f0, _ = split_and_close(gh0, s0, t0)
-P0 = build_primal(gp0, f0)
-relaxed0 = simplex_max(P0)
-print("linkless instance: relaxed =", relaxed0.objective_value,
-      " exact =", solve_integral_max(P0, relaxed0).objective_value)
+gp0, f0, smap0 = split_and_close(gh0, s0, t0)
+print("linkless instance: relaxed =", simplex_max(build_primal(gp0, f0)).objective_value,
+      " exact =", max_packing(gp0, f0, smap0.split_origin)[1])

@@ -3,11 +3,13 @@ min-max theorem on bidirected graphs.
 
 The packing side counts vertex-disjoint source-target links, with
 turnarounds weighted twice; the covering side is a vertex separator.
-Solving goes through exact rational linear programming over the split
-graph, with rounds of Gomory cuts on top of the simplex for the integral
-optimum (the plain relaxation is not integral on all bidirected inputs;
-see certify for the analysis).  Every certificate is cross-checked against
-exhaustive oracles at small scale.
+Solving goes through the split graph: the packing is a perfect matching
+of its half vertices, an integral optimum of the packing LP, whose plain
+relaxation is not integral on all bidirected inputs (see certify for the
+analysis); exact rational linear programming gives the LP artifacts and
+the separator, with rounds of Gomory cuts on a fractional dual root.
+Every certificate is cross-checked against exhaustive oracles at small
+scale.
 """
 
 from .bigraph import (

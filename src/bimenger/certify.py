@@ -1,9 +1,9 @@
 """End-to-end solving pipelines and verified certificates.
 
 The pipeline follows the LP-duality route: attach terminals, split
-vertices, solve the primal for a maximum packing, decompose its support
-into explicit links, and derive a vertex separator from a dual solution
-through the cut F.
+vertices, find a maximum packing, an integral optimum of the primal,
+decompose its support into explicit links, and derive a vertex separator
+from a dual solution through the cut F.
 
 One important caveat, discovered while validating this artifact against
 the brute-force oracles: the primal relaxation is NOT integral on all
@@ -12,8 +12,9 @@ flow enters a same-signed pair of parallel edges and cancels through a
 split edge, so the plain LP optimum can strictly exceed the true packing
 (the smallest witness: an edgeless graph with one source and one target
 vertex, where the relaxation reaches 1 while no link exists).  The
-solver therefore computes the packing as the exact integral optimum, by
-rounds of Gomory cuts on the root tableau of the same exact simplex.
+solver therefore computes the packing as the exact integral optimum,
+which is a perfect matching of the split graph's half vertices
+(``matching``); the relaxation is still solved for the LP artifacts.
 Dual solutions are still used to extract the cut F; whenever the
 relaxation is tight, the classic chain |separator| <= |F| <= sum(y*) =
 value goes through, and the certificate records where it did not
@@ -27,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .bigraph import BidirectedGraph, EdgeId, VerificationFailure, VertexId, delete_vertices
+from .matching import max_packing
 from .oracle import (
     SeparatorResult,
     _exists_path,
@@ -43,7 +45,6 @@ from .ratlp import (
     dual_integral_columns,
     dual_vectors,
     is_integral,
-    primal_vectors,
     simplex_max,
     solve_integral_max,
 )
@@ -340,13 +341,16 @@ def _finish_certificate(
     chain: list[TerminalMap | SplitMap], g_prime: BidirectedGraph, f: EdgeId,
     side: Optional[frozenset] = None,
 ) -> MengerCertificate:
-    """Solve (P) and (D), decompose the packing, extract the cut and map
-    both back through ``chain``.  ``simplex_max`` solves (P) and (D), read
-    off (P), cold once each: the plain relaxations.  The integral search
-    refines the root of (P) to the packing, and that of (D), integral on z
-    and y, only when it is fractional.  So the benchmark's traced
-    ``ratlp.bnb.total_s`` holds cut rounds alone, and the primal root is
-    ``ratlp.simplex_primal_root.self_s``.
+    """Solve (P) and (D), find the packing, decompose it, extract the cut
+    and map both back through ``chain``.  ``simplex_max`` solves
+    (P) and (D), read off (P), cold once each: the plain relaxations.  The
+    packing, an integral optimum of (P), is a perfect matching
+    (``max_packing``) of the split graph, whose split edges the last map
+    of ``chain`` names; the cut rounds of the integral search refine the
+    root of (D), integral on z and y, only when it is fractional.  So the
+    benchmark's traced ``ratlp.bnb.total_s`` holds the cut rounds on (D)
+    alone, the primal root is ``ratlp.simplex_primal_root.self_s``, and
+    the matching is part of ``certify.residual.self_s``.
 
     ``side``, the s side of the doubled split graph of ``solve_xpaths``,
     folds both programs onto it: the packing is read on it and the dual
@@ -355,8 +359,7 @@ def _finish_certificate(
     P = build_primal(g_prime, f, side)
     D = build_dual(P)
     plp = _optimal("primal relaxation", simplex_max(P))
-    x, xf = primal_vectors(P, _optimal("integral primal", solve_integral_max(P, plp)))
-    xf = _as_int(xf)
+    x, xf = max_packing(g_prime, f, chain[-1].split_origin, side)
 
     dlp = _optimal("dual relaxation", simplex_max(D))
     z, y = dual_vectors(D, dlp, g_prime)

@@ -19,7 +19,10 @@ search (``solve_integral_max``) refines that root: it adds rounds of
 Gomory mixed-integer cuts to the root's own tableau, each as a new row
 with its own slack column, and re-optimises with an exact dual simplex
 after each round, until the vertex is integral.  Which integral optimum
-it stops at (not its value) depends on the cuts and the pivots.
+it stops at (not its value) depends on the cuts and the pivots.  A
+certificate runs it on a fractional root of the dual (D) alone: its
+packing, the integral optimum of (P), is a perfect matching
+(``bimenger.matching``).
 """
 
 from __future__ import annotations
@@ -586,18 +589,6 @@ def dual_integral_columns(dual: LpProblem) -> range:
     continuous: at an integral (z, y) a surplus (sigma z)/2 + y_e can be
     half-integral."""
     return range(dual.ncols - len(dual.a_eq))
-
-
-def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
-    """(x per edge id, x_f) from a solved primal."""
-    x = {}
-    xf = None
-    for name, v in zip(problem.names, sol.values):
-        if name == "xf":
-            xf = v
-        elif name.startswith("x:"):
-            x[int(name[2:])] = v
-    return x, xf
 
 
 def dual_vectors(problem: LpProblem, sol: LpSolution, g_prime: BidirectedGraph) -> tuple[dict, dict]:

@@ -1,5 +1,5 @@
-"""Helpers that only the tests use: forward lifts through the reductions,
-the signed z-sum of a link, the no-turnaround equality verdict, the
+"""Helpers that only the tests use: (x, x_f) read off a solved (P),
+forward lifts through the reductions, the signed z-sum of a link, the no-turnaround equality verdict, the
 doubled split graph of the X-path pipeline, and the scripts of `tools/`."""
 
 from __future__ import annotations
@@ -22,12 +22,25 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.certify import _s_side
+from bimenger.ratlp import LpProblem, LpSolution
 from bimenger.reduce import (
     InvalidDerivedLink,
     attach_terminals,
     double_for_xpaths,
     split_and_close,
 )
+
+
+def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
+    """(x per edge id, x_f) from a solved primal."""
+    x = {}
+    xf = None
+    for name, v in zip(problem.names, sol.values):
+        if name == "xf":
+            xf = v
+        elif name.startswith("x:"):
+            x[int(name[2:])] = v
+    return x, xf
 
 
 def link_sigma_sum(g: BidirectedGraph, z: dict, link: Link):

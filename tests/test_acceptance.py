@@ -7,7 +7,7 @@ Criterion 4's raw-relaxation integrality clause is expected to fail and is
 marked strict-xfail: the plain LP relaxation of the packing program is not
 integral on bidirected inputs (a half-unit of flow can cancel through a
 split edge), which is why the solver computes values as exact integral
-optima, by Gomory cut rounds on the root tableau.  README and the
+optima, by perfect matchings of the split graph.  README and the
 repository notes document the witness.
 """
 
@@ -139,7 +139,7 @@ def test_criterion_4_strong_duality(suite200):
 @pytest.mark.xfail(
     strict=True,
     reason="the plain LP relaxation is not integral on bidirected inputs; "
-    "exact values come from cut rounds on the root (see README, relaxation gap)",
+    "exact values come from perfect matchings (see README, relaxation gap)",
 )
 def test_criterion_4_raw_relaxation_integrality(suite200):
     records, _ = suite200
@@ -150,8 +150,8 @@ def test_criterion_4_raw_relaxation_integrality(suite200):
     )
     report(
         f"criterion 4 (raw LP integrality): FAIL (expected) - fractional basic "
-        f"optima on {bad}/200 instances; packing values recovered exactly by "
-        f"Gomory cut rounds on the root tableau"
+        f"optima on {bad}/200 instances; packing values found exactly by "
+        f"perfect matchings of the split graph"
     )
     assert bad == 0, f"{bad}/200 raw relaxations came back fractional"
 

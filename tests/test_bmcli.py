@@ -382,8 +382,15 @@ def test_selfcheck_engine_batch_order_independence():
     assert run_selfcheck(5, 123, 6, out)
 
 
-# an edgeless graph whose relaxation is fractional: solving it cuts
-GAP_INSTANCE = "vertex x\nvertex y\nset X x\nset Y y\n"
+# an s-t draw whose dual root is fractional: the integral search on (D),
+# the one program a certificate still cuts, runs on it
+FRACTIONAL_DUAL = GenParams(5, 8, 12, 2, 2)
+
+
+def _fractional_dual_argv(tmp_path):
+    p = tmp_path / "fractional-dual.bg"
+    p.write_text(serialize_instance(random_instance(FRACTIONAL_DUAL)))
+    return ["solve-st", "--input", str(p), "--s", "v0", "--t", "v2", "--json"]
 
 
 def _one_error_line(err):
@@ -392,10 +399,10 @@ def _one_error_line(err):
 
 
 def test_cli_round_limit_exits_budget(tmp_path, monkeypatch):
-    p = tmp_path / "gap.bg"
-    p.write_text(GAP_INSTANCE)
+    argv = _fractional_dual_argv(tmp_path)
+    assert cli(*argv)[0] == EXIT_OK
     monkeypatch.setattr(ratlp, "_MAX_CUT_ROUNDS", 0)
-    rc, out, err = cli("solve", "--input", str(p), "--json")
+    rc, out, err = cli(*argv)
     assert rc == EXIT_BUDGET
     assert out == ""
     assert _one_error_line(err)
@@ -418,9 +425,9 @@ def _unbounded(*args, **kwargs):
 @pytest.mark.parametrize(
     "attr, fake", [("simplex_max", _unbounded), ("solve_integral_max", _unbounded)]
 )
-def test_cli_non_optimal_lp_status_exits_verify(monkeypatch, attr, fake):
+def test_cli_non_optimal_lp_status_exits_verify(tmp_path, monkeypatch, attr, fake):
     monkeypatch.setattr(certify, attr, fake)
-    rc, out, err = cli("solve", "--input", str(FIXTURES / "fig1a.bg"), "--json")
+    rc, out, err = cli(*_fractional_dual_argv(tmp_path))
     assert rc == EXIT_VERIFY
     assert out == ""
     assert _one_error_line(err)

@@ -34,7 +34,6 @@ from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_l
 from bimenger.ratlp import (
     build_dual,
     build_primal,
-    primal_vectors,
     simplex_max,
     solve_integral_max,
 )
@@ -47,7 +46,12 @@ from bimenger.reduce import (
 from bimenger.walks import check_walk, path_link
 
 from .conftest import random_graph, random_sets, recording_cuts
-from .helpers import check_no_turnaround_equality, doubled_split, link_sigma_sum
+from .helpers import (
+    check_no_turnaround_equality,
+    doubled_split,
+    link_sigma_sum,
+    primal_vectors,
+)
 
 
 def st_pipeline(g, s, t):

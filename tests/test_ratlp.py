@@ -24,11 +24,11 @@ from bimenger import (
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.bmcli import _trial_params, random_instance
 from bimenger.fixtures import fig1a
-from bimenger.ratlp import _scaled_int_row, dual_vectors, primal_vectors
+from bimenger.ratlp import _scaled_int_row, dual_vectors
 from bimenger.reduce import attach_terminals, split_and_close
 
 from .conftest import random_graph, random_sets
-from .helpers import doubled_split
+from .helpers import doubled_split, primal_vectors
 
 
 def lp(c, a, b, bounds, names=None):

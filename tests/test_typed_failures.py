@@ -27,14 +27,14 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# the LP step of X-paths reads the packing with x_f off by one, which
-# leaves s unbalanced
+# the X-path certificate takes the matching's packing with x_f off by
+# one, which leaves s unbalanced
 FORCED_FAILURE = """
 import sys
 assert False, "stripped under -O"
 from bimenger import bmcli, certify
-vectors = certify.primal_vectors
-certify.primal_vectors = lambda *a: (lambda x, xf: (x, xf + 1))(*vectors(*a))
+packing = certify.max_packing
+certify.max_packing = lambda *a: (lambda x, xf: (x, xf + 1))(*packing(*a))
 sys.exit(bmcli.run_cli(sys.argv[1:]))
 """
 

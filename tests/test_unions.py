@@ -1,5 +1,6 @@
 """Unions of k copies of one small instance (`tools/unions.py`): answers
-known above the oracle limits, and the rounds of cuts that find them."""
+known above the oracle limits, and the rounds of cuts that the integral
+search takes on their (P)."""
 
 import io
 
@@ -8,8 +9,9 @@ import pytest
 from bimenger import certify, oracle_max_links, oracle_min_separator, oracle_xpaths, ratlp
 from bimenger.bmcli import run_cli, serialize_instance
 from bimenger.fixtures import fig1a
+from bimenger.reduce import attach_terminals, split_and_close
 
-from .helpers import load_tool
+from .helpers import doubled_split, load_tool
 
 unions = load_tool("unions")
 
@@ -91,32 +93,38 @@ def test_xpaths_union_of_one_copy():
     assert cert.checks["cor15_bound"]
 
 
-def _rounds_per_search(monkeypatch, run) -> list:
-    """The rounds of cuts of each integral search that ``run()`` makes:
+def _primal(g, X, Y):
+    """(P) of ``solve_menger`` on ``g``, ``X`` and ``Y``."""
+    g_hat, s, t, _ = attach_terminals(g, X, Y)
+    g_prime, f, _ = split_and_close(g_hat, s, t)
+    return ratlp.build_primal(g_prime, f)
+
+
+def _rounds_per_search(monkeypatch, programs) -> list:
+    """The rounds of cuts of the integral search on each of ``programs``:
     its dual-simplex calls, less the one after the bounds are rounded."""
     rounds = []
-    search, dual = ratlp.solve_integral_max, ratlp._Tableau.dual
-
-    def counted_search(*args, **kwargs):
-        rounds.append(-1)
-        return search(*args, **kwargs)
+    dual = ratlp._Tableau.dual
 
     def counted_dual(tab):
         rounds[-1] += 1
         return dual(tab)
 
     with monkeypatch.context() as m:
-        m.setattr(certify, "solve_integral_max", counted_search)
         m.setattr(ratlp._Tableau, "dual", counted_dual)
-        run()
+        for p in programs:
+            rounds.append(-1)
+            assert ratlp.solve_integral_max(p, ratlp.simplex_max(p)).status == "optimal"
     return rounds
 
 
 def test_rounds_per_search_are_pinned(monkeypatch):
+    # the certificates take their packing from the matching; the cut
+    # rounds on (P) stay pinned, on the programs themselves
     g, X, Y = fig1a()
-    assert _rounds_per_search(monkeypatch, lambda: certify.solve_menger(g, X, Y)) == [2]
-    assert _rounds_per_search(monkeypatch, lambda: certify.solve_xpaths(g, X | Y)) == [2]
+    g_prime, f, side, _ = doubled_split(g, X | Y)
+    programs = [_primal(g, X, Y), ratlp.build_primal(g_prime, f, side)]
     for k in (2, 4, 8):
         inst = unions.union("solve", k)
-        run = lambda: certify.solve_menger(inst.graph, inst.X, inst.Y)  # noqa: E731
-        assert _rounds_per_search(monkeypatch, run) == [2]
+        programs.append(_primal(inst.graph, inst.X, inst.Y))
+    assert _rounds_per_search(monkeypatch, programs) == [2] * 5
