@@ -55,6 +55,7 @@ from .reduce import (
     double_for_xpaths,
     map_cut_to_separator,
     map_links_back,
+    s_side,
     split_and_close,
 )
 from .walks import Link, Walk, classify_link, path_link
@@ -104,10 +105,7 @@ def _as_int(v) -> int:
     return f.numerator
 
 
-def decompose_packing(
-    g_prime: BidirectedGraph, f: EdgeId, x_star: dict, xf_star,
-    side: Optional[frozenset] = None,
-) -> DecomposeResult:
+def decompose_packing(g_prime: BidirectedGraph, f: EdgeId, x_star: dict, xf_star) -> DecomposeResult:
     """Split a balanced 0/1 edge selection into explicit s-t links.
 
     Removes the x_f copies of f and walks the remaining support with one
@@ -120,11 +118,6 @@ def decompose_packing(
     edge id) into turnarounds.  The edges left over are alternating
     cycles that avoid both terminals, each walked from its least edge
     back to that edge's first end, and discarded.
-
-    ``side``, the fold of ``solve_xpaths`` as in ``build_primal``, holds s
-    but not t.  The selection must then lie on it, balance is checked on
-    its rows, and the s-s segments, whose number x_f is twice, come back
-    as path links in the same order: the X-paths of the first copy.
     """
     xf = _as_int(xf_star)
     if xf < 0:
@@ -136,15 +129,13 @@ def decompose_packing(
             raise NotIntegral(f"edge variable x[{eid}] = {v} is not 0/1")
         if iv:
             chosen[eid] = g_prime.edge(eid)
-    if side is not None and any(not side.issuperset(e.endpoints) for e in chosen.values()):
-        raise NotBalanced("a chosen edge leaves the side")
 
     fe = g_prime.edge(f)
     s, t = fe.u, fe.v
 
-    # balance: at every vertex (of the side) the signed sum over chosen
-    # ends plus the f contribution must vanish
-    for v in g_prime.vertices if side is None else [v for v in g_prime.vertices if v in side]:
+    # balance: at every vertex the signed sum over chosen ends plus the f
+    # contribution must vanish
+    for v in g_prime.vertices:
         total = 0
         for e in g_prime.incident(v):
             if e.eid == f:
@@ -189,7 +180,7 @@ def decompose_packing(
             ss.append(w)
         else:
             tt.append(w)
-    if side is None and len(ss) != len(tt):
+    if len(ss) != len(tt):
         raise NotBalanced(
             f"segment parity violated: {len(ss)} s-s vs {len(tt)} t-t segments"
         )
@@ -200,8 +191,6 @@ def decompose_packing(
 
     ss.sort(key=lambda w: w.edges[0])
     tt.sort(key=lambda w: w.edges[0])
-    if side is not None:
-        return DecomposeResult(tuple(path_link(w) for w in ss), slack_cycles)
     links = [path_link(w) for w in st]
     links.extend(Link("turnaround", (a, b)) for a, b in zip(ss, tt))
     return DecomposeResult(tuple(links), slack_cycles)
@@ -256,11 +245,11 @@ def failed_checks(cert: MengerCertificate, pipeline: str) -> list[str]:
     return [key for key in REQUIRED_CHECKS[pipeline] if cert.checks.get(key) is not True]
 
 
-def _trivial_certificate(pipeline: str) -> MengerCertificate:
-    """Value 0, no links, empty separator: every check holds."""
-    checks = dict.fromkeys(REQUIRED_CHECKS[pipeline], True)
-    checks.update(primal_integral_raw=True, dual_integral_raw=True, lp_tight=True,
-                  separator_within_value=True, slack_cycles=0, separator_from_oracle=False)
+def _trivial_certificate() -> MengerCertificate:
+    """Value 0, no links and an empty separator, with the LP keys that
+    ``_finish_certificate`` sets: an empty X or Y leaves nothing to pack."""
+    checks = dict(duality=True, primal_integral_raw=True, dual_integral_raw=True,
+                  lp_tight=True, slack_cycles=0, separator_from_oracle=False)
     return MengerCertificate(0, (), frozenset(), Fraction(0), Fraction(0), checks)
 
 
@@ -284,7 +273,7 @@ def _certify(
     bound: tuple[str, int],
     terminals: frozenset = frozenset(),
 ) -> MengerCertificate:
-    """Verify the separator of ``cert`` and check its links.
+    """Pick the separator of ``cert``, verify it and check its links.
 
     ``separates(S)`` tells whether no link of ``g`` between ``ends``
     avoids S.  It is None where the separator is proven: the mapped cut
@@ -295,16 +284,18 @@ def _certify(
     ``map_cut_to_separator`` charges each F edge to a vertex on every
     link through it; and every link of ``g`` lifts to such a link (the
     round-trip lift tests).  A separator larger than ``cert.value`` gives
-    way to the minimum that ``oracle_search`` finds, where it can run.
+    way to the minimum that ``oracle_search`` finds, where it can run,
+    and only a separator the certificate keeps is tested.
     ``bound`` is the check key and the limit of the separator bound the
     pipeline proves.  ``terminals`` (s and t of the two-terminal version)
     lie on every link, so the disjointness check ignores them.
     """
     checks = dict(cert.checks)
-    verified = separates is None or separates(separator)
     if len(separator) > cert.value and oracle_search is not None:
         separator, verified = oracle_search().vertices, True
         checks["separator_from_oracle"] = True
+    else:
+        verified = separates is None or separates(separator)
     key, limit = bound
     checks.update(
         separator_verified=verified,
@@ -325,11 +316,11 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
     |S| <= value, and the oracle minimum otherwise (at checkable sizes).
     """
     X, Y = set(X), set(Y)
-    if not X or not Y:
-        return _trivial_certificate("menger")
-    g_hat, s, t, tmap = attach_terminals(g, X, Y)
-    g_prime, f, smap = split_and_close(g_hat, s, t)
-    cert = _finish_certificate([tmap, smap], g_prime, f)
+    cert = _trivial_certificate()
+    if X and Y:
+        g_hat, s, t, tmap = attach_terminals(g, X, Y)
+        g_prime, f, smap = split_and_close(g_hat, s, t)
+        cert = _finish_certificate([tmap, smap], g_prime, f)
     return _certify(
         cert, g, (X, Y), cert.separator, None,
         (lambda: oracle_min_separator(g, X, Y)) if within_limits(g) else None,
@@ -342,24 +333,21 @@ def _finish_certificate(
     side: Optional[frozenset] = None,
 ) -> MengerCertificate:
     """Solve (P) and (D), find the packing, decompose it, extract the cut
-    and map both back through ``chain``.  ``simplex_max`` solves
-    (P) and (D), read off (P), cold once each: the plain relaxations.  The
+    and map both back through ``chain``.  ``simplex_max`` solves (P) and
+    (D), read off (P), cold once each: the plain relaxations.  The
     packing, an integral optimum of (P), is a perfect matching
     (``max_packing``) of the split graph, whose split edges the last map
     of ``chain`` names; the cut rounds of the integral search refine the
-    root of (D), integral on z and y, only when it is fractional.  So the
-    benchmark's traced ``ratlp.bnb.total_s`` holds the cut rounds on (D)
-    alone, the primal root is ``ratlp.simplex_primal_root.self_s``, and
-    the matching is part of ``certify.residual.self_s``.
+    root of (D), integral on z and y, only when it is fractional.
 
     ``side``, the s side of the doubled split graph of ``solve_xpaths``,
-    folds both programs onto it: the packing is read on it and the dual
-    as 0 off it, which gives optima of the full programs (README, "The
-    fold")."""
+    folds both programs onto it, and the dual is read as 0 off it; this
+    gives optima of the full programs (README, "The fold").  The packing
+    is matched and decomposed on the whole graph all the same."""
     P = build_primal(g_prime, f, side)
     D = build_dual(P)
     plp = _optimal("primal relaxation", simplex_max(P))
-    x, xf = max_packing(g_prime, f, chain[-1].split_origin, side)
+    x, xf = max_packing(g_prime, f, chain[-1].split_origin)
 
     dlp = _optimal("dual relaxation", simplex_max(D))
     z, y = dual_vectors(D, dlp, g_prime)
@@ -368,7 +356,7 @@ def _finish_certificate(
         dint = solve_integral_max(D, dlp, dual_integral_columns(D))
         z, y = dual_vectors(D, _optimal("integral dual", dint), g_prime)
 
-    dec = decompose_packing(g_prime, f, x, xf, side)
+    dec = decompose_packing(g_prime, f, x, xf)
     links = map_links_back(chain, dec.links)
     cut = extract_cut(g_prime, f, z, y)
     separator = map_cut_to_separator(chain, cut)
@@ -406,52 +394,41 @@ def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     )
 
 
-def _s_side(g_prime: BidirectedGraph, f: EdgeId) -> frozenset:
-    """The vertices that s reaches in ``g_prime`` without the closing edge f."""
-    s = g_prime.edge(f).u
-    side, todo = {s}, [s]
-    while todo:
-        v = todo.pop()
-        for e in g_prime.incident(v):
-            if e.eid != f and e.other(v) not in side:
-                side.add(e.other(v))
-                todo.append(e.other(v))
-    return frozenset(side)
-
-
 def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     """Maximum vertex-disjoint nontrivial X-X path packing.
 
-    Doubles the graph and solves the LP part of the set version between
-    the two copies of X, folded onto the s side, what s reaches without f
-    (see ``_finish_certificate``): each packed turnaround of the doubled
-    graph pairs an X-path from each copy, and the folded packing holds
-    the first copy's, whose number ``decompose_packing`` checks to be
-    half of x_f.  The first copy is ``g`` itself, with its vertex names
-    and edge ids, and the chain maps the s side into it, so the packed
-    paths are paths of ``g`` and the mapped folded cut is a vertex set
-    of ``g``, with no map back.  The separator is that cut, or the empty
-    set when no path was packed (the value is the exact optimum, so then
-    no X-path exists); one path search on ``g`` confirms it.  When it is
-    not within the packing value, the separator is a minimum X-path
-    hitting set of ``g``.  That search is exhaustive, so above the oracle
-    limits it runs only when the doubled cut exceeds the doubled value;
-    otherwise the cut is within 2 * value already.  The guarantee here
-    is |separator| <= 2 * value (checks key cor15_bound).
+    Doubles the graph and packs turnarounds between the two copies of X
+    as ``solve_menger`` does, with (P) and (D) folded onto the s side,
+    what s reaches without f (see ``_finish_certificate``).  Each packed
+    turnaround pairs an X-path from each copy, and its s-s part, the
+    first copy's, is kept.  The first copy is ``g`` itself, with its
+    vertex names and edge ids, and the chain maps the s side into it, so
+    the kept paths are paths of ``g`` and the mapped folded cut is a
+    vertex set of ``g``, with no map back.  The separator is that cut,
+    or the empty set when no path was packed (the value is the exact
+    optimum, so then no X-path exists); one path search on ``g``
+    confirms it.  When it is not within the packing value, the
+    separator is a minimum X-path hitting set of ``g`` instead.  That
+    search is exhaustive, so above the oracle limits it runs only when
+    the doubled cut exceeds the doubled value; otherwise the cut is
+    within 2 * value already.  The guarantee here is |separator| <= 2 *
+    value (checks key cor15_bound).
     """
     X = set(X)
-    if not X:
-        return _trivial_certificate("xpaths")
-    g2, X2 = double_for_xpaths(g, X)
-    g_hat, s, t, tmap = attach_terminals(g2, X, X2)
-    g_prime, f, smap = split_and_close(g_hat, s, t)
-    cert2 = _finish_certificate([tmap, smap], g_prime, f, _s_side(g_prime, f))
-    searchable = within_limits(g) or len(cert2.separator) > cert2.value
+    cert, separator = _trivial_certificate(), frozenset()
+    if X:
+        g2, X2 = double_for_xpaths(g, X)
+        g_hat, s, t, tmap = attach_terminals(g2, X, X2)
+        g_prime, f, smap = split_and_close(g_hat, s, t)
+        doubled = _finish_certificate([tmap, smap], g_prime, f, s_side(g_prime, f))
+        paths = tuple(path_link(link.ss_part) for link in doubled.links)
+        cert = dataclasses.replace(doubled, value=len(paths), links=paths)
+        if paths:
+            separator = doubled.separator
+    searchable = within_limits(g) or len(separator) > 2 * cert.value
     return _certify(
-        dataclasses.replace(cert2, value=len(cert2.links)), g, (X, X),
-        cert2.separator if cert2.links else frozenset(),
+        cert, g, (X, X), separator,
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
         (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
-        ("cor15_bound", 2 * len(cert2.links)),
+        ("cor15_bound", 2 * cert.value),
     )
-

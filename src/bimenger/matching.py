@@ -16,10 +16,9 @@ matching the same way.
 
 Removing one link from an integral point lowers x_f by 1 (a path) or 2
 (a turnaround), so when neither H_{k+1} nor H_{k+2} has a perfect
-matching, no larger k has one.  On the fold of the X-path pipeline, a
-side that holds s and both halves of each of its other vertices, the
-half vertices that no pendant takes pair up, so x_f is even and the
-step is 2.
+matching, no larger k has one.  When s does not reach t without f, as
+in the doubled graph of the X-path pipeline, every link is a
+turnaround, so x_f is even and the step is 2.
 
 H is built once; H_0 is matched by every split edge and each pendant
 with its own absorber.  A step removes absorbers, which exposes their
@@ -36,6 +35,7 @@ from __future__ import annotations
 from typing import Container, Optional
 
 from .bigraph import BidirectedGraph, EdgeId
+from .reduce import s_side
 
 
 def _augment(adj: list, mate: list, live: list, root: int) -> bool:
@@ -101,20 +101,14 @@ def _augment(adj: list, mate: list, live: list, root: int) -> bool:
 
 def max_packing(
     g_prime: BidirectedGraph, f: EdgeId, split_edges: Container[EdgeId],
-    side: Optional[frozenset] = None,
 ) -> tuple[dict, int]:
     """(x per edge id, x_f): an integral optimum of ``build_primal(g_prime,
-    f, side)``, with x given on that program's edge columns.
-
-    ``split_edges`` are the split edges of ``g_prime``, and ``side``, as
-    in ``build_primal``, folds the program onto the vertices it holds.
-    """
+    f)``, with x given on that program's edge columns; ``split_edges``
+    are the split edges of ``g_prime``."""
     fe = g_prime.edge(f)
     s, t = fe.u, fe.v
-    edges = [e for e in g_prime.edges
-             if e.eid != f and (side is None or side.issuperset(e.endpoints))]
-    index = {v: i for i, v in enumerate(
-        v for v in g_prime.vertices if v not in (s, t) and (side is None or v in side))}
+    edges = [e for e in g_prime.edges if e.eid != f]
+    index = {v: i for i, v in enumerate(v for v in g_prime.vertices if v not in (s, t))}
     adj = [[] for _ in index]
     mate = [-1] * len(index)
     pair_edge = {}  # an edge id per joined pair of half vertices
@@ -134,7 +128,7 @@ def max_packing(
                 mate[i], mate[j] = j, i
 
     absorbers = []  # per side; H_k has all but the first k
-    for end in (s, t) if side is None else (s,):
+    for end in (s, t):
         ps = range(len(adj), len(adj) + len(pendants[end]))
         for p, (eid, h) in zip(ps, pendants[end]):
             pendant_of[eid] = (p, h)
@@ -149,10 +143,11 @@ def max_packing(
         absorbers.append(side_absorbers)
     live = [True] * len(adj)
 
+    steps = (1, 2) if t in s_side(g_prime, f) else (2,)
     k = 0
     while True:
         trial = None
-        for step in (1, 2) if side is None else (2,):
+        for step in steps:
             if k + step <= min(map(len, absorbers)):
                 removed = [a for each in absorbers for a in each[k:k + step]]
                 trial = _step(adj, mate, live, removed)

@@ -266,6 +266,19 @@ def split_and_close(
     return g_prime, f, SplitMap(g, g_prime, s, t, f, split_edge_of, split_origin, back_vertex)
 
 
+def s_side(g_prime: BidirectedGraph, f: EdgeId) -> frozenset:
+    """The vertices that s reaches in ``g_prime`` without the closing edge f."""
+    s = g_prime.edge(f).u
+    side, todo = {s}, [s]
+    while todo:
+        v = todo.pop()
+        for e in g_prime.incident(v):
+            if e.eid != f and e.other(v) not in side:
+                side.add(e.other(v))
+                todo.append(e.other(v))
+    return frozenset(side)
+
+
 def double_for_xpaths(g: BidirectedGraph, X: Iterable) -> tuple[BidirectedGraph, frozenset]:
     """Disjoint union of ``g`` itself, the first copy, and a relabelled
     second copy; X2 is the image of X in the second copy.

@@ -21,12 +21,12 @@ from bimenger import (
     solve_menger,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.certify import _s_side
 from bimenger.ratlp import LpProblem, LpSolution
 from bimenger.reduce import (
     InvalidDerivedLink,
     attach_terminals,
     double_for_xpaths,
+    s_side,
     split_and_close,
 )
 
@@ -167,7 +167,7 @@ def doubled_split(g: BidirectedGraph, X: Iterable):
     g2, X2 = double_for_xpaths(g, X)
     g_hat, s, t, tmap = attach_terminals(g2, X, X2)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    return g_prime, f, _s_side(g_prime, f), [tmap, smap]
+    return g_prime, f, s_side(g_prime, f), [tmap, smap]
 
 
 def load_tool(name: str):

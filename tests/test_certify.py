@@ -43,7 +43,7 @@ from bimenger.reduce import (
     double_for_xpaths,
     split_and_close,
 )
-from bimenger.walks import check_walk, path_link
+from bimenger.walks import check_walk
 
 from .conftest import random_graph, random_sets, recording_cuts
 from .helpers import (
@@ -134,6 +134,18 @@ def test_decompose_rejects_a_support_that_branches_at_an_inner_vertex(branch_on)
     f = len(specs)
     with pytest.raises(NotBalanced, match="at 'v'"):
         decompose_packing(g_prime, f, dict.fromkeys(range(f), 1), xf)
+
+
+def test_decompose_wants_paired_segments_of_weight_x_f():
+    # a plus end at s and a minus end at t let the balance rows hold with
+    # an s-s segment (and a t-t segment) at x_f = 0
+    loops = [("s", "a", MINUS, PLUS), ("a", "s", MINUS, PLUS),
+             ("t", "b", PLUS, MINUS), ("b", "t", PLUS, MINUS)]
+    g_prime = build_graph(["s", "t", "a", "b"], loops + [("s", "t", PLUS, MINUS)])
+    with pytest.raises(NotBalanced, match="1 s-s vs 0 t-t"):
+        decompose_packing(g_prime, 4, {0: 1, 1: 1, 2: 0, 3: 0}, 0)
+    with pytest.raises(NotBalanced, match="does not match x_f = 0"):
+        decompose_packing(g_prime, 4, dict.fromkeys(range(4), 1), 0)
 
 
 def test_decompose_rejects_fractional():
@@ -460,15 +472,15 @@ def _xpath_instances():
 
 def test_folded_xpath_programs_match_the_full_doubled_programs():
     # the s-side programs of solve_xpaths against (P) and (D) of the whole
-    # doubled split graph, solved directly; the mapped cut and the packed
-    # paths lie in the first copy, g itself, which solve_xpaths relies on
-    # when it reports them with no map back
+    # doubled split graph, solved directly; the mapped cut and the s-s
+    # parts of the packed turnarounds lie in the first copy, g itself,
+    # which solve_xpaths relies on when it reports them with no map back
     for g, X in _xpath_instances():
         g_prime, f, side, chain = doubled_split(g, X)
         P = build_primal(g_prime, f)
         root, full_dual = simplex_max(P), simplex_max(build_dual(P))
         full = solve_integral_max(P, root)
-        # the folded packing decomposes, or _finish_certificate raises
+        # the packing decomposes, or _finish_certificate raises
         with recording_cuts() as cuts:
             folded = _finish_certificate(chain, g_prime, f, side)
         [(*_, cut)] = cuts
@@ -477,44 +489,7 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
         assert folded.dual_value == -full_dual.objective_value
         assert all(side.issuperset(g_prime.edge(eid).endpoints) for eid in cut)
         assert folded.separator <= g.vertex_set
-        assert all(check_walk(g, link.path) for link in folded.links)
-
-
-def _doubled_x_triangle():
-    """The doubled split graph of ``x_triangle``, its s side, and the
-    integral optimum (x, x_f) of its full, unfolded (P)."""
-    g_prime, f, side, *_ = doubled_split(*x_triangle())
-    P = build_primal(g_prime, f)
-    x, xf = primal_vectors(P, solve_integral_max(P, simplex_max(P)))
-    return g_prime, f, side, x, int(xf)
-
-
-def test_decompose_on_the_side_gives_the_ss_parts_of_the_unfolded_packing():
-    g_prime, f, side, x, xf = _doubled_x_triangle()
-    unfolded = decompose_packing(g_prime, f, x, xf)
-    assert xf > 0 and all(link.kind == "turnaround" for link in unfolded.links)
-    on_side = {eid: v for eid, v in x.items() if side.issuperset(g_prime.edge(eid).endpoints)}
-    folded = decompose_packing(g_prime, f, on_side, xf, side)
-    assert folded.links == tuple(path_link(link.ss_part) for link in unfolded.links)
-
-
-def test_decompose_on_the_side_rejects_an_unbalanced_side_vertex():
-    g_prime, f, side, x, xf = _doubled_x_triangle()
-    on_side = {eid: v for eid, v in x.items() if side.issuperset(g_prime.edge(eid).endpoints)}
-    dropped = dict(on_side)
-    dropped[max(eid for eid, v in on_side.items() if v == 1)] = 0
-    with pytest.raises(NotBalanced, match="signed degree"):
-        decompose_packing(g_prime, f, dropped, xf, side)
-    with pytest.raises(NotBalanced, match="leaves the side"):
-        decompose_packing(g_prime, f, x, xf, side)
-
-
-def test_decompose_on_the_side_wants_x_f_twice_the_ss_segments():
-    # a plus end at s lets the balance rows hold with one s-s segment at x_f = 0
-    g_prime = build_graph(["s", "t", "a"], [("s", "a", MINUS, PLUS), ("a", "s", MINUS, PLUS),
-                                            ("s", "t", PLUS, MINUS)])
-    with pytest.raises(NotBalanced, match="does not match x_f = 0"):
-        decompose_packing(g_prime, 2, {0: 1, 1: 1}, 0, frozenset({"s", "a"}))
+        assert all(check_walk(g, link.ss_part) for link in folded.links)
 
 
 def _balanced_points(P):
@@ -569,18 +544,23 @@ def test_folded_primal_is_even_at_every_integral_point():
 
 
 def test_xpaths_tests_one_separator_candidate(monkeypatch):
-    # the second copy's projection is always empty: the one candidate is
-    # the first copy's when a path is packed, the empty set when none is
+    # one path search, on the certificate's separator, when that is the
+    # pipeline's own (the mapped cut, or the empty set when no path is
+    # packed); none when the oracle's minimum replaces it
     calls = []
     monkeypatch.setattr(certify, "_exists_path", lambda *a, **k: calls.append(a) or _exists_path(*a, **k))
-    packed = 0
+    kept = replaced = 0
     for g, X in _xpath_instances()[:60]:
         calls.clear()
         cert = solve_xpaths(g, X)
-        assert len(calls) == 1
-        assert (calls[0][0].n < g.n) == (cert.value > 0)
-        packed += cert.value > 0
-    assert packed >= 10
+        if cert.checks["separator_from_oracle"]:
+            assert calls == []
+            replaced += 1
+        else:
+            [(searched, *_)] = calls
+            assert searched.vertex_set == g.vertex_set - cert.separator
+            kept += 1
+    assert kept >= 10 and replaced >= 10, (kept, replaced)
 
 
 @pytest.mark.parametrize("pipeline", ["menger", "xpaths"])

@@ -10,7 +10,7 @@ from bimenger.bmcli import GenParams, _trial_params, random_instance
 from bimenger.certify import _pairwise_disjoint, decompose_packing
 from bimenger.matching import max_packing
 from bimenger.reduce import attach_terminals, map_links_back, split_and_close
-from bimenger.walks import classify_link
+from bimenger.walks import classify_link, path_link
 
 from .helpers import doubled_split, load_tool
 
@@ -29,10 +29,10 @@ def _split(g, X, Y):
     return g_prime, f, [tmap, smap]
 
 
-def _packing(g_prime, f, chain, side=None):
+def _packing(g_prime, f, chain):
     """(x_f, links mapped back through ``chain``) of the matching's packing."""
-    x, xf = max_packing(g_prime, f, chain[-1].split_origin, side)
-    return xf, map_links_back(chain, decompose_packing(g_prime, f, x, xf, side).links)
+    x, xf = max_packing(g_prime, f, chain[-1].split_origin)
+    return xf, map_links_back(chain, decompose_packing(g_prime, f, x, xf).links)
 
 
 def _check_links(g, links, ends, terminals=frozenset()):
@@ -48,11 +48,14 @@ def _menger_value(g, X, Y):
 
 
 def _xpaths_value(g, X):
-    g_prime, f, side, chain = doubled_split(g, X)
-    xf, links = _packing(g_prime, f, chain, side)
-    _check_links(g, links, (X, X))
-    assert xf == 2 * len(links)
-    return len(links)
+    # every packed link is a turnaround, whose s-s part is an X-path of
+    # the first copy, g itself
+    g_prime, f, _, chain = doubled_split(g, X)
+    xf, links = _packing(g_prime, f, chain)
+    paths = [path_link(link.ss_part) for link in links]
+    _check_links(g, paths, (X, X))
+    assert xf == 2 * len(paths)
+    return len(paths)
 
 
 def _cut_rounds_value(g_prime, f, side=None):

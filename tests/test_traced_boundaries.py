@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 
 from bimenger import bmcli, certify, ratlp
+from bimenger.bigraph import vertex_sort_key
+from bimenger.bmcli import GenParams, random_instance, serialize_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 FIG1A = ROOT / "fixtures" / "fig1a.bg"
@@ -27,14 +29,15 @@ def _spans():
     return module
 
 
-def _traced(command):
-    """The per-layer metrics and the missing ones of one traced fig1a run."""
+def _traced(command, path=FIG1A):
+    """The per-layer metrics and the missing ones of one traced run of
+    ``command`` (a subcommand and its flags) on the instance file ``path``."""
     spans = _spans()
     tracer = spans.Tracer()
     installed = spans.Installed(tracer, {"bmcli": bmcli, "certify": certify, "ratlp": ratlp})
     try:
         out, err = io.StringIO(), io.StringIO()
-        argv = [command, "--input", str(FIG1A), "--json"]
+        argv = [*command, "--input", str(path), "--json"]
         assert tracer.call(spans.ROOT, bmcli.run_cli, argv, out, err) == 0, err.getvalue()
     finally:
         installed.restore()
@@ -46,7 +49,7 @@ def test_every_declared_per_layer_metric_is_traced():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"] for m in spec["per_layer"]} - RUN_METRICS
     for command in ("solve", "xpaths"):
-        metrics, missing = _traced(command)
+        metrics, missing = _traced([command])
         assert missing == []
         assert sorted(declared - set(metrics)) == []
         # the primal root is solved where certify calls simplex_max, once
@@ -55,3 +58,17 @@ def test_every_declared_per_layer_metric_is_traced():
         assert primal_roots == metrics["ratlp.simplex_dual_root.calls"][0] > 0
         assert metrics["ratlp.primal.rows"][0] > 0
         assert metrics["ratlp.primal.cols"][0] > 0
+
+
+def test_the_integral_dual_search_is_traced_when_it_runs(tmp_path):
+    # neither benchmark workload meets a fractional dual root, so their
+    # runs read 0 here; this s-t draw has one (tools/certdump.py's
+    # fractional-dual runs)
+    inst = random_instance(GenParams(5, 8, 12, 2, 2))
+    s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+    path = tmp_path / "fractional-dual.bg"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    metrics, missing = _traced(["solve-st", "--s", s, "--t", t], path)
+    assert missing == []
+    assert metrics["ratlp.bnb.calls"][0] == metrics["ratlp.dual_bnb.calls"][0] == 1
+    assert metrics["route.dual_fractional_root"][0] == 1
