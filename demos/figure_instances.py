@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Walk through the two shipped six-vertex instances.
+"""Walk through the two shipped six-vertex instances, fixtures/fig1a.bg
+and fixtures/fig1b.bg.
 
 Both are pairs of all-plus triangles, so no walk can turn at an interior
 vertex: every nontrivial path is a single edge, there are no source-to-
 target paths at all, and every link is a turnaround.
 """
+
+from pathlib import Path
 
 from bimenger import (
     enumerate_paths,
@@ -13,9 +16,12 @@ from bimenger import (
     oracle_min_separator,
     solve_menger,
 )
-from bimenger.fixtures import fig1a, fig1b
+from bimenger.bmcli import parse_instance
 
-g, X, Y = fig1a()
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+inst = parse_instance((FIXTURES / "fig1a.bg").read_text())
+g, X, Y = inst.graph, inst.X, inst.Y
 print("instance A:", g.n, "vertices,", g.m, "edges, X =", sorted(X), "Y =", sorted(Y))
 
 print("X-Y paths:", len(enumerate_paths(g, X, Y)))          # none: the sides are disconnected
@@ -42,7 +48,8 @@ print()
 # vertex a, so deleting a alone kills every link while the packing value
 # stays 2: the min-max inequality is strict, and weight-2 counting of
 # turnarounds is what keeps the packing side on top
-g, X, Y = fig1b()
+inst = parse_instance((FIXTURES / "fig1b.bg").read_text())
+g, X, Y = inst.graph, inst.X, inst.Y
 print("instance B:", g.n, "vertices,", g.m, "edges")
 print("links:", len(enumerate_xy_links(g, X, Y)))
 cert = solve_menger(g, X, Y)

@@ -47,10 +47,10 @@ print("relaxed packing LP:", relaxed.objective_value,
       "(integral:", is_integral(relaxed.values), ")")
 
 # an integral point of (P) is a perfect matching of the half vertices
-x, xf = max_packing(g_prime, f, smap.split_origin)
+chosen, xf = max_packing(g_prime, f, smap.split_origin)
 print("exact integral optimum:", xf)
 
-dec = decompose_packing(g_prime, f, x, xf)
+dec = decompose_packing(g_prime, f, chosen, xf)
 links = map_links_back([tmap, smap], dec.links)
 for link in links:
     parts = ["-".join(map(str, w.vertices)) for w in link.walks]

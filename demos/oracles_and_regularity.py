@@ -6,6 +6,7 @@ scale; this script exercises those cross-checks directly.
 """
 
 import random
+from pathlib import Path
 
 from bimenger import (
     build_graph,
@@ -19,7 +20,7 @@ from bimenger import (
     switch_vertex,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.fixtures import x_triangle
+from bimenger.bmcli import parse_instance
 from bimenger.reduce import double_for_xpaths
 
 # incidence matrices of loop-free bidirected graphs have column sums 2,
@@ -57,7 +58,9 @@ print("s-t certificate agrees:", cert.value == pk.value)
 # X-path packing reduces to turnaround packing between two copies; the
 # all-plus triangle shows the factor two is genuinely needed: one path
 # can be packed but two vertices must be deleted to kill all of them
-tri, X = x_triangle()
+triangle = Path(__file__).resolve().parent.parent / "fixtures" / "x_triangle.bg"
+inst = parse_instance(triangle.read_text())
+tri, X = inst.graph, inst.X
 print("triangle oracle (packing, hitting):", oracle_xpaths(tri, X))
 doubled, X2 = double_for_xpaths(tri, X)
 print(

@@ -80,7 +80,6 @@ from .certify import (
     DualInfeasible,
     MengerCertificate,
     NotBalanced,
-    NotIntegral,
     decompose_packing,
     extract_cut,
     failed_checks,

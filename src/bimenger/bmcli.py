@@ -38,6 +38,7 @@ from .bigraph import (
 )
 from .certify import MengerCertificate, failed_checks, solve_menger, solve_st, solve_xpaths
 from .oracle import (
+    DEFAULT_MAX_VERTICES,
     SizeBoundExceeded,
     has_xy_link,
     oracle_max_links,
@@ -236,11 +237,17 @@ def check_instance(inst: InstanceFile) -> list[str]:
 
 
 def run_selfcheck(trials: int, seed: int, max_vertices: int, out: TextIO) -> bool:
-    """Run the seeded oracle-equivalence property suite; fully reproducible."""
+    """Run the seeded oracle-equivalence property suite; fully reproducible.
+
+    Every trial runs the oracles, so ``max_vertices`` may not exceed their
+    vertex limit; trial graphs have fewer than 15 edges, within the edge
+    limit."""
     if trials < 0:
         raise InvalidParams("the trial count must be nonnegative")
     if max_vertices < 2:
         raise InvalidParams("trial graphs have at least two vertices")
+    if max_vertices > DEFAULT_MAX_VERTICES:
+        raise InvalidParams(f"trial graphs have at most {DEFAULT_MAX_VERTICES} vertices, the oracle limit")
     bad = 0
     for i in range(trials):
         inst = random_instance(_trial_params(seed, i, max_vertices))

@@ -65,10 +65,6 @@ class NotBalanced(VerificationFailure):
     """The selected subgraph is not balanced at some vertex."""
 
 
-class NotIntegral(VerificationFailure):
-    """The primal solution handed to the decomposer is not 0/1-integral."""
-
-
 class DualInfeasible(VerificationFailure):
     """The (z, y) pair violates the dual constraints."""
 
@@ -98,38 +94,22 @@ class DecomposeResult:
     slack_cycles: int
 
 
-def _as_int(v) -> int:
-    f = Fraction(v)
-    if f.denominator != 1:
-        raise NotIntegral(f"value {v} is not an integer")
-    return f.numerator
+def decompose_packing(g_prime: BidirectedGraph, f: EdgeId, chosen: frozenset, xf: int) -> DecomposeResult:
+    """Split a balanced edge selection into explicit s-t links.
 
-
-def decompose_packing(g_prime: BidirectedGraph, f: EdgeId, x_star: dict, xf_star) -> DecomposeResult:
-    """Split a balanced 0/1 edge selection into explicit s-t links.
-
-    Removes the x_f copies of f and walks the remaining support with one
-    trail walker, which follows the unused chosen edges from a start
-    vertex, alternating signs, until it meets a stop vertex (split edge
-    capacity makes the continuation at interior vertices unique; any
-    other continuation raises NotBalanced).  Trails from s and t to
+    ``chosen`` holds the ids of the selected edges other than f, which
+    is taken x_f times: an integral point of (P) as ``max_packing``
+    gives it.  The balance rows are checked first.  Then one trail
+    walker follows the unused chosen edges from a start vertex,
+    alternating signs, until it meets a stop vertex (split edge capacity
+    makes the continuation at interior vertices unique; any other
+    continuation raises NotBalanced).  Trails from s and t to
     either terminal are the segments; s-t segments become path links,
     and s-s segments pair with t-t segments (lexicographically by first
     edge id) into turnarounds.  The edges left over are alternating
     cycles that avoid both terminals, each walked from its least edge
     back to that edge's first end, and discarded.
     """
-    xf = _as_int(xf_star)
-    if xf < 0:
-        raise NotIntegral("x_f must be nonnegative")
-    chosen = {}
-    for eid, v in x_star.items():
-        iv = _as_int(v)
-        if iv not in (0, 1):
-            raise NotIntegral(f"edge variable x[{eid}] = {v} is not 0/1")
-        if iv:
-            chosen[eid] = g_prime.edge(eid)
-
     fe = g_prime.edge(f)
     s, t = fe.u, fe.v
 
@@ -347,7 +327,7 @@ def _finish_certificate(
     P = build_primal(g_prime, f, side)
     D = build_dual(P)
     plp = _optimal("primal relaxation", simplex_max(P))
-    x, xf = max_packing(g_prime, f, chain[-1].split_origin)
+    chosen, xf = max_packing(g_prime, f, chain[-1].split_origin)
 
     dlp = _optimal("dual relaxation", simplex_max(D))
     z, y = dual_vectors(D, dlp, g_prime)
@@ -356,7 +336,7 @@ def _finish_certificate(
         dint = solve_integral_max(D, dlp, dual_integral_columns(D))
         z, y = dual_vectors(D, _optimal("integral dual", dint), g_prime)
 
-    dec = decompose_packing(g_prime, f, x, xf)
+    dec = decompose_packing(g_prime, f, chosen, xf)
     links = map_links_back(chain, dec.links)
     cut = extract_cut(g_prime, f, z, y)
     separator = map_cut_to_separator(chain, cut)

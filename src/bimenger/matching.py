@@ -101,10 +101,10 @@ def _augment(adj: list, mate: list, live: list, root: int) -> bool:
 
 def max_packing(
     g_prime: BidirectedGraph, f: EdgeId, split_edges: Container[EdgeId],
-) -> tuple[dict, int]:
-    """(x per edge id, x_f): an integral optimum of ``build_primal(g_prime,
-    f)``, with x given on that program's edge columns; ``split_edges``
-    are the split edges of ``g_prime``."""
+) -> tuple[frozenset, int]:
+    """(chosen, x_f): an integral optimum of ``build_primal(g_prime, f)``,
+    with ``chosen`` the ids of the edges other than f that it sets to 1;
+    ``split_edges`` are the split edges of ``g_prime``."""
     fe = g_prime.edge(f)
     s, t = fe.u, fe.v
     edges = [e for e in g_prime.edges if e.eid != f]
@@ -157,16 +157,18 @@ def max_packing(
             break
         mate, k = trial, k + step
 
-    x = {}
+    chosen = set()
     for e in edges:
         if e.eid in pendant_of:
             p, h = pendant_of[e.eid]
-            x[e.eid] = int(mate[p] == h)
+            if mate[p] == h:
+                chosen.add(e.eid)
         else:
             i, j = index[e.u], index[e.v]
             matched = mate[i] == j and pair_edge[i, j] == e.eid
-            x[e.eid] = int(matched != (e.eid in split_edges))
-    return x, k
+            if matched != (e.eid in split_edges):
+                chosen.add(e.eid)
+    return frozenset(chosen), k
 
 
 def _step(adj: list, mate: list, live: list, removed: list) -> Optional[list]:

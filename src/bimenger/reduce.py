@@ -13,14 +13,14 @@ Three constructions feed the LP pipeline:
   X-path packing to turnaround packing between the copies.
 
 Attachment and splitting also return a frozen record of what they built,
-``TerminalMap`` or ``SplitMap``: the tables that are read, and their own
-backward maps.  ``walk_back`` takes a walk back one step, and
-``back_vertex`` takes each vertex a construction made to the vertex it
-stands for.  One rule charges a cut edge to a separator vertex: the
-least image of its ends in the original graph, terminals excepted
-(``map_cut_to_separator``).  The doubling needs no record: its first
-copy is the input, where the X-path certificate lies (README, "The cut
-lies on the s side").
+``TerminalMap`` or ``SplitMap``: the tables that are read, each in the
+one direction it is read in, and their own backward maps.  ``walk_back``
+takes a walk back one step, and ``back_vertex`` takes each vertex a
+construction made to the vertex it stands for.  One rule charges a cut
+edge to a separator vertex: the least image of its ends in the original
+graph, terminals excepted (``map_cut_to_separator``).  The doubling
+needs no record: its first copy is the input, where the X-path
+certificate lies (README, "The cut lies on the s side").
 
 The terminal attachment deliberately does not wire x to s by two
 parallel edges: that would create a two-edge closed trail at s standing
@@ -71,21 +71,18 @@ class UnmappableEdge(VerificationFailure):
 class TerminalMap:
     """What ``attach_terminals`` added to ``source`` to make ``derived``.
 
-    ``x_gadget``/``y_gadget`` give each X/Y vertex its gadget vertex,
-    ``back_vertex`` each gadget vertex and ``gadget_origin`` each gadget
-    edge the X/Y vertex it guards, and ``arrival_edge[(v, side, sign)]``
-    the gadget edge that meets v with that sign ("X" or "Y" side).
+    ``back_vertex`` gives each gadget vertex and ``gadget_origin`` each
+    gadget edge the X/Y vertex it guards.  The gadget of an X (Y) vertex
+    is the neighbour of s (t) that ``back_vertex`` takes to it, and its
+    edges are in ``derived``.
     """
 
     source: BidirectedGraph
     derived: BidirectedGraph
     s: VertexId
     t: VertexId
-    x_gadget: dict[VertexId, VertexId]
-    y_gadget: dict[VertexId, VertexId]
     back_vertex: dict[VertexId, VertexId]
     gadget_origin: dict[EdgeId, VertexId]
-    arrival_edge: dict[tuple[VertexId, str, Sign], EdgeId]
 
     def walk_back(self, w: Walk) -> Walk:
         """Remove the two-edge gadget prefix/suffix of an s-t, s-s or t-t walk."""
@@ -105,9 +102,9 @@ class TerminalMap:
 class SplitMap:
     """What ``split_and_close`` did to ``source`` to make ``derived``.
 
-    ``split_edge_of`` gives each non-terminal its split edge and
-    ``split_origin`` the reverse; ``back_vertex`` takes v+ and v- to v;
-    ``f`` is the closing edge.  Other edges keep their ids.
+    ``split_origin`` gives each split edge the non-terminal it splits;
+    ``back_vertex`` takes v+ and v- to v; ``f`` is the closing edge.
+    Other edges keep their ids.
     """
 
     source: BidirectedGraph
@@ -115,7 +112,6 @@ class SplitMap:
     s: VertexId
     t: VertexId
     f: EdgeId
-    split_edge_of: dict[VertexId, EdgeId]
     split_origin: dict[EdgeId, VertexId]
     back_vertex: dict[VertexId, VertexId]
 
@@ -176,35 +172,26 @@ def attach_terminals(
     used = {str(v) for v in g.vertices}
     s = _fresh("s", used)
     t = _fresh("t", used)
-    x_order = sorted(X, key=vertex_sort_key)
-    y_order = sorted(Y, key=vertex_sort_key)
-    x_gadget = {x: _fresh(f"{x}~X", used) for x in x_order}
-    y_gadget = {y: _fresh(f"{y}~Y", used) for y in y_order}
+    ends = {"X": (s, MINUS), "Y": (t, PLUS)}
+    gadget = {(side, v): _fresh(f"{v}~{side}", used)
+              for side, vs in (("X", X), ("Y", Y)) for v in sorted(vs, key=vertex_sort_key)}
 
-    vertices = list(g.vertices) + [s, t] + [x_gadget[x] for x in x_order] + [y_gadget[y] for y in y_order]
     edges = list(g.edges)
     eid = _next_eid(edges)
     gadget_origin: dict[EdgeId, VertexId] = {}
-    arrival_edge: dict[tuple[VertexId, str, Sign], EdgeId] = {}
-
-    for terminal, order, gadget, side, sign in (
-        (s, x_order, x_gadget, "X", MINUS), (t, y_order, y_gadget, "Y", PLUS)
-    ):
-        for v in order:
-            edges.append(Edge(eid, terminal, gadget[v], sign, sign.flip()))
+    for (side, v), w in gadget.items():
+        terminal, sign = ends[side]
+        edges.append(Edge(eid, terminal, w, sign, sign.flip()))
+        gadget_origin[eid] = v
+        eid += 1
+        for sign_at_v in (PLUS, MINUS):
+            edges.append(Edge(eid, w, v, sign, sign_at_v))
             gadget_origin[eid] = v
             eid += 1
-            for sign_at_v in (PLUS, MINUS):
-                edges.append(Edge(eid, gadget[v], v, sign, sign_at_v))
-                gadget_origin[eid] = v
-                arrival_edge[(v, side, sign_at_v)] = eid
-                eid += 1
 
-    back_vertex = {w: v for table in (x_gadget, y_gadget) for v, w in table.items()}
-    g_hat = BidirectedGraph(tuple(vertices), tuple(edges))
-    return g_hat, s, t, TerminalMap(
-        g, g_hat, s, t, x_gadget, y_gadget, back_vertex, gadget_origin, arrival_edge
-    )
+    back_vertex = {w: v for (_, v), w in gadget.items()}
+    g_hat = BidirectedGraph(g.vertices + (s, t) + tuple(gadget.values()), tuple(edges))
+    return g_hat, s, t, TerminalMap(g, g_hat, s, t, back_vertex, gadget_origin)
 
 
 def split_and_close(
@@ -250,11 +237,9 @@ def split_and_close(
         (u, sign_u), (v, sign_v) = end(e.u, e.sign_u), end(e.v, e.sign_v)
         edges.append(Edge(e.eid, u, v, sign_u, sign_v))
     eid = _next_eid(edges)
-    split_edge_of: dict[VertexId, EdgeId] = {}
     split_origin: dict[EdgeId, VertexId] = {}
     for v in non_terminals:
         edges.append(Edge(eid, plus_of[v], minus_of[v], MINUS, PLUS))
-        split_edge_of[v] = eid
         split_origin[eid] = v
         eid += 1
     f = eid
@@ -263,7 +248,7 @@ def split_and_close(
     back_vertex = {w: v for v in non_terminals for w in (plus_of[v], minus_of[v])}
 
     g_prime = BidirectedGraph(tuple(vertices), tuple(edges))
-    return g_prime, f, SplitMap(g, g_prime, s, t, f, split_edge_of, split_origin, back_vertex)
+    return g_prime, f, SplitMap(g, g_prime, s, t, f, split_origin, back_vertex)
 
 
 def s_side(g_prime: BidirectedGraph, f: EdgeId) -> frozenset:

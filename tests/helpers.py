@@ -1,9 +1,13 @@
-"""Helpers that only the tests use: (x, x_f) read off a solved (P),
-forward lifts through the reductions, the signed z-sum of a link, the no-turnaround equality verdict, the
-doubled split graph of the X-path pipeline, and the scripts of `tools/`."""
+"""Helpers that only the tests use: the shipped instances of `fixtures/`
+and the suite200 instances, (x, x_f) and the chosen edge set read off a
+solved (P), the tables the reduction records keep in one direction only,
+read the other way, forward lifts through the reductions, the signed
+z-sum of a link, the no-turnaround equality verdict, the doubled split
+graph of the X-path pipeline, and the scripts of `tools/`."""
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -21,6 +25,7 @@ from bimenger import (
     solve_menger,
 )
 from bimenger.bigraph import MINUS, PLUS
+from bimenger.bmcli import InstanceFile, _trial_params, parse_instance, random_instance
 from bimenger.ratlp import LpProblem, LpSolution
 from bimenger.reduce import (
     InvalidDerivedLink,
@@ -29,6 +34,24 @@ from bimenger.reduce import (
     s_side,
     split_and_close,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITE_SEED = 301  # the acceptance suite's seed (suite200)
+
+
+def shipped(name: str) -> tuple[BidirectedGraph, frozenset, frozenset]:
+    """(graph, X, Y) of the shipped instance ``fixtures/<name>.bg``."""
+    inst = parse_instance((ROOT / "fixtures" / f"{name}.bg").read_text())
+    return inst.graph, inst.X, inst.Y
+
+
+@functools.cache
+def suite200_instances() -> tuple[InstanceFile, ...]:
+    """The acceptance suite: the 200 trials of ``bmcli selfcheck --seed
+    301 --max-vertices 7``.  The instances are frozen, so one copy is
+    shared."""
+    return tuple(random_instance(_trial_params(SUITE_SEED, i, 7)) for i in range(200))
 
 
 def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
@@ -41,6 +64,26 @@ def primal_vectors(problem: LpProblem, sol: LpSolution) -> tuple[dict, object]:
         elif name.startswith("x:"):
             x[int(name[2:])] = v
     return x, xf
+
+
+def chosen_edges(x: dict) -> frozenset:
+    """The edges that the 0/1 vector ``x`` sets to 1, as
+    ``decompose_packing`` takes them; fails on any other value."""
+    assert all(v in (0, 1) for v in x.values()), x
+    return frozenset(eid for eid, v in x.items() if v == 1)
+
+
+def split_edge_of(smap: SplitMap) -> dict:
+    """Each non-terminal's split edge: ``smap.split_origin`` inverted."""
+    return {v: eid for eid, v in smap.split_origin.items()}
+
+
+def gadget_of(tmap: TerminalMap, side: str) -> dict:
+    """Each X (``side`` "X") or Y ("Y") vertex's gadget vertex: the
+    neighbours of s or t, taken to the vertex they guard by
+    ``back_vertex``."""
+    term = tmap.s if side == "X" else tmap.t
+    return {tmap.back_vertex[e.other(term)]: e.other(term) for e in tmap.derived.incident(term)}
 
 
 def link_sigma_sum(g: BidirectedGraph, z: dict, link: Link):
@@ -79,49 +122,31 @@ def check_no_turnaround_equality(g: BidirectedGraph, X: Iterable, Y: Iterable) -
 
 def lift_link_through_terminal(tmap: TerminalMap, link: Link) -> Link:
     """Lift an X-Y link of the source graph to an s-t link of the gadgeted graph."""
-    s, t, g_hat = tmap.s, tmap.t, tmap.derived
-    x_gadget, y_gadget, arrival = tmap.x_gadget, tmap.y_gadget, tmap.arrival_edge
+    g_hat = tmap.derived
+    terminal = {"X": tmap.s, "Y": tmap.t}
+    gadget = {side: gadget_of(tmap, side) for side in terminal}
 
-    def s_edge(x):
-        xg = x_gadget[x]
-        (e,) = [e for e in g_hat.incident(s) if e.other(s) == xg]
-        return e.eid
+    def entry(v, side: str, sign_at_v) -> tuple[tuple, tuple]:
+        """(vertices, edges) of the gadget walk from the side's terminal
+        up to v, whose last edge meets v with ``sign_at_v``."""
+        term, gv = terminal[side], gadget[side][v]
+        (first,) = [e.eid for e in g_hat.incident(term) if e.other(term) == gv]
+        (arrival,) = [e.eid for e in g_hat.incident(gv) if e.other(gv) == v and e.sign_at(v) == sign_at_v]
+        return (term, gv), (first, arrival)
 
-    def t_edge(y):
-        yg = y_gadget[y]
-        (e,) = [e for e in g_hat.incident(t) if e.other(t) == yg]
-        return e.eid
-
-    def lift_path(w: Walk) -> Walk:
-        x, y = w.start, w.end
+    def lift(w: Walk, start_side: str, end_side: str) -> Walk:
         if w.is_trivial:
-            ax = arrival[(x, "X", PLUS)]
-            ay = arrival[(y, "Y", MINUS)]
+            signs = (PLUS, MINUS)
         else:
-            ax = arrival[(x, "X", g_hat.edge(w.edges[0]).sign_at(x).flip())]
-            ay = arrival[(y, "Y", g_hat.edge(w.edges[-1]).sign_at(y).flip())]
-        vertices = (s, x_gadget[x]) + w.vertices + (y_gadget[y], t)
-        edges = (s_edge(x), ax) + w.edges + (ay, t_edge(y))
-        return Walk(vertices, edges)
-
-    def lift_part(w: Walk, side: str) -> Walk:
-        gadget = x_gadget if side == "X" else y_gadget
-        term = s if side == "X" else t
-        term_edge = s_edge if side == "X" else t_edge
-        a, b = w.start, w.end
-        ea = arrival[(a, side, g_hat.edge(w.edges[0]).sign_at(a).flip())]
-        eb = arrival[(b, side, g_hat.edge(w.edges[-1]).sign_at(b).flip())]
-        vertices = (term, gadget[a]) + w.vertices + (gadget[b], term)
-        edges = (term_edge(a), ea) + w.edges + (eb, term_edge(b))
-        return Walk(vertices, edges)
+            signs = (g_hat.edge(w.edges[0]).sign_at(w.start).flip(),
+                     g_hat.edge(w.edges[-1]).sign_at(w.end).flip())
+        (va, ea), (vb, eb) = entry(w.start, start_side, signs[0]), entry(w.end, end_side, signs[1])
+        return Walk(va + w.vertices + vb[::-1], ea + w.edges + eb[::-1])
 
     if link.kind == "path":
-        out = Link("path", (lift_path(link.path),))
+        out = Link("path", (lift(link.path, "X", "Y"),))
     else:
-        out = Link(
-            "turnaround",
-            (lift_part(link.ss_part, "X"), lift_part(link.tt_part, "Y")),
-        )
+        out = Link("turnaround", (lift(link.ss_part, "X", "X"), lift(link.tt_part, "Y", "Y")))
     for w in out.walks:
         if not check_walk(g_hat, w):
             raise InvalidDerivedLink("lifted walk is not valid in the gadgeted graph")
@@ -131,12 +156,12 @@ def lift_link_through_terminal(tmap: TerminalMap, link: Link) -> Link:
 def lift_walk_through_split(smap: SplitMap, w: Walk) -> Walk:
     """Lift a walk of the source graph to the split graph, inserting split edges."""
     g, g_prime, s, t = smap.source, smap.derived, smap.s, smap.t
-    split_edge_of = smap.split_edge_of
+    split_edge = split_edge_of(smap)
 
     def image(v, sign):
         if v in (s, t):
             return v
-        split = g_prime.edge(split_edge_of[v])  # minus at v+, plus at v-
+        split = g_prime.edge(split_edge[v])  # minus at v+, plus at v-
         return split.u if sign is PLUS else split.v
 
     vertices = []
@@ -150,7 +175,7 @@ def lift_walk_through_split(smap: SplitMap, w: Walk) -> Walk:
         v_prev, v_next = w.vertices[i], w.vertices[i + 1]
         if image(v_prev, e.sign_at(v_prev)) != vertices[-1]:
             # hop across the split edge before leaving v_prev
-            edges.append(split_edge_of[v_prev])
+            edges.append(split_edge[v_prev])
             vertices.append(image(v_prev, e.sign_at(v_prev)))
         edges.append(eid)
         vertices.append(image(v_next, e.sign_at(v_next)))
@@ -172,7 +197,7 @@ def doubled_split(g: BidirectedGraph, X: Iterable):
 
 def load_tool(name: str):
     """The script ``tools/<name>.py`` as a module (`tools/` is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    path = ROOT / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

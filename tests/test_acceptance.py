@@ -33,12 +33,11 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.bmcli import GenParams, _trial_params, derive_seed, random_instance, run_cli
-from bimenger.fixtures import x_triangle
 from bimenger.oracle import has_xy_link
 from bimenger.walks import enumerate_st_links
 
 from .conftest import recording_cuts
-from .helpers import check_no_turnaround_equality, link_sigma_sum
+from .helpers import check_no_turnaround_equality, link_sigma_sum, shipped, suite200_instances
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
@@ -68,8 +67,7 @@ def suite200():
     duals and cut of its solve (None where X or Y is empty)."""
     records = []
     t0 = time.monotonic()
-    for i in range(200):
-        inst = random_instance(_trial_params(301, i, 7))
+    for inst in suite200_instances():
         g, X, Y = inst.graph, inst.X, inst.Y
         pk = oracle_max_links(g, X, Y)
         sep = oracle_min_separator(g, X, Y)
@@ -252,7 +250,7 @@ def test_criterion_8_xpath_packing():
         assert cert.value == packing
         assert 2 * cert.value >= hitting
         assert 2 * cert.value >= len(cert.separator)
-    g, X = x_triangle()
+    g, X, _ = shipped("x_triangle")
     cert = solve_xpaths(g, X)
     packing, hitting = oracle_xpaths(g, X)
     assert (cert.value, hitting) == (1, 2)

@@ -11,10 +11,10 @@ from bimenger import (
     switch_vertex,
 )
 from bimenger.bigraph import MINUS, PLUS, Sign
-from bimenger.fixtures import fig1a, fig1b
 from bimenger.walks import enumerate_paths
 
 from .conftest import graphs
+from .helpers import shipped
 
 
 def test_build_simple():
@@ -53,7 +53,7 @@ def test_sign_flip_involution():
 
 
 def test_fig1a_builds_with_column_sums_two():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     assert g.n == 6 and g.m == 6
     M = incidence_matrix(g)
     for j in range(g.m):
@@ -82,31 +82,31 @@ def test_incidence_digraph_encoding():
 
 
 def test_delete_empty_is_identity():
-    g, _, _ = fig1a()
+    g, _, _ = shipped("fig1a")
     assert delete_vertices(g, set()) == g
 
 
 def test_delete_fig1b_kills_x_side():
-    g, X, Y = fig1b()
+    g, X, Y = shipped("fig1b")
     h = delete_vertices(g, {"a"})
     assert all(e.u not in X or e.v not in X for e in h.edges)
     assert not [e for e in h.edges if e.u in X and e.v in X]
 
 
 def test_delete_everything():
-    g, _, _ = fig1a()
+    g, _, _ = shipped("fig1a")
     h = delete_vertices(g, set(g.vertices))
     assert h.n == 0 and h.m == 0
 
 
 def test_delete_unknown_vertex():
-    g, _, _ = fig1a()
+    g, _, _ = shipped("fig1a")
     with pytest.raises(UnknownVertex):
         delete_vertices(g, {"nope"})
 
 
 def test_delete_keeps_ids():
-    g, _, _ = fig1a()
+    g, _, _ = shipped("fig1a")
     h = delete_vertices(g, {"x2"})
     assert {e.eid for e in h.edges} < {e.eid for e in g.edges}
     for e in h.edges:
@@ -114,7 +114,7 @@ def test_delete_keeps_ids():
 
 
 def test_switch_is_involution():
-    g, _, _ = fig1b()
+    g, _, _ = shipped("fig1b")
     assert switch_vertex(switch_vertex(g, "a"), "a") == g
 
 
@@ -125,7 +125,7 @@ def test_switch_single_edge():
 
 
 def test_switch_unknown():
-    g, _, _ = fig1a()
+    g, _, _ = shipped("fig1a")
     with pytest.raises(UnknownVertex):
         switch_vertex(g, "zz")
 

@@ -11,7 +11,6 @@ from bimenger import (
     LoopRejected,
     LpSolution,
     NotBalanced,
-    NotIntegral,
     UnknownVertex,
     UnmappableEdge,
     VerificationFailure,
@@ -41,7 +40,6 @@ from bimenger.bmcli import (
     run_selfcheck,
     serialize_instance,
 )
-from bimenger.fixtures import fig1a, fig1b
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -94,15 +92,6 @@ def test_parse_rejects_a_second_terminal_line(tmp_path, terminal):
     rc, out, err = cli("solve-st", "--input", str(p))
     assert rc == EXIT_INPUT and out == ""
     assert _one_error_line(err)
-
-
-def test_roundtrip_fixture_files_match_builders():
-    inst = parse_instance((FIXTURES / "fig1a.bg").read_text())
-    g, X, Y = fig1a()
-    assert inst.graph == g and inst.X == X and inst.Y == Y
-    inst = parse_instance((FIXTURES / "fig1b.bg").read_text())
-    g, X, Y = fig1b()
-    assert inst.graph == g and inst.X == X and inst.Y == Y
 
 
 def test_serialize_parse_roundtrip():
@@ -307,10 +296,11 @@ def test_cli_reads_a_file_saved_with_a_utf8_bom(tmp_path):
     assert cli("solve", "--input", str(path)) == plain
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--max-vertices", "0"),
-                                         ("--max-vertices", "1")])
-def test_cli_selfcheck_rejects_invalid_params(flag, value):
-    rc, out, err = cli("selfcheck", flag, value)
+# the last case asks for trial graphs above the oracle limit of 10 vertices
+@pytest.mark.parametrize("args", [("--trials", "-3"), ("--max-vertices", "0"), ("--max-vertices", "1"),
+                                  ("--trials", "3", "--max-vertices", "11")], ids="-".join)
+def test_cli_selfcheck_rejects_invalid_params(args):
+    rc, out, err = cli("selfcheck", *args)
     assert rc == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -435,7 +425,7 @@ def test_cli_non_optimal_lp_status_exits_verify(tmp_path, monkeypatch, attr, fak
 
 
 @pytest.mark.parametrize(
-    "exc", [NotBalanced, NotIntegral, DualInfeasible, InvalidDerivedLink, UnmappableEdge]
+    "exc", [NotBalanced, DualInfeasible, InvalidDerivedLink, UnmappableEdge]
 )
 def test_cli_solver_failures_exit_verify(monkeypatch, exc):
     def fail(*args, **kwargs):

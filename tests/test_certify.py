@@ -8,7 +8,6 @@ import pytest
 from bimenger import (
     DualInfeasible,
     NotBalanced,
-    NotIntegral,
     build_graph,
     certify,
     classify_link,
@@ -27,9 +26,8 @@ from bimenger import (
     solve_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
-from bimenger.bmcli import GenParams, _trial_params, parse_instance, random_instance
+from bimenger.bmcli import GenParams, parse_instance, random_instance
 from bimenger.certify import _certify, _finish_certificate
-from bimenger.fixtures import fig1a, fig1b, x_triangle
 from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_link
 from bimenger.ratlp import (
     build_dual,
@@ -48,17 +46,23 @@ from bimenger.walks import check_walk
 from .conftest import random_graph, random_sets, recording_cuts
 from .helpers import (
     check_no_turnaround_equality,
+    chosen_edges,
     doubled_split,
     link_sigma_sum,
     primal_vectors,
+    shipped,
+    split_edge_of,
+    suite200_instances,
 )
 
 
 def st_pipeline(g, s, t):
+    """(split graph, f, split map, chosen edges, x_f) of the integral
+    optimum of (P) that the cut rounds find, not the matching's."""
     g_prime, f, smap = split_and_close(g, s, t)
     P = build_primal(g_prime, f)
     x, xf = primal_vectors(P, solve_integral_max(P, simplex_max(P)))
-    return g_prime, f, smap, x, int(xf)
+    return g_prime, f, smap, chosen_edges(x), int(xf)
 
 
 def test_decompose_single_path():
@@ -66,9 +70,9 @@ def test_decompose_single_path():
         ["s", "v", "t"],
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
-    g_prime, f, smap, x, xf = st_pipeline(g, "s", "t")
+    g_prime, f, smap, chosen, xf = st_pipeline(g, "s", "t")
     assert xf == 1
-    dec = decompose_packing(g_prime, f, x, xf)
+    dec = decompose_packing(g_prime, f, chosen, xf)
     assert len(dec.links) == 1
     assert dec.links[0].kind == "path"
     assert dec.slack_cycles == 0
@@ -84,9 +88,9 @@ def test_decompose_turnaround_uses_two_f_copies():
             ("t", "w", PLUS, MINUS),
         ],
     )
-    g_prime, f, smap, x, xf = st_pipeline(g, "s", "t")
+    g_prime, f, smap, chosen, xf = st_pipeline(g, "s", "t")
     assert xf == 2
-    dec = decompose_packing(g_prime, f, x, xf)
+    dec = decompose_packing(g_prime, f, chosen, xf)
     assert [l.kind for l in dec.links] == ["turnaround"]
     assert dec.links[0].weight == 2
     ss, tt = dec.links[0].walks
@@ -106,15 +110,14 @@ def test_decompose_discards_slack_cycle():
             ("c3", "c4", MINUS, MINUS),
         ],
     )
-    g_prime, f, smap, x, xf = st_pipeline(g, "s", "t")
-    base = decompose_packing(g_prime, f, x, xf)
-    augmented = dict(x)
+    g_prime, f, smap, chosen, xf = st_pipeline(g, "s", "t")
+    base = decompose_packing(g_prime, f, chosen, xf)
+    split_edge = split_edge_of(smap)
+    augmented = set(chosen)
     for cycles, (edges, vertices) in enumerate([((2, 3), ("c1", "c2")), ((4, 5), ("c3", "c4"))], 1):
-        for eid in edges:
-            augmented[eid] = 1
-        for v in vertices:
-            augmented[smap.split_edge_of[v]] = 1
-        dec = decompose_packing(g_prime, f, augmented, xf)
+        augmented.update(edges)
+        augmented.update(split_edge[v] for v in vertices)
+        dec = decompose_packing(g_prime, f, frozenset(augmented), xf)
         assert dec.slack_cycles == cycles
         assert dec.links == base.links
 
@@ -133,7 +136,7 @@ def test_decompose_rejects_a_support_that_branches_at_an_inner_vertex(branch_on)
     g_prime = build_graph(["s", "t", "v", "a", "b"], specs + [("s", "t", PLUS, MINUS)])
     f = len(specs)
     with pytest.raises(NotBalanced, match="at 'v'"):
-        decompose_packing(g_prime, f, dict.fromkeys(range(f), 1), xf)
+        decompose_packing(g_prime, f, frozenset(range(f)), xf)
 
 
 def test_decompose_wants_paired_segments_of_weight_x_f():
@@ -143,21 +146,9 @@ def test_decompose_wants_paired_segments_of_weight_x_f():
              ("t", "b", PLUS, MINUS), ("b", "t", PLUS, MINUS)]
     g_prime = build_graph(["s", "t", "a", "b"], loops + [("s", "t", PLUS, MINUS)])
     with pytest.raises(NotBalanced, match="1 s-s vs 0 t-t"):
-        decompose_packing(g_prime, 4, {0: 1, 1: 1, 2: 0, 3: 0}, 0)
+        decompose_packing(g_prime, 4, frozenset({0, 1}), 0)
     with pytest.raises(NotBalanced, match="does not match x_f = 0"):
-        decompose_packing(g_prime, 4, dict.fromkeys(range(4), 1), 0)
-
-
-def test_decompose_rejects_fractional():
-    g = build_graph(
-        ["s", "v", "t"],
-        [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
-    )
-    g_prime, f, smap, x, xf = st_pipeline(g, "s", "t")
-    bad = dict(x)
-    bad[0] = Fraction(1, 2)
-    with pytest.raises(NotIntegral):
-        decompose_packing(g_prime, f, bad, xf)
+        decompose_packing(g_prime, 4, frozenset(range(4)), 0)
 
 
 def test_decompose_rejects_unbalanced():
@@ -165,10 +156,9 @@ def test_decompose_rejects_unbalanced():
         ["s", "v", "t"],
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
-    g_prime, f, smap, x, xf = st_pipeline(g, "s", "t")
-    bad = {eid: 0 for eid in x}
+    g_prime, f, smap, chosen, xf = st_pipeline(g, "s", "t")
     with pytest.raises(NotBalanced):
-        decompose_packing(g_prime, f, bad, xf)
+        decompose_packing(g_prime, f, frozenset(), xf)
 
 
 def test_extract_cut_rejects_zero_dual():
@@ -176,7 +166,7 @@ def test_extract_cut_rejects_zero_dual():
         ["s", "v", "t"],
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
-    g_prime, f, smap, x, xf = st_pipeline(g, "s", "t")
+    g_prime, f, smap, chosen, xf = st_pipeline(g, "s", "t")
     z = {v: 0 for v in g_prime.vertices}
     y = {e.eid: 0 for e in g_prime.edges if e.eid != f}
     with pytest.raises(DualInfeasible):
@@ -214,7 +204,7 @@ def _assert_cut_soundness(g, X, Y):
 
 
 def test_cut_soundness_fig1a():
-    _assert_cut_soundness(*fig1a())
+    _assert_cut_soundness(*shipped("fig1a"))
 
 
 def test_cut_soundness_randomized(rng):
@@ -230,7 +220,7 @@ def test_cut_soundness_randomized(rng):
 
 
 def test_solve_fig1a():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     cert = solve_menger(g, X, Y)
     assert cert.value == 2
     assert len(cert.separator) == 2
@@ -240,7 +230,7 @@ def test_solve_fig1a():
 
 
 def test_solve_fig1b_strict_inequality():
-    g, X, Y = fig1b()
+    g, X, Y = shipped("fig1b")
     cert = solve_menger(g, X, Y)
     assert cert.value == 2
     assert cert.separator == {"a"}
@@ -316,7 +306,7 @@ def test_solve_st_separator_avoids_terminals(rng):
 
 
 def test_xpaths_triangle():
-    g, X = x_triangle()
+    g, X, _ = shipped("x_triangle")
     cert = solve_xpaths(g, X)
     assert cert.value == 1
     assert len(cert.separator) <= 2
@@ -356,9 +346,8 @@ def _raise(*args, **kwargs):
 def test_xpaths_runs_no_set_version_separator_search(monkeypatch):
     monkeypatch.setattr(certify, "oracle_min_separator", _raise)
     monkeypatch.setattr(certify, "has_xy_link", _raise, raising=False)
-    instances = [x_triangle()]
-    for i in range(20):
-        inst = random_instance(_trial_params(301, i, 7))
+    instances = [shipped("x_triangle")[:2]]
+    for inst in suite200_instances()[:20]:
         if inst.X:
             instances.append((inst.graph, inst.X))
     for g, X in instances:
@@ -368,7 +357,7 @@ def test_xpaths_runs_no_set_version_separator_search(monkeypatch):
 
 
 def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
-    inst = random_instance(_trial_params(301, 0, 7))  # suite200 instance 0
+    inst = suite200_instances()[0]
     g, X = inst.graph, inst.X
     cert = solve_xpaths(g, X)
     g2, X2 = double_for_xpaths(g, X)
@@ -390,7 +379,7 @@ def _above_oracle_limits(g):
 def test_xpaths_above_oracle_limits_keeps_a_projection_within_cor15(monkeypatch):
     # suite200 instance 18: the doubled cut is as large as the doubled value
     # (2), so each projection is within the Cor. 15 bound of 2 * value
-    inst = random_instance(_trial_params(301, 18, 7))
+    inst = suite200_instances()[18]
     monkeypatch.setattr(certify, "min_xpath_hitting_set", _raise)
     cert = solve_xpaths(_above_oracle_limits(inst.graph), inst.X)
     assert (cert.value, len(cert.separator)) == (1, 2)
@@ -400,7 +389,7 @@ def test_xpaths_above_oracle_limits_keeps_a_projection_within_cor15(monkeypatch)
 
 def test_xpaths_above_oracle_limits_searches_when_the_doubled_cut_is_large():
     # suite200 instance 3: a doubled cut of 3 against a doubled value of 2
-    inst = random_instance(_trial_params(301, 3, 7))
+    inst = suite200_instances()[3]
     small = solve_xpaths(inst.graph, inst.X)
     cert = solve_xpaths(_above_oracle_limits(inst.graph), inst.X)
     assert cert.checks["separator_from_oracle"] is True
@@ -413,8 +402,7 @@ def _nontrivial_suite200(count):
     and Y nonempty; s and t are the least X and Y vertices, or None where
     they coincide or an edge joins them."""
     out = []
-    for i in range(200):
-        inst = random_instance(_trial_params(301, i, 7))
+    for inst in suite200_instances():
         if not (inst.X and inst.Y):
             continue
         g = inst.graph
@@ -465,7 +453,7 @@ def _families():
 def _xpath_instances():
     """(graph, X) of the suite200 instances with X nonempty and of the
     first 20 draws of the benchmark's `xpaths` family, seed 101."""
-    suite = [random_instance(_trial_params(301, i, 7)) for i in range(200)]
+    suite = list(suite200_instances())
     bench = [parse_instance(text) for text in _families().FAMILIES["xpaths"].instances(101)[:20]]
     return [(inst.graph, inst.X) for inst in suite + bench if inst.X]
 
@@ -528,8 +516,7 @@ def test_folded_primal_is_even_at_every_integral_point():
     # handshake: every vertex but s has as many plus as minus ends, so an
     # even degree, and x_f is the degree at s
     checked, packings = 0, 0
-    for i in range(200):
-        inst = random_instance(_trial_params(301, i, 7))
+    for inst in suite200_instances():
         if not inst.X:
             continue
         g_prime, f, side, *_ = doubled_split(inst.graph, inst.X)
@@ -636,7 +623,7 @@ def test_no_turnaround_equality_on_dag_encoding():
 
 
 def test_no_turnaround_equality_fig1a_not_applicable():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     verdict = check_no_turnaround_equality(g, X, Y)
     assert not verdict.applicable
     assert verdict.holds is None
@@ -651,7 +638,7 @@ def test_no_turnaround_equality_edgeless():
 
 
 def test_certificates_are_deterministic():
-    g, X, Y = fig1b()
+    g, X, Y = shipped("fig1b")
     a = solve_menger(g, X, Y)
     b = solve_menger(g, X, Y)
     assert a == b
@@ -663,8 +650,8 @@ def test_decomposed_links_classify_in_split_graph(rng):
         s, t = g.vertices[0], g.vertices[1]
         if any({e.u, e.v} == {s, t} for e in g.edges):
             continue
-        g_prime, f, smap, x, xf = st_pipeline(g, s, t)
-        dec = decompose_packing(g_prime, f, x, xf)
+        g_prime, f, smap, chosen, xf = st_pipeline(g, s, t)
+        dec = decompose_packing(g_prime, f, chosen, xf)
         assert sum(l.weight for l in dec.links) == xf
         for link in dec.links:
             assert classify_link(g_prime, link, {s}, {t}).kind == link.kind
@@ -740,8 +727,7 @@ def _suite200_st_runs():
     """(graph, s, t) of the `solve-st` runs of `tools/certdump.py` on
     suite200: s and t are the least X and Y vertices, where they differ."""
     out = []
-    for i in range(200):
-        inst = random_instance(_trial_params(301, i, 7))
+    for inst in suite200_instances():
         if inst.X and inst.Y:
             s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
             if s != t:
@@ -754,8 +740,7 @@ def test_separator_fallbacks_return_finite_sizes_on_suite200():
     # which raises rather than return an infinite size; solve_st refuses a
     # direct s-t edge, the one case without a finite internal separator
     searched = 0
-    for i in range(200):
-        inst = random_instance(_trial_params(301, i, 7))
+    for inst in suite200_instances():
         g, X, Y = inst.graph, inst.X, inst.Y
         found = []
         if X and Y:

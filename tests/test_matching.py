@@ -6,20 +6,15 @@ import pytest
 
 from bimenger import oracle_max_links, oracle_st, oracle_xpaths, ratlp
 from bimenger.bigraph import vertex_sort_key
-from bimenger.bmcli import GenParams, _trial_params, random_instance
+from bimenger.bmcli import GenParams, random_instance
 from bimenger.certify import _pairwise_disjoint, decompose_packing
 from bimenger.matching import max_packing
 from bimenger.reduce import attach_terminals, map_links_back, split_and_close
 from bimenger.walks import classify_link, path_link
 
-from .helpers import doubled_split, load_tool
+from .helpers import doubled_split, load_tool, suite200_instances
 
 unions = load_tool("unions")
-SUITE_SEED = 301  # the acceptance suite's seed (suite200)
-
-
-def _suite():
-    return [random_instance(_trial_params(SUITE_SEED, i, 7)) for i in range(200)]
 
 
 def _split(g, X, Y):
@@ -30,9 +25,14 @@ def _split(g, X, Y):
 
 
 def _packing(g_prime, f, chain):
-    """(x_f, links mapped back through ``chain``) of the matching's packing."""
-    x, xf = max_packing(g_prime, f, chain[-1].split_origin)
-    return xf, map_links_back(chain, decompose_packing(g_prime, f, x, xf).links)
+    """(x_f, links mapped back through ``chain``) of the matching's packing,
+    whose chosen edges and x_f satisfy every balance row of (P)."""
+    chosen, xf = max_packing(g_prime, f, chain[-1].split_origin)
+    P = ratlp.build_primal(g_prime, f)
+    point = [xf if name == "xf" else int(int(name[2:]) in chosen) for name in P.names]
+    assert chosen <= {int(name[2:]) for name in P.names[:-1]}
+    assert all(sum(a * x for a, x in zip(row, point)) == 0 for row in P.a_eq)
+    return xf, map_links_back(chain, decompose_packing(g_prime, f, chosen, xf).links)
 
 
 def _check_links(g, links, ends, terminals=frozenset()):
@@ -65,7 +65,7 @@ def _cut_rounds_value(g_prime, f, side=None):
 
 def test_values_are_the_oracle_optima_on_suite200():
     checked = {"solve": 0, "solve-st": 0, "xpaths": 0}
-    for inst in _suite():
+    for inst in suite200_instances():
         g, X, Y = inst.graph, inst.X, inst.Y
         if X and Y:
             assert _menger_value(g, X, Y) == oracle_max_links(g, X, Y).value

@@ -17,21 +17,21 @@ from bimenger import (
     oracle_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.fixtures import fig1a, fig1b, x_triangle
 from bimenger.oracle import has_st_link, has_xy_link, min_separator
 from bimenger.reduce import attach_terminals
 
 from .conftest import random_graph, random_sets
+from .helpers import shipped
 
 
 def test_fig1a_values():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     assert oracle_max_links(g, X, Y).value == 2
     assert oracle_min_separator(g, X, Y).size == 2
 
 
 def test_fig1b_values():
-    g, X, Y = fig1b()
+    g, X, Y = shipped("fig1b")
     assert oracle_max_links(g, X, Y).value == 2
     sep = oracle_min_separator(g, X, Y)
     assert sep.size == 1
@@ -45,7 +45,7 @@ def test_edgeless_zero():
 
 
 def test_packing_witness_verifies():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     pk = oracle_max_links(g, X, Y)
     assert pk.value == sum(l.weight for l in pk.links)
     seen = set()
@@ -56,7 +56,7 @@ def test_packing_witness_verifies():
 
 
 def test_separator_witness_verifies():
-    g, X, Y = fig1b()
+    g, X, Y = shipped("fig1b")
     sep = oracle_min_separator(g, X, Y)
     assert not has_xy_link(delete_vertices(g, sep.vertices), X, Y)
 
@@ -94,7 +94,7 @@ def test_st_equal_terminals():
 
 
 def test_st_on_gadgeted_fig1a_matches_set_version():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     pk, sep = oracle_st(g_hat, s, t, max_vertices=14, max_edges=24)
     assert pk.value == 2
@@ -107,7 +107,7 @@ def test_xpaths_single_edge():
 
 
 def test_xpaths_triangle_shows_sharp_factor_two():
-    g, X = x_triangle()
+    g, X, _ = shipped("x_triangle")
     packing, hitting = oracle_xpaths(g, X)
     assert (packing, hitting) == (1, 2)
     assert 2 * packing >= hitting

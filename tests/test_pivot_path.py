@@ -12,12 +12,12 @@ from pathlib import Path
 
 from bimenger import ratlp
 from bimenger.bigraph import vertex_sort_key
-from bimenger.bmcli import GenParams, _trial_params, random_instance, run_cli, serialize_instance
+from bimenger.bmcli import GenParams, random_instance, run_cli, serialize_instance
 
+from .helpers import suite200_instances
 from .test_ratlp import _random_bounded_lp, search
 
 FIG1A = Path(__file__).resolve().parent.parent / "fixtures" / "fig1a.bg"
-SUITE_SEED = 301  # the acceptance suite's seed (suite200)
 # GenParams(n, m, seed, 2, 2) s-t draws whose dual root is fractional
 FRACTIONAL_DUAL_ST = [(5, 8, 12), (6, 14, 15), (7, 15, 36)]
 
@@ -77,7 +77,7 @@ def _runs(tmp_path):
     paths = [("fig1a", FIG1A)]
     for i in range(10):
         path = tmp_path / f"suite200-{i:03d}.bg"
-        path.write_text(serialize_instance(random_instance(_trial_params(SUITE_SEED, i, 7))),
+        path.write_text(serialize_instance(suite200_instances()[i]),
                         encoding="utf-8")
         paths.append((f"suite200/{i:03d}", path))
     for name, path in paths:

@@ -22,13 +22,11 @@ from bimenger import (
     solve_integral_max,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.bmcli import _trial_params, random_instance
-from bimenger.fixtures import fig1a
 from bimenger.ratlp import _scaled_int_row, dual_vectors
 from bimenger.reduce import attach_terminals, split_and_close
 
 from .conftest import random_graph, random_sets
-from .helpers import doubled_split, primal_vectors
+from .helpers import doubled_split, primal_vectors, shipped, suite200_instances
 
 
 def lp(c, a, b, bounds, names=None):
@@ -105,7 +103,7 @@ def test_exactness_randomized(rng):
 
 
 def test_primal_shape():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
     P = build_primal(g_prime, f)
@@ -118,7 +116,7 @@ def test_primal_shape():
 
 
 def test_dual_shape_and_variable_count():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
     P = build_primal(g_prime, f)
@@ -134,10 +132,10 @@ def _pipeline_programs():
     """(split graph, f, side) of every program that the pipelines build on
     fig1a and the first 20 suite200 instances: the full programs of the
     set version and the folded s-side programs of the X-path version."""
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     instances = [(g, X, Y)] + [
         (inst.graph, inst.X, inst.Y)
-        for inst in (random_instance(_trial_params(301, i, 7)) for i in range(20))
+        for inst in suite200_instances()[:20]
     ]
     out = []
     for g, X, Y in instances:
@@ -209,7 +207,7 @@ def test_solving_one_problem_twice_gives_equal_solutions():
     assert first.status == "optimal"
     assert simplex_max(p) == first
     assert rows == ([1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, -1])
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
     P = build_primal(g_prime, f)
@@ -220,7 +218,7 @@ def test_solving_one_problem_twice_gives_equal_solutions():
 
 def test_strong_duality_on_figures_and_randoms(rng):
     cases = []
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     cases.append((g, X, Y))
     for _ in range(8):
         g = random_graph(rng, rng.randrange(2, 6), rng.randrange(0, 8))
@@ -420,7 +418,7 @@ def test_no_tableau_row_holds_a_frozen_artificial(monkeypatch):
         return dual(tab)
 
     monkeypatch.setattr(ratlp._Tableau, "dual", checked)
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
     P = build_primal(g_prime, f)

@@ -14,7 +14,6 @@ from bimenger import (
     oracle_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.fixtures import fig1a, x_triangle
 from bimenger.reduce import (
     UnmappableEdge,
     attach_terminals,
@@ -26,18 +25,24 @@ from bimenger.reduce import (
 from bimenger.walks import Link, Walk, check_walk
 
 from .conftest import random_graph, random_sets
-from .helpers import lift_link_through_terminal, lift_walk_through_split
+from .helpers import (
+    gadget_of,
+    lift_link_through_terminal,
+    lift_walk_through_split,
+    shipped,
+    split_edge_of,
+)
 
 
 def test_attach_sizes():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     assert g_hat.n == g.n + len(X) + len(Y) + 2
     assert g_hat.m == g.m + 3 * len(X) + 3 * len(Y)
 
 
 def test_attach_normalized_terminals():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     assert all(e.sign_at(s) is MINUS for e in g_hat.incident(s))
     assert all(e.sign_at(t) is PLUS for e in g_hat.incident(t))
@@ -151,7 +156,7 @@ def test_split_rejects_bad_terminals():
 
 
 def test_split_sizes():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
     assert g_prime.n == 2 * (g_hat.n - 2) + 2
@@ -165,12 +170,12 @@ def test_split_rejects_direct_edge():
 
 
 def test_split_capacity_structure():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, tmap = attach_terminals(g, X, Y)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    split_edge_of = smap.split_edge_of
-    assert set(split_edge_of) == set(g_hat.vertices) - {s, t}
-    for v, eid in split_edge_of.items():
+    split_edge = split_edge_of(smap)
+    assert set(split_edge) == set(g_hat.vertices) - {s, t}
+    for v, eid in split_edge.items():
         vp, vm = g_prime.edge(eid).endpoints  # v+ then v-
         minus_at_plus = [e for e in g_prime.incident(vp) if e.sign_at(vp) is MINUS]
         plus_at_minus = [e for e in g_prime.incident(vm) if e.sign_at(vm) is PLUS]
@@ -181,7 +186,7 @@ def test_split_capacity_structure():
 
 
 def test_closing_edge_is_unique_plus_at_s():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
     g_prime, f, _ = split_and_close(g_hat, s, t)
     fe = g_prime.edge(f)
@@ -197,7 +202,7 @@ def test_split_path_correspondence():
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
     g_prime, f, smap = split_and_close(g, "s", "t")
-    vp, vm = g_prime.edge(smap.split_edge_of["v"]).endpoints
+    vp, vm = g_prime.edge(split_edge_of(smap)["v"]).endpoints
     paths = enumerate_paths(g_prime, {"s"}, {"t"})
     routed = [p for p in paths if f not in p.edges]
     assert len(routed) == 1
@@ -214,7 +219,7 @@ def test_split_path_counts_randomized(rng):
 
 
 def test_double_sizes_and_disjointness():
-    g, X = x_triangle()
+    g, X, _ = shipped("x_triangle")
     g2, X2 = double_for_xpaths(g, X)
     assert g2.n == 2 * g.n and g2.m == 2 * g.m
     assert not (X & X2)
@@ -222,7 +227,7 @@ def test_double_sizes_and_disjointness():
 
 
 def test_double_oracle_parity():
-    g, X = x_triangle()
+    g, X, _ = shipped("x_triangle")
     g2, X2 = double_for_xpaths(g, X)
     packing, _ = oracle_xpaths(g, X)
     assert oracle_max_links(g2, X, X2).value == 2 * packing
@@ -309,7 +314,7 @@ def test_map_cut_split_edge_to_vertex():
         [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)],
     )
     g_prime, f, smap = split_and_close(g, "s", "t")
-    split_eid = smap.split_edge_of["v"]
+    split_eid = split_edge_of(smap)["v"]
     assert map_cut_to_separator([smap], {split_eid}) == {"v"}
     assert map_cut_to_separator([smap], set()) == frozenset()
 
@@ -335,17 +340,17 @@ def test_map_cut_original_edge_excludes_terminals():
 
 
 def test_map_cut_gadget_edges_charge_the_guarded_vertex():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_hat, s, t, tmap = attach_terminals(g, X, Y)
     g_prime, f, smap = split_and_close(g_hat, s, t)
     origin = tmap.gadget_origin
     for eid, x in list(origin.items())[:4]:
         mapped = map_cut_to_separator([tmap, smap], {eid})
         assert mapped == {x}
-    split_edge_of = smap.split_edge_of
-    for table in (tmap.x_gadget, tmap.y_gadget):
-        for x, xg in table.items():
-            assert map_cut_to_separator([tmap, smap], {split_edge_of[xg]}) == {x}
+    split_edge = split_edge_of(smap)
+    for side in ("X", "Y"):
+        for x, xg in gadget_of(tmap, side).items():
+            assert map_cut_to_separator([tmap, smap], {split_edge[xg]}) == {x}
 
 
 def _check_charging_rule(chain, links, lift):

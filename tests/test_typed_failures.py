@@ -34,7 +34,7 @@ import sys
 assert False, "stripped under -O"
 from bimenger import bmcli, certify
 packing = certify.max_packing
-certify.max_packing = lambda *a: (lambda x, xf: (x, xf + 1))(*packing(*a))
+certify.max_packing = lambda *a: (lambda chosen, xf: (chosen, xf + 1))(*packing(*a))
 sys.exit(bmcli.run_cli(sys.argv[1:]))
 """
 

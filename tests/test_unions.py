@@ -8,10 +8,9 @@ import pytest
 
 from bimenger import certify, oracle_max_links, oracle_min_separator, oracle_xpaths, ratlp
 from bimenger.bmcli import run_cli, serialize_instance
-from bimenger.fixtures import fig1a
 from bimenger.reduce import attach_terminals, split_and_close
 
-from .helpers import doubled_split, load_tool
+from .helpers import doubled_split, load_tool, shipped
 
 unions = load_tool("unions")
 
@@ -121,7 +120,7 @@ def _rounds_per_search(monkeypatch, programs) -> list:
 def test_rounds_per_search_are_pinned(monkeypatch):
     # the certificates take their packing from the matching; the cut
     # rounds on (P) stay pinned, on the programs themselves
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     g_prime, f, side, _ = doubled_split(g, X | Y)
     programs = [_primal(g, X, Y), ratlp.build_primal(g_prime, f, side)]
     for k in (2, 4, 8):

@@ -14,7 +14,6 @@ from bimenger import (
     enumerate_xy_links,
 )
 from bimenger.bigraph import MINUS, PLUS
-from bimenger.fixtures import fig1a, fig1b
 from bimenger.oracle import _exists_almost_path, _exists_path
 from bimenger.walks import (
     Link,
@@ -27,6 +26,7 @@ from bimenger.walks import (
 )
 
 from .conftest import graphs, random_graph
+from .helpers import shipped
 
 
 def test_walk_alternation_valid():
@@ -73,7 +73,7 @@ def test_trivial_path_is_link():
 
 
 def test_classify_fig1a_turnaround():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     xx = Walk(("x1", "x2"), (0,))
     yy = Walk(("y1", "y2"), (3,))
     verdict = classify_link(g, turnaround_link(xx, yy), X, Y)
@@ -81,7 +81,7 @@ def test_classify_fig1a_turnaround():
 
 
 def test_classify_rejects_shared_vertex():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     verdict = classify_link(
         g,
         turnaround_link(Walk(("x1", "x2"), (0,)), Walk(("x2", "x3"), (1,))),
@@ -105,12 +105,12 @@ def test_enumerate_paths_empty():
 
 
 def test_enumerate_paths_fig1a_across_is_empty():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     assert enumerate_paths(g, X, Y) == []
 
 
 def test_enumerate_paths_fig1a_xx_nontrivial():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     paths = enumerate_paths(g, X, X, nontrivial_only=True)
     assert len(paths) == 3
     assert all(len(p.edges) == 1 for p in paths)
@@ -133,19 +133,19 @@ def test_almost_paths_need_alternation_at_far_end():
 
 
 def test_almost_paths_fig1a_none():
-    g, _, _ = fig1a()
+    g, _, _ = shipped("fig1a")
     assert enumerate_almost_paths(g, "x1") == []
 
 
 def test_xy_links_fig1a():
-    g, X, Y = fig1a()
+    g, X, Y = shipped("fig1a")
     links = enumerate_xy_links(g, X, Y)
     assert len(links) == 9
     assert all(l.kind == "turnaround" for l in links)
 
 
 def test_xy_links_fig1b():
-    g, X, Y = fig1b()
+    g, X, Y = shipped("fig1b")
     links = enumerate_xy_links(g, X, Y)
     assert len(links) == 6
     assert all(l.kind == "turnaround" for l in links)

@@ -7,8 +7,9 @@ taken from the paper's Figure 1:
   separator 1, whose LP relaxation reaches 2;
 - `xpaths`: `GenParams(6, 10, 0, 3, 0)`, X-path packing 1 and minimum
   X-path hitting set 2;
-- `fig1a` and `fig1b`: `bimenger.fixtures`' two triangle pairs, for
-  `solve`, packing value 2 and minimum separator 2 and 1.
+- `fig1a` and `fig1b`: the two triangle pairs `fixtures/fig1a.bg` and
+  `fixtures/fig1b.bg`, for `solve`, packing value 2 and minimum
+  separator 2 and 1.
 
 Copy i renames vertex v to `c<i>.v` and keeps every edge, sign and
 terminal-set membership.  No link crosses copies of a disjoint union, so
@@ -36,18 +37,24 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from bimenger.bigraph import MINUS, PLUS, build_graph  # noqa: E402
-from bimenger.bmcli import GenParams, InstanceFile, random_instance, serialize_instance  # noqa: E402
-from bimenger.fixtures import fig1a, fig1b  # noqa: E402
+from bimenger.bmcli import (  # noqa: E402
+    GenParams,
+    InstanceFile,
+    parse_instance,
+    random_instance,
+    serialize_instance,
+)
 
 # per copy: how to build it, its packing value and its minimum separator
 COPIES = {
     "solve": (lambda: random_instance(GenParams(6, 8, 0, 2, 2)), 1, 1),
     "xpaths": (lambda: random_instance(GenParams(6, 10, 0, 3, 0)), 1, 2),
-    "fig1a": (lambda: InstanceFile(*fig1a()), 2, 2),
-    "fig1b": (lambda: InstanceFile(*fig1b()), 2, 1),
+    "fig1a": (lambda: parse_instance((ROOT / "fixtures" / "fig1a.bg").read_text()), 2, 2),
+    "fig1b": (lambda: parse_instance((ROOT / "fixtures" / "fig1b.bg").read_text()), 2, 1),
 }
 
 
