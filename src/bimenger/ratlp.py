@@ -23,6 +23,10 @@ it stops at (not its value) depends on the cuts and the pivots.  A
 certificate runs it on a fractional root of the dual (D) alone: its
 packing, the integral optimum of (P), is a perfect matching
 (``bimenger.matching``).
+
+A pivot divides its pivot row by the pivot, leaving that row in lowest
+terms (an int wherever an entry is integral); its other updates may
+still leave an integral value as a Fraction with denominator 1.
 """
 
 from __future__ import annotations
@@ -229,7 +233,8 @@ class _Tableau:
     def _exchange(self, r, q, t, d, leave_at_upper) -> None:
         """Move the nonbasic column at position q by t and pivot it into
         row r, whose basic column leaves at its upper bound or its lower
-        bound; the reduced costs d are pivoted along."""
+        bound; the reduced costs d are pivoted along.  Row r is divided
+        by the pivot even when it is 1, which leaves it in lowest terms."""
         T = self.T
         if t:
             self._shift(q, t)
@@ -244,11 +249,9 @@ class _Tableau:
 
         prow = T[r]
         piv = prow[q]
-        if piv != 1:
-            for jj, v in enumerate(prow):
-                if v:
-                    prow[jj] = _div(v, piv)
         nz = [jj for jj, v in enumerate(prow) if v]
+        for jj in nz:
+            prow[jj] = _div(prow[jj], piv)
         for i, row in enumerate(T):
             k = row[q]
             if k and i != r:

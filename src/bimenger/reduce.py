@@ -13,14 +13,17 @@ Three constructions feed the LP pipeline:
   X-path packing to turnaround packing between the copies.
 
 Attachment and splitting also return a frozen record of what they built,
-``TerminalMap`` or ``SplitMap``: the tables that are read, each in the
-one direction it is read in, and their own backward maps.  ``walk_back``
-takes a walk back one step, and ``back_vertex`` takes each vertex a
-construction made to the vertex it stands for.  One rule charges a cut
-edge to a separator vertex: the least image of its ends in the original
-graph, terminals excepted (``map_cut_to_separator``).  The doubling
-needs no record: its first copy is the input, where the X-path
-certificate lies (README, "The cut lies on the s side").
+``TerminalMap`` or ``SplitMap``, whose ``back_vertex`` takes each vertex
+the construction made to the vertex it stands for.  Both backward maps
+read one vertex rule: a vertex of the most-derived graph goes to its
+image under the chain's ``back_vertex`` maps.  A link maps back walk by
+walk: original edges are kept, every other edge must join two vertices
+with the same image, and the auxiliary terminals, which have no image,
+may only end a walk (``map_links_back``).  A cut edge is charged to the
+least image of its ends in the original graph, terminals excepted
+(``map_cut_to_separator``).  The doubling needs no record: its first
+copy is the input, where the X-path certificate lies (README, "The cut
+lies on the s side").
 
 The terminal attachment deliberately does not wire x to s by two
 parallel edges: that would create a two-edge closed trail at s standing
@@ -71,10 +74,9 @@ class UnmappableEdge(VerificationFailure):
 class TerminalMap:
     """What ``attach_terminals`` added to ``source`` to make ``derived``.
 
-    ``back_vertex`` gives each gadget vertex and ``gadget_origin`` each
-    gadget edge the X/Y vertex it guards.  The gadget of an X (Y) vertex
-    is the neighbour of s (t) that ``back_vertex`` takes to it, and its
-    edges are in ``derived``.
+    ``back_vertex`` gives each gadget vertex the X/Y vertex it guards.
+    The gadget of an X (Y) vertex is the neighbour of s (t) that
+    ``back_vertex`` takes to it, and its edges are in ``derived``.
     """
 
     source: BidirectedGraph
@@ -82,20 +84,6 @@ class TerminalMap:
     s: VertexId
     t: VertexId
     back_vertex: dict[VertexId, VertexId]
-    gadget_origin: dict[EdgeId, VertexId]
-
-    def walk_back(self, w: Walk) -> Walk:
-        """Remove the two-edge gadget prefix/suffix of an s-t, s-s or t-t walk."""
-        if w.start not in (self.s, self.t) or w.end not in (self.s, self.t):
-            raise InvalidDerivedLink("walk does not start and end at the auxiliary terminals")
-        if len(w.edges) < 4:
-            raise InvalidDerivedLink("walk too short to carry the terminal gadgets")
-        if any(eid not in self.gadget_origin for eid in w.edges[:2] + w.edges[-2:]):
-            raise InvalidDerivedLink("walk does not enter the graph through a gadget")
-        out = Walk(tuple(w.vertices[2:-2]), tuple(w.edges[2:-2]))
-        if not check_walk(self.source, out):
-            raise InvalidDerivedLink("stripped walk is not valid in the source graph")
-        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,28 +102,6 @@ class SplitMap:
     f: EdgeId
     split_origin: dict[EdgeId, VertexId]
     back_vertex: dict[VertexId, VertexId]
-
-    def walk_back(self, w: Walk) -> Walk:
-        """Collapse v+/v- pairs and drop split edges; result lives in ``source``."""
-        if self.f in w.edges:
-            raise InvalidDerivedLink("link uses the closing edge f")
-
-        def back_v(v):
-            return self.back_vertex.get(v, v)
-
-        vertices = [back_v(w.vertices[0])]
-        edges = []
-        for eid, nxt in zip(w.edges, w.vertices[1:]):
-            if eid in self.split_origin:
-                if back_v(nxt) != vertices[-1]:
-                    raise InvalidDerivedLink("split edge does not stay on one original vertex")
-                continue
-            edges.append(eid)
-            vertices.append(back_v(nxt))
-        out = Walk(tuple(vertices), tuple(edges))
-        if not check_walk(self.source, out):
-            raise InvalidDerivedLink("collapsed walk is not valid in the source graph")
-        return out
 
 
 def _fresh(base: str, used: set) -> str:
@@ -178,20 +144,17 @@ def attach_terminals(
 
     edges = list(g.edges)
     eid = _next_eid(edges)
-    gadget_origin: dict[EdgeId, VertexId] = {}
     for (side, v), w in gadget.items():
         terminal, sign = ends[side]
         edges.append(Edge(eid, terminal, w, sign, sign.flip()))
-        gadget_origin[eid] = v
         eid += 1
         for sign_at_v in (PLUS, MINUS):
             edges.append(Edge(eid, w, v, sign, sign_at_v))
-            gadget_origin[eid] = v
             eid += 1
 
     back_vertex = {w: v for (_, v), w in gadget.items()}
     g_hat = BidirectedGraph(g.vertices + (s, t) + tuple(gadget.values()), tuple(edges))
-    return g_hat, s, t, TerminalMap(g, g_hat, s, t, back_vertex, gadget_origin)
+    return g_hat, s, t, TerminalMap(g, g_hat, s, t, back_vertex)
 
 
 def split_and_close(
@@ -290,23 +253,54 @@ def double_for_xpaths(g: BidirectedGraph, X: Iterable) -> tuple[BidirectedGraph,
 # backward maps
 
 
-def map_links_back(map_chain: Sequence[TerminalMap | SplitMap], links: Iterable[Link]) -> list[Link]:
-    """Map links of the most-derived graph back through the chain.
-
-    ``map_chain`` is in application order (original graph first); paths
-    map to paths and turnarounds to turnarounds.
-    """
-    out = list(links)
+def _image(map_chain: Sequence[TerminalMap | SplitMap], v: VertexId) -> VertexId:
+    """v's image under the chain's ``back_vertex`` maps, most-derived first."""
     for rmap in reversed(map_chain):
-        out = [Link(link.kind, tuple(rmap.walk_back(w) for w in link.walks)) for link in out]
-    return out
+        v = rmap.back_vertex.get(v, v)
+    return v
+
+
+def map_links_back(map_chain: Sequence[TerminalMap | SplitMap], links: Iterable[Link]) -> list[Link]:
+    """Map links of the most-derived graph back to the original graph,
+    ``map_chain[0].source``, with ``map_chain`` in application order.
+
+    Each vertex goes to its ``_image``.  An edge of the original graph is
+    kept; any other edge (a gadget edge, a split edge or f) must join two
+    vertices with the same image, and is dropped.  An auxiliary terminal,
+    which has no image, may only end a walk, and goes with the edge that
+    meets it there.  The result must be a walk of the original graph;
+    anything else raises ``InvalidDerivedLink``.
+    """
+    original = map_chain[0].source
+    original_edges = {e.eid for e in original.edges}
+
+    def walk_back(w: Walk) -> Walk:
+        images, edges = [_image(map_chain, v) for v in w.vertices], list(w.edges)
+        if edges and images[0] not in original.vertex_set:
+            del images[0], edges[0]
+        if edges and images[-1] not in original.vertex_set:
+            del images[-1], edges[-1]
+        if not original.vertex_set.issuperset(images):
+            raise InvalidDerivedLink("an auxiliary terminal lies inside the walk")
+        out_vertices, out_edges = images[:1], []
+        for eid, v in zip(edges, images[1:]):
+            if eid in original_edges:
+                out_edges.append(eid)
+                out_vertices.append(v)
+            elif v != out_vertices[-1]:
+                raise InvalidDerivedLink(f"construction edge {eid} joins two original vertices")
+        out = Walk(tuple(out_vertices), tuple(out_edges))
+        if not check_walk(original, out):
+            raise InvalidDerivedLink("mapped walk is not valid in the original graph")
+        return out
+
+    return [Link(link.kind, tuple(map(walk_back, link.walks))) for link in links]
 
 
 def map_cut_to_separator(map_chain: Sequence[TerminalMap | SplitMap], F: Iterable[EdgeId]) -> frozenset:
     """Charge every cut edge to one original vertex: the least, by
-    ``vertex_sort_key``, of the images of its two ends under the chain's
-    ``back_vertex`` maps that lie in the original graph and are not its
-    terminals s and t.
+    ``vertex_sort_key``, of the ``_image``s of its two ends that lie in
+    the original graph and are not its terminals s and t.
 
     So a split edge goes to the vertex it splits, a gadget edge or the
     split edge of a gadget vertex to the X/Y vertex it guards, and an
@@ -317,9 +311,7 @@ def map_cut_to_separator(map_chain: Sequence[TerminalMap | SplitMap], F: Iterabl
     keep = first.source.vertex_set - {first.s, first.t}
     out = set()
     for eid in F:
-        images = derived.edge(eid).endpoints
-        for rmap in reversed(map_chain):
-            images = [rmap.back_vertex.get(v, v) for v in images]
+        images = [_image(map_chain, v) for v in derived.edge(eid).endpoints]
         candidates = [v for v in images if v in keep]
         if not candidates:
             raise UnmappableEdge(f"cut edge {eid} has no original vertex to charge")

@@ -8,6 +8,7 @@ tie-break moves them.
 
 import io
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from bimenger import ratlp
@@ -145,3 +146,24 @@ def test_pivot_path_is_pinned(monkeypatch, tmp_path):
 def test_pivot_path_of_random_integral_searches_is_pinned(monkeypatch):
     # summed over the 300 solves, one per column
     assert tuple(map(sum, zip(*pivot_path(monkeypatch, _random_lps)))) == RANDOM_LPS_TOTAL
+
+
+def test_every_pivot_row_is_left_in_lowest_terms(monkeypatch, tmp_path):
+    # a nonzero integral entry of the pivot row is an int, even after a
+    # unit pivot
+    exchange = ratlp._Tableau._exchange
+    pivots, loose = [0], []
+
+    def checked_exchange(tab, r, *args):
+        exchange(tab, r, *args)
+        pivots[0] += 1
+        if any(v and isinstance(v, Fraction) and v.denominator == 1 for v in tab.T[r]):
+            loose.append(pivots[0])
+
+    with monkeypatch.context() as m:
+        m.setattr(ratlp._Tableau, "_exchange", checked_exchange)
+        for _, run in _runs(tmp_path):
+            run()
+        _random_lps()
+    assert pivots[0] > 0
+    assert loose == []

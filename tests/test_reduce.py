@@ -15,6 +15,7 @@ from bimenger import (
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.reduce import (
+    InvalidDerivedLink,
     UnmappableEdge,
     attach_terminals,
     double_for_xpaths,
@@ -308,6 +309,36 @@ def test_map_gadget_path_collapses_to_trivial():
     assert back.path.is_trivial
 
 
+def test_map_links_back_rejects_walks_that_leave_the_rule():
+    g = build_graph(["x", "v", "y"], [("x", "v", MINUS, PLUS), ("v", "y", MINUS, PLUS)])
+    g_hat, s, t, tmap = attach_terminals(g, {"x"}, {"y"})
+    _, f, smap = split_and_close(g_hat, s, t)
+    up = lift_link_through_terminal(tmap, Link("path", (Walk(("x", "v", "y"), (0, 1)),)))
+    st = lift_walk_through_split(smap, up.path)
+    chain = [tmap, smap]
+    assert map_links_back(chain, [Link("path", (st,))])[0].path.vertices == ("x", "v", "y")
+
+    def rejected(chain, vertices, edges, reason):
+        with pytest.raises(InvalidDerivedLink, match=reason):
+            map_links_back(chain, [Link("path", (Walk(tuple(vertices), tuple(edges)),))])
+
+    # through f: t, an auxiliary terminal, is left inside the walk
+    rejected(chain, st.vertices + (s,), st.edges + (f,), "auxiliary terminal")
+    # out to t and back: t inside the walk
+    rejected(chain, st.vertices + st.vertices[-2::-1], st.edges + st.edges[::-1],
+             "auxiliary terminal")
+
+    # with s and t in the original graph, f joins two original vertices
+    g = build_graph(["s", "v", "t"], [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)])
+    _, f, smap = split_and_close(g, "s", "t")
+    st = lift_walk_through_split(smap, Walk(("s", "v", "t"), (0, 1)))
+    assert map_links_back([smap], [Link("path", (st,))])[0].path.vertices == ("s", "v", "t")
+    rejected([smap], st.vertices + ("s",), st.edges + (f,), f"edge {f} joins")
+    # a split edge that claims to join two original vertices
+    split_v = split_edge_of(smap)["v"]
+    rejected([smap], ("s", smap.derived.edge(split_v).u), (split_v,), f"edge {split_v} joins")
+
+
 def test_map_cut_split_edge_to_vertex():
     g = build_graph(
         ["s", "v", "t"],
@@ -343,14 +374,15 @@ def test_map_cut_gadget_edges_charge_the_guarded_vertex():
     g, X, Y = shipped("fig1a")
     g_hat, s, t, tmap = attach_terminals(g, X, Y)
     g_prime, f, smap = split_and_close(g_hat, s, t)
-    origin = tmap.gadget_origin
-    for eid, x in list(origin.items())[:4]:
-        mapped = map_cut_to_separator([tmap, smap], {eid})
-        assert mapped == {x}
     split_edge = split_edge_of(smap)
     for side in ("X", "Y"):
         for x, xg in gadget_of(tmap, side).items():
-            assert map_cut_to_separator([tmap, smap], {split_edge[xg]}) == {x}
+            # the terminal's edge to xg, the two edges from xg to x, and
+            # the split edge of xg
+            gadget_edges = {e.eid for e in tmap.derived.incident(xg)}
+            assert len(gadget_edges) == 3
+            for eid in gadget_edges | {split_edge[xg]}:
+                assert map_cut_to_separator([tmap, smap], {eid}) == {x}
 
 
 def _check_charging_rule(chain, links, lift):
