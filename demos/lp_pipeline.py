@@ -2,7 +2,9 @@
 """Step through the LP pipeline by hand on one small instance.
 
 Shows each stage the solver normally hides: terminal attachment, vertex
-splitting, the packing program and its dual, support decomposition, and
+splitting, the packing program and its dual (one solve of the dual,
+whose final tableau also holds an optimum of the program, checked as an
+exact pair), support decomposition, and
 the cut that becomes the separator.  Ends with the relaxation-gap
 witness that explains why values come from a perfect matching, not from
 the relaxation.
@@ -16,12 +18,12 @@ from bimenger import (
     extract_cut,
     map_cut_to_separator,
     map_links_back,
-    simplex_max,
     is_integral,
+    simplex_max,
 )
 from bimenger.bigraph import MINUS, PLUS
 from bimenger.matching import max_packing
-from bimenger.ratlp import dual_vectors
+from bimenger.ratlp import dual_vectors, is_feasible, primal_point
 from bimenger.reduce import attach_terminals, split_and_close
 
 # a five-vertex instance with one genuine path and one turnaround
@@ -42,9 +44,15 @@ g_prime, f, smap = split_and_close(g_hat, s, t)
 print("split:", g_prime.n, "vertices,", g_prime.m, "edges, closing edge", f)
 
 P = build_primal(g_prime, f)
-relaxed = simplex_max(P)
-print("relaxed packing LP:", relaxed.objective_value,
-      "(integral:", is_integral(relaxed.values), ")")
+D = build_dual(P)   # read off (P) alone: row k of (D) is column k of (P)
+dsol = simplex_max(D)
+# one solve: a basic optimum of (P) sits in the reduced costs of (D)'s
+# surplus columns, x_k = -d(sl:k)
+x = primal_point(D, dsol)
+print("relaxed packing LP:", x[-1], "(integral:", is_integral(x), ")")
+print("exact LP pair: x feasible for (P):", is_feasible(P, x),
+      " root feasible for (D):", is_feasible(D, dsol.values),
+      " x_f = dual LP:", x[-1] == -dsol.objective_value)
 
 # an integral point of (P) is a perfect matching of the half vertices
 chosen, xf = max_packing(g_prime, f, smap.split_origin)
@@ -55,10 +63,6 @@ links = map_links_back([tmap, smap], dec.links)
 for link in links:
     parts = ["-".join(map(str, w.vertices)) for w in link.walks]
     print("packed", link.kind, "weight", link.weight, ":", " + ".join(parts))
-
-D = build_dual(P)   # read off (P) alone: row k of (D) is column k of (P)
-dsol = simplex_max(D)
-print("dual LP:", -dsol.objective_value, "(equals the primal LP exactly)")
 
 z, y = dual_vectors(D, dsol, g_prime)
 cut = extract_cut(g_prime, f, z, y)
@@ -73,5 +77,6 @@ print()
 g0 = build_graph(["x", "y"], [])
 gh0, s0, t0, _ = attach_terminals(g0, {"x"}, {"y"})
 gp0, f0, smap0 = split_and_close(gh0, s0, t0)
-print("linkless instance: relaxed =", simplex_max(build_primal(gp0, f0)).objective_value,
+D0 = build_dual(build_primal(gp0, f0))
+print("linkless instance: relaxed =", primal_point(D0, simplex_max(D0))[-1],
       " exact =", max_packing(gp0, f0, smap0.split_origin)[1])

@@ -44,7 +44,9 @@ from .ratlp import (
     build_primal,
     dual_integral_columns,
     dual_vectors,
+    is_feasible,
     is_integral,
+    primal_point,
     simplex_max,
     solve_integral_max,
 )
@@ -312,13 +314,13 @@ def _finish_certificate(
     chain: list[TerminalMap | SplitMap], g_prime: BidirectedGraph, f: EdgeId,
     side: Optional[frozenset] = None,
 ) -> MengerCertificate:
-    """Solve (P) and (D), find the packing, decompose it, extract the cut
-    and map both back through ``chain``.  ``simplex_max`` solves (P) and
-    (D), read off (P), cold once each: the plain relaxations.  The
-    packing, an integral optimum of (P), is a perfect matching
-    (``max_packing``) of the split graph, whose split edges the last map
-    of ``chain`` names; the cut rounds of the integral search refine the
-    root of (D), integral on z and y, only when it is fractional.
+    """Solve (D), find the packing, decompose it, extract the cut and map
+    both back through ``chain``.  ``simplex_max`` solves (D), read off
+    (P), cold once; (P)'s optimum x is read off its final tableau, and
+    ``duality`` checks the pair exactly.  The packing, an integral optimum
+    of (P), is a perfect matching (``max_packing``) of the split graph,
+    whose split edges the last map of ``chain`` names; the cut rounds of
+    the integral search refine the root of (D) only when it is fractional.
 
     ``side``, the s side of the doubled split graph of ``solve_xpaths``,
     folds both programs onto it, and the dual is read as 0 off it; this
@@ -326,10 +328,10 @@ def _finish_certificate(
     is matched and decomposed on the whole graph all the same."""
     P = build_primal(g_prime, f, side)
     D = build_dual(P)
-    plp = _optimal("primal relaxation", simplex_max(P))
     chosen, xf = max_packing(g_prime, f, chain[-1].split_origin)
 
     dlp = _optimal("dual relaxation", simplex_max(D))
+    x = primal_point(D, dlp)  # before the integral search refines the tableau
     z, y = dual_vectors(D, dlp, g_prime)
     dual_integral_raw = is_integral(z.values()) and is_integral(y.values())
     if not dual_integral_raw:
@@ -340,11 +342,11 @@ def _finish_certificate(
     links = map_links_back(chain, dec.links)
     cut = extract_cut(g_prime, f, z, y)
     separator = map_cut_to_separator(chain, cut)
-    primal_value = Fraction(plp.objective_value)
+    primal_value = Fraction(x[-1])
     dual_value = -Fraction(dlp.objective_value)
     checks = {
-        "duality": primal_value == dual_value,
-        "primal_integral_raw": is_integral(plp.values),
+        "duality": primal_value == dual_value and is_feasible(P, x) and is_feasible(D, dlp.values),
+        "primal_integral_raw": is_integral(x),
         "dual_integral_raw": dual_integral_raw,
         "lp_tight": primal_value == xf,
         "slack_cycles": dec.slack_cycles,

@@ -14,15 +14,15 @@ ones, and during phase 1 the artificials of rows whose right-hand side
 starts nonzero.  The other artificials are fixed at zero, and leaving
 them out keeps every pivot: a pivot updates each column from that column
 and the entering one alone, and no pivoting rule picks a column whose
-bounds are equal.  Each program is solved cold once.  The integral
-search (``solve_integral_max``) refines that root: it adds rounds of
-Gomory mixed-integer cuts to the root's own tableau, each as a new row
-with its own slack column, and re-optimises with an exact dual simplex
-after each round, until the vertex is integral.  Which integral optimum
-it stops at (not its value) depends on the cuts and the pivots.  A
-certificate runs it on a fractional root of the dual (D) alone: its
-packing, the integral optimum of (P), is a perfect matching
-(``bimenger.matching``).
+bounds are equal.  A certificate solves one program cold, the dual (D),
+whose final tableau holds an optimum of (P) (``primal_point``).  The
+integral search (``solve_integral_max``) refines a cold root: it adds
+rounds of Gomory mixed-integer cuts to the root's own tableau, each as a
+new row with its own slack column, and re-optimises with an exact dual
+simplex after each round, until the vertex is integral.  Which integral
+optimum it stops at (not its value) depends on the cuts and the pivots.
+A certificate runs it on a fractional root of (D) alone: its packing,
+the integral optimum of (P), is a perfect matching (``bimenger.matching``).
 
 A pivot divides its pivot row by the pivot, leaving that row in lowest
 terms (an int wherever an entry is integral); its other updates may
@@ -602,6 +602,29 @@ def dual_vectors(problem: LpProblem, sol: LpSolution, g_prime: BidirectedGraph) 
     z = {v: vals.get(f"zp:{v}", 0) - vals.get(f"zn:{v}", 0) for v in g_prime.vertices}
     y = {e.eid: vals.get(f"y:{e.eid}", 0) for e in g_prime.edges}
     return z, y
+
+
+def primal_point(dual: LpProblem, sol: LpSolution) -> tuple:
+    """A basic optimum x of the (P) behind a (D) of ``build_dual``, edges
+    then x_f, off the final tableau of ``sol``, a cold optimum of (D):
+    x_k = -d(sl:k).  sl:k is -2 times the unit column of row k, so its
+    reduced cost is 2 pi_k for the row duals pi, and x = -2 pi solves the
+    LP dual of (D), which is (P) without its redundant cap on x_f.  Read
+    it before ``solve_integral_max`` refines that tableau in place."""
+    d = sol._tableau.d
+    return tuple(_exact(-d[j]) for j in range(dual.ncols - len(dual.a_eq), dual.ncols))
+
+
+def is_feasible(p: LpProblem, values: Sequence) -> bool:
+    """True iff ``values``, one per column, meet every bound and every
+    equality row of ``p`` exactly."""
+    if len(values) != p.ncols:
+        return False
+    for v, (lo, up) in zip(values, p.bounds):
+        if v < lo or (up is not None and v > up):
+            return False
+    return all(sum(a * v for a, v in zip(row, values) if a) == b
+               for row, b in zip(p.a_eq, p.b_eq))
 
 
 # ---------------------------------------------------------------------------

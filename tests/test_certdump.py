@@ -75,6 +75,24 @@ def test_compare_reports_only_the_runs_that_differ(tmp_path):
     assert out.getvalue() == f"{changed['instance']} {command}: separator\n"
 
 
+def test_compare_names_the_differing_keys_of_an_object_field():
+    certdump = load_tool("certdump")
+    checks = {"duality": True, "primal_integral_raw": False, "slack_cycles": 0}
+    doc = {"value": 1, "lp": {"primal": "1", "dual": "1"}, "checks": checks}
+    record = {"command": ["solve"], "instance": "a", "exit": 0, "stderr": ""}
+    before = [json.dumps({**record, "stdout": json.dumps(doc)})]
+    flipped = {**doc, "checks": {**checks, "primal_integral_raw": True, "slack_cycles": 1}}
+    after = [json.dumps({**record, "stdout": json.dumps(flipped)})]
+    out = io.StringIO()
+    assert certdump.compare(before, after, out) == 1
+    assert out.getvalue() == "a solve: checks.primal_integral_raw, checks.slack_cycles\n"
+    # a key that only one side holds is named too
+    out = io.StringIO()
+    dropped = {**doc, "checks": {"duality": True, "slack_cycles": 0}}
+    assert certdump.compare(before, [json.dumps({**record, "stdout": json.dumps(dropped)})], out) == 1
+    assert out.getvalue() == "a solve: checks.primal_integral_raw\n"
+
+
 @pytest.mark.parametrize("side", ["before", "after"])
 def test_compare_reports_a_run_missing_from_one_dump(side):
     certdump = load_tool("certdump")

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +28,7 @@ from bimenger import (
     solve_xpaths,
 )
 from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
-from bimenger.bmcli import GenParams, parse_instance, random_instance
+from bimenger.bmcli import GenParams, parse_instance, random_instance, run_cli
 from bimenger.certify import _certify, _finish_certificate
 from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_link
 from bimenger.ratlp import (
@@ -45,10 +47,12 @@ from bimenger.walks import check_walk
 
 from .conftest import random_graph, random_sets, recording_cuts
 from .helpers import (
+    ROOT,
     check_no_turnaround_equality,
     chosen_edges,
     doubled_split,
     link_sigma_sum,
+    load_tool,
     primal_vectors,
     shipped,
     split_edge_of,
@@ -609,6 +613,102 @@ def test_finish_certificate_builds_the_primal_once(monkeypatch):
             solve_st(g, s, t)
     assert counts["_finish_certificate"] >= 20
     assert counts["build_primal"] == counts["_finish_certificate"]
+
+
+def _pipeline_programs():
+    """(chain, split graph, f, side) of the certificate step of fig1a and
+    of every suite200 instance, under ``solve`` (X and Y nonempty) and
+    under ``xpaths`` (X nonempty, folded onto the s side)."""
+    g, X, Y = shipped("fig1a")
+    instances = [(g, X, Y)] + [(inst.graph, inst.X, inst.Y) for inst in suite200_instances()]
+    for g, X, Y in instances:
+        if X and Y:
+            g_hat, s, t, tmap = attach_terminals(g, X, Y)
+            g_prime, f, smap = split_and_close(g_hat, s, t)
+            yield [tmap, smap], g_prime, f, None
+        if X:
+            g_prime, f, side, chain = doubled_split(g, X)
+            yield chain, g_prime, f, side
+
+
+def test_finish_certificate_makes_one_cold_solve(monkeypatch):
+    # the cold solve is that of (D); (P)'s point is read off its tableau
+    cold = ratlp._Tableau.all_artificial
+    solves = [0]
+
+    def counted(cls, p):
+        solves[0] += 1
+        return cold(p)
+
+    monkeypatch.setattr(ratlp._Tableau, "all_artificial", classmethod(counted))
+    programs = 0
+    for chain, g_prime, f, side in _pipeline_programs():
+        solves[0] = 0
+        _finish_certificate(chain, g_prime, f, side)
+        assert solves[0] == 1
+        programs += 1
+    assert programs > 300
+
+
+def _fractional_dual_st_programs():
+    """(split graph, f) of the `solve-st` draws of `tools/certdump.py`
+    whose dual root is fractional."""
+    for n, m, seed in load_tool("certdump").FRACTIONAL_DUAL_ST:
+        inst = random_instance(GenParams(n, m, seed, 2, 2))
+        s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+        g_prime, f, _ = split_and_close(inst.graph, s, t)
+        yield g_prime, f
+
+
+def test_the_point_read_off_the_dual_is_an_optimum_of_the_primal():
+    # simplex_max(P) is the reference here only; the certificates never
+    # solve (P)
+    programs = [(g_prime, f, side) for _, g_prime, f, side in _pipeline_programs()]
+    programs += [(g_prime, f, None) for g_prime, f in _fractional_dual_st_programs()]
+    fractional = 0
+    for g_prime, f, side in programs:
+        P = build_primal(g_prime, f, side)
+        D = build_dual(P)
+        root = simplex_max(D)
+        x = ratlp.primal_point(D, root)
+        assert ratlp.is_feasible(P, x)
+        assert ratlp.is_feasible(D, root.values)
+        assert x[-1] == simplex_max(P).objective_value == -root.objective_value
+        fractional += not ratlp.is_integral(root.values[j] for j in ratlp.dual_integral_columns(D))
+    assert len(programs) > 330 and fractional >= 37
+
+
+def _bumped_edge(D, sol):
+    x = ratlp.primal_point(D, sol)
+    return (x[0] + 1, *x[1:])
+
+
+def _bumped_surplus(p):
+    sol = simplex_max(p)
+    return dataclasses.replace(sol, values=(*sol.values[:-1], sol.values[-1] + 1))
+
+
+def _lowered_objective(p):
+    sol = simplex_max(p)
+    return dataclasses.replace(sol, objective_value=sol.objective_value - 1)
+
+
+@pytest.mark.parametrize(
+    "attr, fake",
+    [("primal_point", _bumped_edge), ("simplex_max", _bumped_surplus),
+     ("simplex_max", _lowered_objective)],
+    ids=["primal-point", "dual-point", "dual-objective"],
+)
+def test_duality_fails_on_a_perturbed_pair(monkeypatch, attr, fake):
+    # an edge of (P)'s point, the surplus of f in (D)'s root point or the
+    # root's objective, each moved by one
+    monkeypatch.setattr(certify, attr, fake)
+    g, X, Y = shipped("fig1a")
+    cert = solve_menger(g, X, Y)
+    assert cert.checks["duality"] is False
+    assert failed_checks(cert, "menger") == ["duality"]
+    argv = ["solve", "--input", str(ROOT / "fixtures" / "fig1a.bg")]
+    assert run_cli(argv, io.StringIO(), io.StringIO()) == 2
 
 
 def test_no_turnaround_equality_on_dag_encoding():

@@ -234,6 +234,16 @@ def test_strong_duality_on_figures_and_randoms(rng):
         assert psol.objective_value == -dsol.objective_value
 
 
+def test_is_feasible_checks_every_row_and_bound_exactly():
+    p = lp([1, 1, 0], [[1, 1, 1]], [Fraction(3, 2)], [(0, 1), (0, 1), (0, None)])
+    assert ratlp.is_feasible(p, (1, Fraction(1, 2), 0))
+    assert ratlp.is_feasible(p, (0, 0, Fraction(3, 2)))  # no upper bound on the last
+    assert not ratlp.is_feasible(p, (1, 1, 0))  # the row
+    assert not ratlp.is_feasible(p, (2, 0, Fraction(-1, 2)))  # an upper and a lower bound
+    assert not ratlp.is_feasible(p, (Fraction(3, 2), 0, 0))  # an upper bound
+    assert not ratlp.is_feasible(p, (1, Fraction(1, 2)))  # a column short
+
+
 def test_integral_search_beats_fractional_relaxation():
     sol = simplex_max(
         lp([1, 1, 0], [[1, 1, 1]], [Fraction(3, 2)], [(0, 1), (0, 1), (0, None)],

@@ -52,12 +52,12 @@ def test_every_declared_per_layer_metric_is_traced():
         metrics, missing = _traced([command])
         assert missing == []
         assert sorted(declared - set(metrics)) == []
-        # the primal root is solved where certify calls simplex_max, once
-        # per program, as the dual root is
-        primal_roots = metrics["ratlp.simplex_primal_root.calls"][0]
-        assert primal_roots == metrics["ratlp.simplex_dual_root.calls"][0] > 0
-        assert metrics["ratlp.primal.rows"][0] > 0
-        assert metrics["ratlp.primal.cols"][0] > 0
+        # certify calls simplex_max on (D) alone, once per program: the
+        # point of (P) is read off the final tableau of (D)
+        assert metrics["ratlp.simplex_dual_root.calls"][0] > 0
+        assert metrics["ratlp.simplex_primal_root.calls"][0] == 0
+        assert metrics["ratlp.primal.rows"][0] == metrics["ratlp.primal.cols"][0] == 0
+        assert metrics["ratlp.dual.rows"][0] > 0
 
 
 def test_the_integral_dual_search_is_traced_when_it_runs(tmp_path):

@@ -59,7 +59,7 @@ def _solve_exit(tmp_path, name: str, k: int) -> int:
 
 
 @pytest.mark.xfail(strict=True, reason="the mapped cut keeps 2 vertices per copy, and above "
-                   "the oracle limits no smaller separator is searched (ROADMAP item 11)")
+                   "the oracle limits no smaller separator is searched (ROADMAP item 4)")
 def test_solve_union_of_two_copies_exits_0(tmp_path):
     assert _solve_exit(tmp_path, "solve", 2) == 0
 
@@ -77,7 +77,7 @@ def test_figure1_unions_pack_twice_their_copies(tmp_path, name):
 
 @pytest.mark.xfail(strict=True, reason="the mapped cut keeps 3 vertices per copy (6 > value 4), "
                    "and above the oracle limits no smaller separator is searched "
-                   "(ROADMAP items 4 and 11)")
+                   "(ROADMAP item 4)")
 @pytest.mark.parametrize("name", ["fig1a", "fig1b"])
 def test_figure1_union_of_two_copies_exits_0(tmp_path, name):
     assert _solve_exit(tmp_path, name, 2) == 0

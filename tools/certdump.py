@@ -35,7 +35,9 @@ that differ, among `exit`, `stderr` and the top-level fields of the JSON
 on stdout (`value`, `links`, `separator`, `separator_size`, `lp` and
 `checks` of a certificate; `max_links`, `links`, `min_separator`,
 `separator`, `xpaths` and `st` of an oracle run; `stdout` when it is not
-a JSON object).  A run that only one
+a JSON object).  A field that holds a JSON object in both records is
+compared key by key, and each differing key is named under it, as in
+`checks.primal_integral_raw`.  A run that only one
 dump holds is reported as missing from the other.  It exits 1 when any
 run differs, and 0 otherwise.
 
@@ -152,6 +154,19 @@ def _fields(record: dict) -> dict:
     return {"exit": record["exit"], "stderr": record["stderr"], **fields}
 
 
+def _differing(a: dict, b: dict, prefix: str = "") -> list[str]:
+    """The names of the fields of ``a`` and ``b`` that differ, with the
+    keys of a field that is an object on both sides named one by one."""
+    names = []
+    for name in {**a, **b}:
+        x, y = a.get(name), b.get(name)
+        if isinstance(x, dict) and isinstance(y, dict):
+            names.extend(_differing(x, y, f"{prefix}{name}."))
+        elif x != y:
+            names.append(prefix + name)
+    return names
+
+
 def compare(before: Iterable[str], after: Iterable[str], out: TextIO) -> int:
     """Write a line to ``out`` for each run whose record differs between
     the dump lines ``before`` and ``after``; return how many differ."""
@@ -162,8 +177,7 @@ def compare(before: Iterable[str], after: Iterable[str], out: TextIO) -> int:
         if key not in old or key not in new:
             diff = ["missing from " + ("after" if key in old else "before")]
         else:
-            a, b = _fields(old[key]), _fields(new[key])
-            diff = [name for name in {**a, **b} if a.get(name) != b.get(name)]
+            diff = _differing(_fields(old[key]), _fields(new[key]))
         if diff:
             differing += 1
             out.write(f"{key[0]} {key[1]}: {', '.join(diff)}\n")
