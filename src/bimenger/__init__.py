@@ -76,7 +76,6 @@ from .ratlp import (
     solve_integral_max,
 )
 from .certify import (
-    REQUIRED_CHECKS,
     DualInfeasible,
     MengerCertificate,
     NotBalanced,

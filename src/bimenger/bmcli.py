@@ -230,7 +230,7 @@ def check_instance(inst: InstanceFile) -> list[str]:
     cert = solve_menger(g, X, Y)
     if cert.value != pk.value:
         failures.append(f"certificate value {cert.value} != oracle {pk.value}")
-    failures.extend(f"check {key} failed" for key in failed_checks(cert, "menger"))
+    failures.extend(f"check {key} failed" for key in failed_checks(cert))
     if has_xy_link(delete_vertices(g, cert.separator), X, Y):
         failures.append(f"separator {sorted(map(str, cert.separator))} leaves an X-Y link")
     return failures
@@ -311,9 +311,9 @@ def _print_certificate(cert: MengerCertificate, as_json: bool, out: TextIO) -> N
 # subcommands
 
 
-def _report(cert: MengerCertificate, pipeline: str, as_json: bool, out: TextIO) -> int:
+def _report(cert: MengerCertificate, as_json: bool, out: TextIO) -> int:
     _print_certificate(cert, as_json, out)
-    return EXIT_VERIFY if failed_checks(cert, pipeline) else EXIT_OK
+    return EXIT_VERIFY if failed_checks(cert) else EXIT_OK
 
 
 def _load(path: str) -> InstanceFile:
@@ -333,7 +333,7 @@ def _cmd_solve(args, out: TextIO, err: TextIO) -> int:
         if pk.value != cert.value:
             err.write(f"oracle disagrees: {pk.value} != {cert.value}\n")
             return EXIT_VERIFY
-    return _report(cert, "menger", args.json, out)
+    return _report(cert, args.json, out)
 
 
 def _cmd_solve_st(args, out: TextIO, err: TextIO) -> int:
@@ -343,12 +343,12 @@ def _cmd_solve_st(args, out: TextIO, err: TextIO) -> int:
     if s is None or t is None:
         err.write("solve-st needs terminals (flags --s/--t or terminal lines)\n")
         return EXIT_INPUT
-    return _report(solve_st(inst.graph, s, t), "st", args.json, out)
+    return _report(solve_st(inst.graph, s, t), args.json, out)
 
 
 def _cmd_xpaths(args, out: TextIO, err: TextIO) -> int:
     inst = _load(args.input)
-    return _report(solve_xpaths(inst.graph, inst.X), "xpaths", args.json, out)
+    return _report(solve_xpaths(inst.graph, inst.X), args.json, out)
 
 
 def _cmd_oracle(args, out: TextIO, err: TextIO) -> int:

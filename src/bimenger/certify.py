@@ -71,6 +71,10 @@ class DualInfeasible(VerificationFailure):
     """The (z, y) pair violates the dual constraints."""
 
 
+# The checks every certificate must pass, besides its separator bound.
+_PACKING_CHECKS = ("duality", "links_classified", "links_disjoint", "separator_verified")
+
+
 @dataclasses.dataclass(frozen=True)
 class MengerCertificate:
     """Packing, separator and LP artifacts for one solved instance.
@@ -79,7 +83,9 @@ class MengerCertificate:
     for the X-path pipeline it is the number of packed paths).
     ``primal_value``/``dual_value`` are the plain LP optima, which can
     exceed ``value`` on instances where the relaxation is not tight; the
-    ``checks`` record says which guarantees were verified.
+    ``checks`` record says which guarantees were verified; ``required``
+    (not printed) names those it must pass, with the separator bound of
+    its pipeline once ``_certify`` has seen it.
     """
 
     value: int
@@ -88,6 +94,7 @@ class MengerCertificate:
     primal_value: Fraction
     dual_value: Fraction
     checks: dict
+    required: tuple[str, ...] = _PACKING_CHECKS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,28 +217,17 @@ def _optimal(what: str, sol: LpSolution) -> LpSolution:
     return sol
 
 
-# The checks a certificate must pass before bmcli exits 0, per pipeline.
-# The last one is the separator bound the pipeline proves: |S| <= value
-# (the theorem), or |S| <= 2 value for X-paths (Cor. 15).  A check fails
-# unless it is True.
-_PACKING_CHECKS = ("duality", "links_classified", "links_disjoint", "separator_verified")
-REQUIRED_CHECKS = {
-    "menger": _PACKING_CHECKS + ("separator_within_value",),
-    "st": _PACKING_CHECKS + ("separator_within_value",),
-    "xpaths": _PACKING_CHECKS + ("cor15_bound",),
-}
-
-
-def failed_checks(cert: MengerCertificate, pipeline: str) -> list[str]:
-    """The required checks of ``pipeline`` that ``cert`` fails."""
-    return [key for key in REQUIRED_CHECKS[pipeline] if cert.checks.get(key) is not True]
+def failed_checks(cert: MengerCertificate) -> list[str]:
+    """The checks in ``cert.required`` that ``cert`` fails; bmcli exits 0
+    only when there are none.  A check fails unless it is True."""
+    return [key for key in cert.required if cert.checks.get(key) is not True]
 
 
 def _trivial_certificate() -> MengerCertificate:
     """Value 0, no links and an empty separator, with the LP keys that
     ``_finish_certificate`` sets: an empty X or Y leaves nothing to pack."""
     checks = dict(duality=True, primal_integral_raw=True, dual_integral_raw=True,
-                  lp_tight=True, slack_cycles=0, separator_from_oracle=False)
+                  lp_tight=True, slack_cycles=0)
     return MengerCertificate(0, (), frozenset(), Fraction(0), Fraction(0), checks)
 
 
@@ -267,26 +263,28 @@ def _certify(
     link through it; and every link of ``g`` lifts to such a link (the
     round-trip lift tests).  A separator larger than ``cert.value`` gives
     way to the minimum that ``oracle_search`` finds, where it can run,
-    and only a separator the certificate keeps is tested.
-    ``bound`` is the check key and the limit of the separator bound the
-    pipeline proves.  ``terminals`` (s and t of the two-terminal version)
-    lie on every link, so the disjointness check ignores them.
+    and only a separator the certificate keeps is tested.  ``bound`` is
+    the check key and the limit of the separator bound the pipeline
+    proves, |S| <= value or |S| <= 2 value (Cor. 15), which the
+    certificate requires with the packing checks.  ``terminals`` (s and
+    t of the two-terminal version) lie on every link, so the
+    disjointness check ignores them.
     """
-    checks = dict(cert.checks)
-    if len(separator) > cert.value and oracle_search is not None:
-        separator, verified = oracle_search().vertices, True
-        checks["separator_from_oracle"] = True
-    else:
-        verified = separates is None or separates(separator)
+    from_oracle = len(separator) > cert.value and oracle_search is not None
+    if from_oracle:
+        separator = oracle_search().vertices
     key, limit = bound
+    checks = dict(cert.checks)
     checks.update(
-        separator_verified=verified,
+        separator_from_oracle=from_oracle,
+        separator_verified=from_oracle or separates is None or separates(separator),
         separator_within_value=len(separator) <= cert.value,
         links_classified=all(classify_link(g, lk, *ends).kind == lk.kind for lk in cert.links),
         links_disjoint=_pairwise_disjoint(cert.links, terminals),
     )
     checks[key] = len(separator) <= limit
-    return dataclasses.replace(cert, separator=separator, checks=checks)
+    return dataclasses.replace(cert, separator=separator, checks=checks,
+                               required=_PACKING_CHECKS + (key,))
 
 
 def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertificate:
@@ -301,8 +299,8 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
     cert = _trivial_certificate()
     if X and Y:
         g_hat, s, t, tmap = attach_terminals(g, X, Y)
-        g_prime, f, smap = split_and_close(g_hat, s, t)
-        cert = _finish_certificate([tmap, smap], g_prime, f)
+        *_, smap = split_and_close(g_hat, s, t)
+        cert = _finish_certificate([tmap, smap])
     return _certify(
         cert, g, (X, Y), cert.separator, None,
         (lambda: oracle_min_separator(g, X, Y)) if within_limits(g) else None,
@@ -311,24 +309,26 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
 
 
 def _finish_certificate(
-    chain: list[TerminalMap | SplitMap], g_prime: BidirectedGraph, f: EdgeId,
-    side: Optional[frozenset] = None,
+    chain: list[TerminalMap | SplitMap], side: Optional[frozenset] = None,
 ) -> MengerCertificate:
-    """Solve (D), find the packing, decompose it, extract the cut and map
-    both back through ``chain``.  ``simplex_max`` solves (D), read off
-    (P), cold once; (P)'s optimum x is read off its final tableau, and
-    ``duality`` checks the pair exactly.  The packing, an integral optimum
-    of (P), is a perfect matching (``max_packing``) of the split graph,
-    whose split edges the last map of ``chain`` names; the cut rounds of
-    the integral search refine the root of (D) only when it is fractional.
+    """The LP facts of a certificate: solve (D), find the packing,
+    decompose it, extract the cut and map both back through ``chain``,
+    whose last map holds the split graph, f and the split edges.
+    ``simplex_max`` solves (D), read off (P), cold once; (P)'s optimum x
+    is read off its final tableau, and ``duality`` checks the pair
+    exactly.  The packing, an integral optimum of (P), is a perfect
+    matching (``max_packing``) of the split graph; the cut rounds of the
+    integral search refine the root of (D) only when it is fractional.
 
     ``side``, the s side of the doubled split graph of ``solve_xpaths``,
     folds both programs onto it, and the dual is read as 0 off it; this
     gives optima of the full programs (README, "The fold").  The packing
     is matched and decomposed on the whole graph all the same."""
+    smap = chain[-1]
+    g_prime, f = smap.derived, smap.f
     P = build_primal(g_prime, f, side)
     D = build_dual(P)
-    chosen, xf = max_packing(g_prime, f, chain[-1].split_origin)
+    chosen, xf = max_packing(g_prime, f, smap.split_origin)
 
     dlp = _optimal("dual relaxation", simplex_max(D))
     x = primal_point(D, dlp)  # before the integral search refines the tableau
@@ -350,7 +350,6 @@ def _finish_certificate(
         "dual_integral_raw": dual_integral_raw,
         "lp_tight": primal_value == xf,
         "slack_cycles": dec.slack_cycles,
-        "separator_from_oracle": False,
     }
     return MengerCertificate(
         value=xf,
@@ -366,8 +365,8 @@ def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     """Maximum internally vertex-disjoint s-t link packing; the separator
     avoids both terminals.  A direct s-t edge is refused, since no
     internal vertex set can separate it."""
-    g_prime, f, smap = split_and_close(g, s, t)
-    cert = _finish_certificate([smap], g_prime, f)
+    *_, smap = split_and_close(g, s, t)
+    cert = _finish_certificate([smap])
     return _certify(
         cert, g, ({s}, {t}), cert.separator, None,
         (lambda: min_st_separator(g, s, t)) if within_limits(g) else None,
@@ -402,7 +401,7 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
         g2, X2 = double_for_xpaths(g, X)
         g_hat, s, t, tmap = attach_terminals(g2, X, X2)
         g_prime, f, smap = split_and_close(g_hat, s, t)
-        doubled = _finish_certificate([tmap, smap], g_prime, f, s_side(g_prime, f))
+        doubled = _finish_certificate([tmap, smap], s_side(g_prime, f))
         paths = tuple(path_link(link.ss_part) for link in doubled.links)
         cert = dataclasses.replace(doubled, value=len(paths), links=paths)
         if paths:

@@ -16,9 +16,7 @@ matching the same way.
 
 Removing one link from an integral point lowers x_f by 1 (a path) or 2
 (a turnaround), so when neither H_{k+1} nor H_{k+2} has a perfect
-matching, no larger k has one.  When s does not reach t without f, as
-in the doubled graph of the X-path pipeline, every link is a
-turnaround, so x_f is even and the step is 2.
+matching, no larger k has one.
 
 H is built once; H_0 is matched by every split edge and each pendant
 with its own absorber.  A step removes absorbers, which exposes their
@@ -26,8 +24,8 @@ pendants, and runs one single-root Edmonds search ("Paths, trees, and
 flowers", 1965) from each exposed vertex, with blossom contraction.
 When H_k has a perfect matching N and M leaves r exposed, the component
 of M and N's symmetric difference at r is an augmenting path, so a
-failed search proves that H_k has none.  Standard library only, and
-integers only.
+failed search proves that H_k has none, and a failed step leaves the
+matching as it was.  Standard library only, and integers only.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from __future__ import annotations
 from typing import Container, Optional
 
 from .bigraph import BidirectedGraph, EdgeId
-from .reduce import s_side
 
 
 def _augment(adj: list, mate: list, live: list, root: int) -> bool:
@@ -143,11 +140,10 @@ def max_packing(
         absorbers.append(side_absorbers)
     live = [True] * len(adj)
 
-    steps = (1, 2) if t in s_side(g_prime, f) else (2,)
     k = 0
     while True:
         trial = None
-        for step in steps:
+        for step in (1, 2):
             if k + step <= min(map(len, absorbers)):
                 removed = [a for each in absorbers for a in each[k:k + step]]
                 trial = _step(adj, mate, live, removed)

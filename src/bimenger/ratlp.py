@@ -623,7 +623,9 @@ def is_feasible(p: LpProblem, values: Sequence) -> bool:
     for v, (lo, up) in zip(values, p.bounds):
         if v < lo or (up is not None and v > up):
             return False
-    return all(sum(a * v for a, v in zip(row, values) if a) == b
+    # points are sparse and may hold Fractions: multiply nonzeros only
+    nonzero = [(j, v) for j, v in enumerate(values) if v]
+    return all(sum(row[j] * v for j, v in nonzero if row[j]) == b
                for row, b in zip(p.a_eq, p.b_eq))
 
 

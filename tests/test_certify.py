@@ -23,6 +23,7 @@ from bimenger import (
     oracle_st,
     oracle_xpaths,
     ratlp,
+    reduce,
     solve_menger,
     solve_st,
     solve_xpaths,
@@ -357,7 +358,28 @@ def test_xpaths_runs_no_set_version_separator_search(monkeypatch):
     for g, X in instances:
         cert = solve_xpaths(g, X)
         assert cert.value == oracle_xpaths(g, X)[0]
-        assert failed_checks(cert, "xpaths") == []
+        assert failed_checks(cert) == []
+
+
+def test_xpaths_walks_the_s_side_once_per_op(monkeypatch):
+    # the fold reads the s side; the matching steps by 1 and 2 on every
+    # graph, so it walks none
+    walks = [0]
+    original = reduce.s_side
+
+    def counted(*args):
+        walks[0] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bimenger") and getattr(module, "s_side", None) is original:
+            monkeypatch.setattr(module, "s_side", counted)
+    instances = [shipped("x_triangle")[:2]]
+    instances += [(inst.graph, inst.X) for inst in suite200_instances() if inst.X]
+    for g, X in instances:
+        walks[0] = 0
+        solve_xpaths(g, X)
+        assert walks[0] == 1
 
 
 def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
@@ -366,8 +388,8 @@ def test_xpaths_separator_from_the_projected_cut_is_not_from_the_oracle():
     cert = solve_xpaths(g, X)
     g2, X2 = double_for_xpaths(g, X)
     g_hat, s, t, tmap = attach_terminals(g2, X, X2)
-    g_prime, f, smap = split_and_close(g_hat, s, t)
-    cut = certify._finish_certificate([tmap, smap], g_prime, f).separator
+    *_, smap = split_and_close(g_hat, s, t)
+    cut = certify._finish_certificate([tmap, smap]).separator
     copy2 = dict(zip(g2.vertices[g.n:], g.vertices))
     projections = {cut & g.vertex_set, frozenset(copy2[v] for v in cut if v in copy2)}
     assert cert.separator in projections
@@ -388,7 +410,7 @@ def test_xpaths_above_oracle_limits_keeps_a_projection_within_cor15(monkeypatch)
     cert = solve_xpaths(_above_oracle_limits(inst.graph), inst.X)
     assert (cert.value, len(cert.separator)) == (1, 2)
     assert cert.checks["separator_from_oracle"] is False
-    assert failed_checks(cert, "xpaths") == []
+    assert failed_checks(cert) == []
 
 
 def test_xpaths_above_oracle_limits_searches_when_the_doubled_cut_is_large():
@@ -398,7 +420,7 @@ def test_xpaths_above_oracle_limits_searches_when_the_doubled_cut_is_large():
     cert = solve_xpaths(_above_oracle_limits(inst.graph), inst.X)
     assert cert.checks["separator_from_oracle"] is True
     assert (cert.value, cert.separator) == (small.value, small.separator)
-    assert failed_checks(cert, "xpaths") == []
+    assert failed_checks(cert) == []
 
 
 def _nontrivial_suite200(count):
@@ -437,11 +459,11 @@ def test_solve_and_solve_st_run_no_exhaustive_separator_test(monkeypatch):
     for g, X, Y, s, t in _nontrivial_suite200(20):
         cert = solve_menger(g, X, Y)
         assert cert.value == oracle_max_links(g, X, Y).value
-        assert failed_checks(cert, "menger") == []
+        assert failed_checks(cert) == []
         if s is not None:
             cert = solve_st(g, s, t)
             assert cert.value == oracle_st(g, s, t)[0].value
-            assert failed_checks(cert, "st") == []
+            assert failed_checks(cert) == []
 
 
 def _families():
@@ -474,7 +496,7 @@ def test_folded_xpath_programs_match_the_full_doubled_programs():
         full = solve_integral_max(P, root)
         # the packing decomposes, or _finish_certificate raises
         with recording_cuts() as cuts:
-            folded = _finish_certificate(chain, g_prime, f, side)
+            folded = _finish_certificate(chain, side)
         [(*_, cut)] = cuts
         assert folded.primal_value == root.objective_value
         assert folded.value == full.objective_value
@@ -570,7 +592,7 @@ def test_fractional_dual_fallback_gives_the_same_certificates(monkeypatch, pipel
             cert = solve_xpaths(g, X)
             assert cert.value == oracle_xpaths(g, X)[0]
             assert not _exists_path(delete_vertices(g, cert.separator), X, X, nontrivial_only=True)
-        assert failed_checks(cert, pipeline) == []
+        assert failed_checks(cert) == []
         assert cert.checks["dual_integral_raw"] is False
 
 
@@ -583,7 +605,7 @@ def test_solve_st_certifies_fractional_dual_roots(n, m, seed):
     cert = solve_st(inst.graph, s, t)
     packing, separator = oracle_st(inst.graph, s, t)
     assert cert.checks["dual_integral_raw"] is False
-    assert failed_checks(cert, "st") == []
+    assert failed_checks(cert) == []
     assert cert.value == packing.value
     assert len(cert.separator) == separator.size
 
@@ -642,9 +664,9 @@ def test_finish_certificate_makes_one_cold_solve(monkeypatch):
 
     monkeypatch.setattr(ratlp._Tableau, "all_artificial", classmethod(counted))
     programs = 0
-    for chain, g_prime, f, side in _pipeline_programs():
+    for chain, *_, side in _pipeline_programs():
         solves[0] = 0
-        _finish_certificate(chain, g_prime, f, side)
+        _finish_certificate(chain, side)
         assert solves[0] == 1
         programs += 1
     assert programs > 300
@@ -706,7 +728,7 @@ def test_duality_fails_on_a_perturbed_pair(monkeypatch, attr, fake):
     g, X, Y = shipped("fig1a")
     cert = solve_menger(g, X, Y)
     assert cert.checks["duality"] is False
-    assert failed_checks(cert, "menger") == ["duality"]
+    assert failed_checks(cert) == ["duality"]
     argv = ["solve", "--input", str(ROOT / "fixtures" / "fig1a.bg")]
     assert run_cli(argv, io.StringIO(), io.StringIO()) == 2
 
@@ -805,7 +827,7 @@ def test_certify_tests_the_one_separator_once(separator, confirms, verified, fai
     assert cert.separator == separator
     assert cert.checks["separator_verified"] is verified
     assert cert.checks["separator_from_oracle"] is False
-    assert failed_checks(cert, "menger") == failed
+    assert failed_checks(cert) == failed
 
 
 def test_certify_falls_back_to_the_oracle_above_value():
@@ -813,7 +835,7 @@ def test_certify_falls_back_to_the_oracle_above_value():
     assert cert.separator == SMALL
     assert cert.checks["separator_verified"] is True
     assert cert.checks["separator_from_oracle"] is True
-    assert failed_checks(cert, "menger") == []
+    assert failed_checks(cert) == []
 
 
 def test_certify_keeps_a_separator_within_value():
@@ -877,7 +899,16 @@ def test_solve_st_separators_never_hold_a_terminal():
 
 
 def test_failed_checks_needs_every_required_key():
+    # each certificate names the separator bound its pipeline proves, and
+    # is judged by that bound only
     g = build_graph(["s", "v", "t"], [("s", "v", MINUS, PLUS), ("v", "t", MINUS, PLUS)])
-    cert = solve_st(g, "s", "t")
-    assert failed_checks(cert, "st") == []
-    assert failed_checks(cert, "xpaths") == ["cor15_bound"]
+
+    def flipped(cert, **checks):
+        assert failed_checks(cert) == []
+        return dataclasses.replace(cert, checks={**cert.checks, **checks})
+
+    st = flipped(solve_st(g, "s", "t"), separator_within_value=False)
+    assert failed_checks(st) == ["separator_within_value"]
+    xpaths = flipped(solve_xpaths(g, {"s", "t"}), cor15_bound=False)
+    assert failed_checks(xpaths) == ["cor15_bound"]
+    assert failed_checks(flipped(solve_menger(g, {"s"}, {"t"}), cor15_bound=False)) == []
