@@ -31,11 +31,11 @@ g = build_graph(
 )
 M = incidence_matrix(g)
 print("incidence rows:")
-for vid, row in zip(M.row_ids, M.rows):
-    print(" ", vid, list(row))
-print("2-regular up to order 3:", check_k_regular(M.as_lists(), 2, max_order=3))
+for vid, row in zip(g.vertices, M):
+    print(" ", vid, row)
+print("2-regular up to order 3:", check_k_regular(M, 2, max_order=3))
 
-# switching a vertex flips all its half-edge signs and changes nothing
+# switching a vertex negates all its half-edge signs and changes nothing
 # observable: every packing and separator value is preserved
 h = switch_vertex(g, "v")
 print(

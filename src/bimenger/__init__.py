@@ -19,9 +19,8 @@ from .bigraph import (
     DuplicateVertexId,
     Edge,
     GraphError,
-    IncidenceMatrix,
     LoopRejected,
-    Sign,
+    SignRejected,
     UnknownVertex,
     VerificationFailure,
     build_graph,

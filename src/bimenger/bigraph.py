@@ -1,16 +1,17 @@
 """Bidirected multigraph core: signed edges, deletion, switching, incidence matrix.
 
 A bidirected graph is a multigraph in which every endpoint of every edge
-carries a sign (+ or -).  Vertices and edges keep their insertion order so
-that matrices and certificates built from a graph are reproducible.
+carries a sign, the int ``PLUS`` (+1) or ``MINUS`` (-1), which is also the
+edge's entry at that vertex in the signed incidence matrix.  Vertices and
+edges keep their insertion order so that matrices and certificates built
+from a graph are reproducible.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from enum import Enum
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 VertexId = Hashable
 EdgeId = int
@@ -32,37 +33,17 @@ class DuplicateVertexId(GraphError):
     """The same vertex id was declared twice."""
 
 
+class SignRejected(GraphError):
+    """An edge end carries a sign other than the ints +1 and -1."""
+
+
 class VerificationFailure(Exception):
     """A solver step produced something its own checks reject; the base of
     the typed failures of the reductions and the certificate pipelines."""
 
 
-class Sign(Enum):
-    PLUS = "+"
-    MINUS = "-"
-
-    def flip(self) -> "Sign":
-        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
-
-    @property
-    def unit(self) -> int:
-        """The sign as +1 or -1 (incidence matrix entry)."""
-        return 1 if self is Sign.PLUS else -1
-
-    @staticmethod
-    def from_char(c: str) -> "Sign":
-        if c == "+":
-            return Sign.PLUS
-        if c == "-":
-            return Sign.MINUS
-        raise ValueError(f"not a sign: {c!r}")
-
-    def __str__(self) -> str:
-        return self.value
-
-
-PLUS = Sign.PLUS
-MINUS = Sign.MINUS
+PLUS = 1
+MINUS = -1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,10 +51,10 @@ class Edge:
     eid: EdgeId
     u: VertexId
     v: VertexId
-    sign_u: Sign
-    sign_v: Sign
+    sign_u: int
+    sign_v: int
 
-    def sign_at(self, w: VertexId) -> Sign:
+    def sign_at(self, w: VertexId) -> int:
         if w == self.u:
             return self.sign_u
         if w == self.v:
@@ -153,46 +134,32 @@ class BidirectedGraph:
 
 def build_graph(
     vertex_ids: Iterable[VertexId],
-    edge_specs: Iterable[tuple[VertexId, VertexId, Sign, Sign]],
+    edge_specs: Iterable[tuple[VertexId, VertexId, int, int]],
 ) -> BidirectedGraph:
-    """Build a bidirected graph; edge ids are assigned in input order."""
+    """Build a bidirected graph; edge ids are assigned in input order.
+
+    Every sign must be the int ``PLUS`` or ``MINUS``; a float or bool
+    equal to 1 is refused too, since the LP rows are built from the signs.
+    """
     vertices = tuple(vertex_ids)
-    edges = tuple(
-        Edge(i, u, v, su, sv) for i, (u, v, su, sv) in enumerate(edge_specs)
-    )
-    return BidirectedGraph(vertices, edges)
+    edges = []
+    for i, (u, v, su, sv) in enumerate(edge_specs):
+        if any(type(sign) is not int or sign not in (PLUS, MINUS) for sign in (su, sv)):
+            raise SignRejected(f"edge {i} has signs {su!r}, {sv!r}; a sign is +1 or -1")
+        edges.append(Edge(i, u, v, su, sv))
+    return BidirectedGraph(vertices, tuple(edges))
 
 
-@dataclasses.dataclass(frozen=True)
-class IncidenceMatrix:
-    """Signed incidence matrix: rows = vertices, columns = edges, entries in {-1,0,+1}."""
-
-    row_ids: tuple[VertexId, ...]
-    col_ids: tuple[EdgeId, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, v: VertexId, e: EdgeId) -> int:
-        return self.rows[self.row_ids.index(v)][self.col_ids.index(e)]
-
-    def column_abs_sum(self, j: int) -> int:
-        return sum(abs(row[j]) for row in self.rows)
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-
-def incidence_matrix(g: BidirectedGraph) -> IncidenceMatrix:
-    """entry(v,e) is the sign of e at v as +-1, or 0 when v is not an endpoint."""
+def incidence_matrix(g: BidirectedGraph) -> list[list[int]]:
+    """The signed incidence matrix as rows: row i is ``g.vertices[i]``,
+    column j is ``g.edges[j]``, and an entry is the edge's sign at the
+    vertex, or 0 when the vertex is not an endpoint."""
     vpos = {v: i for i, v in enumerate(g.vertices)}
     rows = [[0] * g.m for _ in range(g.n)]
     for j, e in enumerate(g.edges):
-        rows[vpos[e.u]][j] = e.sign_u.unit
-        rows[vpos[e.v]][j] = e.sign_v.unit
-    return IncidenceMatrix(
-        tuple(g.vertices),
-        tuple(e.eid for e in g.edges),
-        tuple(tuple(r) for r in rows),
-    )
+        rows[vpos[e.u]][j] = e.sign_u
+        rows[vpos[e.v]][j] = e.sign_v
+    return rows
 
 
 def delete_vertices(g: BidirectedGraph, drop: Iterable[VertexId]) -> BidirectedGraph:
@@ -207,13 +174,13 @@ def delete_vertices(g: BidirectedGraph, drop: Iterable[VertexId]) -> BidirectedG
 
 
 def switch_vertex(g: BidirectedGraph, v: VertexId) -> BidirectedGraph:
-    """Flip every half-edge sign at v.  Walk validity is preserved."""
+    """Negate every half-edge sign at v.  Walk validity is preserved."""
     if not g.has_vertex(v):
         raise UnknownVertex(f"cannot switch undeclared vertex {v!r}")
     edges = []
     for e in g.edges:
-        su = e.sign_u.flip() if e.u == v else e.sign_u
-        sv = e.sign_v.flip() if e.v == v else e.sign_v
+        su = -e.sign_u if e.u == v else e.sign_u
+        sv = -e.sign_v if e.v == v else e.sign_v
         edges.append(Edge(e.eid, e.u, e.v, su, sv))
     return BidirectedGraph(g.vertices, tuple(edges))
 

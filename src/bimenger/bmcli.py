@@ -10,9 +10,10 @@ Instance grammar (line oriented, '#' starts a comment):
     terminal s <id>
     terminal t <id>
 
-Ids are whitespace-free tokens; repeated edge lines build parallel
-edges; optional edge labels are accepted and ignored.  Rationals are
-printed as exact "p/q" strings, never floats.
+Ids are whitespace-free tokens; the sign characters '+' and '-' are
+read as the signs +1 and -1; repeated edge lines build parallel edges;
+optional edge labels are accepted and ignored.  Rationals are printed as
+exact "p/q" strings, never floats.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import sys
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .bigraph import (
+    MINUS,
+    PLUS,
     BidirectedGraph,
     GraphError,
-    Sign,
     UnknownVertex,
     VerificationFailure,
     build_graph,
@@ -55,6 +57,9 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_SEPARATOR_INFINITE = 3
 EXIT_BUDGET = 4
+
+_SIGN = {"+": PLUS, "-": MINUS}
+_SIGN_CHAR = {PLUS: "+", MINUS: "-"}
 
 
 class InstanceSyntaxError(Exception):
@@ -109,11 +114,11 @@ def parse_instance(text: str) -> InstanceFile:
             if len(parts) not in (4, 5):
                 raise InstanceSyntaxError(line_no, "edge takes: u v signs [label]")
             u, v, signs = parts[1], parts[2], parts[3]
-            if len(signs) != 2 or any(c not in "+-" for c in signs):
+            if len(signs) != 2 or any(c not in _SIGN for c in signs):
                 raise InstanceSyntaxError(line_no, f"bad sign pair {signs!r}")
             if u not in declared or v not in declared:
                 raise UnknownVertex(f"line {line_no}: edge endpoint not declared")
-            edge_specs.append((u, v, Sign.from_char(signs[0]), Sign.from_char(signs[1])))
+            edge_specs.append((u, v, _SIGN[signs[0]], _SIGN[signs[1]]))
         elif kind == "set":
             if len(parts) < 2 or parts[1] not in ("X", "Y"):
                 raise InstanceSyntaxError(line_no, "set takes X or Y then ids")
@@ -140,7 +145,7 @@ def parse_instance(text: str) -> InstanceFile:
 def serialize_instance(inst: InstanceFile) -> str:
     lines = [f"vertex {v}" for v in inst.graph.vertices]
     for e in inst.graph.edges:
-        lines.append(f"edge {e.u} {e.v} {e.sign_u}{e.sign_v}")
+        lines.append(f"edge {e.u} {e.v} {_SIGN_CHAR[e.sign_u]}{_SIGN_CHAR[e.sign_v]}")
     if inst.X:
         lines.append("set X " + " ".join(sorted(inst.X, key=vertex_sort_key)))
     if inst.Y:
@@ -184,8 +189,8 @@ def random_instance(p: GenParams) -> InstanceFile:
         v = rng.randrange(p.n)
         while v == u:  # loops rejected and redrawn
             v = rng.randrange(p.n)
-        su = Sign.PLUS if rng.randrange(2) else Sign.MINUS
-        sv = Sign.PLUS if rng.randrange(2) else Sign.MINUS
+        su = PLUS if rng.randrange(2) else MINUS
+        sv = PLUS if rng.randrange(2) else MINUS
         edge_specs.append((vertices[u], vertices[v], su, sv))
     X = _sample_distinct(rng, vertices, p.x_size)
     pool = vertices if p.overlap_allowed else [v for v in vertices if v not in X]

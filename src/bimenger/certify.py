@@ -128,9 +128,9 @@ def decompose_packing(g_prime: BidirectedGraph, f: EdgeId, chosen: frozenset, xf
         total = 0
         for e in g_prime.incident(v):
             if e.eid == f:
-                total += fe.sign_at(v).unit * xf
+                total += fe.sign_at(v) * xf
             elif e.eid in chosen:
-                total += e.sign_at(v).unit
+                total += e.sign_at(v)
         if total != 0:
             raise NotBalanced(f"vertex {v!r} has signed degree {total}")
 
@@ -193,14 +193,14 @@ def extract_cut(g_prime: BidirectedGraph, f: EdgeId, z_star: dict, y_star: dict)
     dual objective.  f itself is never a cut edge.
     """
     fe = g_prime.edge(f)
-    lhs_f = fe.sign_u.unit * z_star[fe.u] + fe.sign_v.unit * z_star[fe.v]
+    lhs_f = fe.sign_u * z_star[fe.u] + fe.sign_v * z_star[fe.v]
     if lhs_f < 2:
         raise DualInfeasible(f"z*_s - z*_t = {lhs_f} < 2")
     cut = set()
     for e in g_prime.edges:
         if e.eid == f:
             continue
-        sigma_sum = e.sign_u.unit * z_star[e.u] + e.sign_v.unit * z_star[e.v]
+        sigma_sum = e.sign_u * z_star[e.u] + e.sign_v * z_star[e.v]
         ye = y_star[e.eid]
         if ye < 0 or sigma_sum + 2 * ye < 0:
             raise DualInfeasible(f"edge {e.eid} violates the dual constraint")

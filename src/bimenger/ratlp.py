@@ -516,12 +516,14 @@ def solve_integral_max(p: LpProblem, root: LpSolution,
 def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] = None) -> LpProblem:
     """max x_f  s.t.  M x + a x_f = 0,  0 <= x <= 1,  0 <= x_f <= |E|.
 
-    Cut from the signed incidence matrix of the split graph
-    (``incidence_matrix``): M is its part without the column of f, and a
-    that column.  These are the balance rows (M x + a x_f)/2 = 0, doubled
-    so that every entry is an int.  Doubling keeps the solution set and
-    gives exactly the rows that ``_scaled_int_row`` makes of the halved
-    ones, so the tableau and every pivot are those of the halved program.
+    Cut by position from the rows of the split graph's signed incidence
+    matrix (``incidence_matrix``, rows in ``g_prime.vertices`` order,
+    columns in ``g_prime.edges`` order): M is its part without the column
+    of f, and a that column.  These are the balance rows
+    (M x + a x_f)/2 = 0, doubled so that every entry is an int.  Doubling
+    keeps the solution set and gives exactly the rows that
+    ``_scaled_int_row`` makes of the halved ones, so the tableau and every
+    pivot are those of the halved program.
     The explicit cap on x_f keeps the feasible region a polytope; the
     balance row at s caps x_f at deg(s) anyway, so it is slack-safe.
     Each row is labelled with its vertex (``row_names``).
@@ -532,18 +534,18 @@ def build_primal(g_prime: BidirectedGraph, f: EdgeId, side: Optional[frozenset] 
     "The fold").
     """
     inc = incidence_matrix(g_prime)
-    rows = [i for i, v in enumerate(inc.row_ids) if side is None or v in side]
+    rows = [i for i, v in enumerate(g_prime.vertices) if side is None or v in side]
     cols = [j for j, e in enumerate(g_prime.edges)
             if e.eid != f and (side is None or side.issuperset(e.endpoints))]
     ne = len(cols)
-    cols.append(inc.col_ids.index(f))
+    cols += [j for j, e in enumerate(g_prime.edges) if e.eid == f]
     return LpProblem(
         c=(0,) * ne + (1,),
-        a_eq=tuple(tuple(inc.rows[i][j] for j in cols) for i in rows),
+        a_eq=tuple(tuple(inc[i][j] for j in cols) for i in rows),
         b_eq=(0,) * len(rows),
         bounds=((0, 1),) * ne + ((0, g_prime.m),),
-        names=tuple(f"x:{inc.col_ids[j]}" for j in cols[:ne]) + ("xf",),
-        row_names=tuple(inc.row_ids[i] for i in rows),
+        names=tuple(f"x:{g_prime.edges[j].eid}" for j in cols[:ne]) + ("xf",),
+        row_names=tuple(g_prime.vertices[i] for i in rows),
     )
 
 

@@ -45,7 +45,6 @@ from .bigraph import (
     BidirectedGraph,
     Edge,
     EdgeId,
-    Sign,
     UnknownVertex,
     VerificationFailure,
     VertexId,
@@ -146,7 +145,7 @@ def attach_terminals(
     eid = _next_eid(edges)
     for (side, v), w in gadget.items():
         terminal, sign = ends[side]
-        edges.append(Edge(eid, terminal, w, sign, sign.flip()))
+        edges.append(Edge(eid, terminal, w, sign, -sign))
         eid += 1
         for sign_at_v in (PLUS, MINUS):
             edges.append(Edge(eid, w, v, sign, sign_at_v))
@@ -181,12 +180,12 @@ def split_and_close(
         plus_of[v] = _fresh(f"{v}+", used)
         minus_of[v] = _fresh(f"{v}-", used)
 
-    def end(v: VertexId, sign: Sign) -> tuple[VertexId, Sign]:
+    def end(v: VertexId, sign: int) -> tuple[VertexId, int]:
         if v == s:
             return s, MINUS
         if v == t:
             return t, PLUS
-        return (plus_of[v] if sign is PLUS else minus_of[v]), sign
+        return (plus_of[v] if sign == PLUS else minus_of[v]), sign
 
     vertices = [s, t]
     for v in non_terminals:

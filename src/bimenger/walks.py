@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Container, Iterable, Iterator, NamedTuple, Optional
 
-from .bigraph import BidirectedGraph, EdgeId, Sign, VertexId
+from .bigraph import BidirectedGraph, EdgeId, VertexId
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,7 +194,7 @@ def classify_link(g: BidirectedGraph, candidate: Link, X: Iterable, Y: Iterable)
 def alternating_paths(
     g: BidirectedGraph,
     start: VertexId,
-    sign: Optional[Sign] = None,
+    sign: Optional[int] = None,
     avoid: Container = frozenset(),
     stop: Container = frozenset(),
 ) -> Iterator[tuple[list, list]]:

@@ -92,7 +92,7 @@ def link_sigma_sum(g: BidirectedGraph, z: dict, link: Link):
     for w in link.walks:
         for eid in w.edges:
             e = g.edge(eid)
-            total += e.sign_u.unit * z[e.u] + e.sign_v.unit * z[e.v]
+            total += e.sign_u * z[e.u] + e.sign_v * z[e.v]
     return total
 
 
@@ -138,8 +138,8 @@ def lift_link_through_terminal(tmap: TerminalMap, link: Link) -> Link:
         if w.is_trivial:
             signs = (PLUS, MINUS)
         else:
-            signs = (g_hat.edge(w.edges[0]).sign_at(w.start).flip(),
-                     g_hat.edge(w.edges[-1]).sign_at(w.end).flip())
+            signs = (-g_hat.edge(w.edges[0]).sign_at(w.start),
+                     -g_hat.edge(w.edges[-1]).sign_at(w.end))
         (va, ea), (vb, eb) = entry(w.start, start_side, signs[0]), entry(w.end, end_side, signs[1])
         return Walk(va + w.vertices + vb[::-1], ea + w.edges + eb[::-1])
 
@@ -162,7 +162,7 @@ def lift_walk_through_split(smap: SplitMap, w: Walk) -> Walk:
         if v in (s, t):
             return v
         split = g_prime.edge(split_edge[v])  # minus at v+, plus at v-
-        return split.u if sign is PLUS else split.v
+        return split.u if sign == PLUS else split.v
 
     vertices = []
     edges = []

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -259,6 +260,21 @@ def test_cli_gen_roundtrips():
     assert out == out2
     inst = parse_instance(out)
     assert inst.graph.n == 5 and inst.graph.m == 6
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--vertices", "5", "--edges", "8", "--seed", "320010314", "--x", "2", "--y", "2"),
+     "b0e876a65a2ccf75f0996c6724a9587be8d11c6f50b1daec6bf963e96610f4a9"),
+    (("--vertices", "9", "--edges", "16", "--seed", "303011", "--x", "2", "--y", "2"),
+     "08e0a47a1a604c4136d0875c29ea1109e5cee4846f334d9e936c9f88f69ce2dd"),
+    (("--vertices", "12", "--edges", "21", "--seed", "4", "--x", "3", "--y", "0"),
+     "a13df8984474f9fb1e21f3a05b2962c4818288672d8baa7d55cabe173458a5e5"),
+])
+def test_cli_gen_text_is_pinned(argv, digest):
+    # the exact bytes of three seeded draws, sign characters included
+    rc, out, err = cli("gen", *argv)
+    assert rc == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_gen_invalid_params():

@@ -153,11 +153,12 @@ def _halved_programs(g_prime, f, side):
     """The rows and right-hand sides of (P) and (D) with the
     half-coefficient balance rows, from the signed incidence of
     ``g_prime``, in the builders' row and column order."""
-    inc = incidence_matrix(g_prime)
+    row = dict(zip(g_prime.vertices, incidence_matrix(g_prime)))
+    col = {e.eid: j for j, e in enumerate(g_prime.edges)}
     vertices = [v for v in g_prime.vertices if side is None or v in side]
     others = [e.eid for e in g_prime.edges
               if e.eid != f and (side is None or {e.u, e.v} <= side)]
-    half = {(v, eid): Fraction(inc.entry(v, eid), 2) for v in vertices for eid in others + [f]}
+    half = {(v, eid): Fraction(row[v][col[eid]], 2) for v in vertices for eid in others + [f]}
     primal = [([half[v, eid] for eid in others + [f]], 0) for v in vertices]
     ne = len(others)
     dual = []
@@ -458,7 +459,7 @@ def test_kregular_scalar():
 def test_kregular_incidence_matrices_randomized(rng):
     for _ in range(6):
         g = random_graph(rng, rng.randrange(2, 6), rng.randrange(1, 7))
-        M = incidence_matrix(g).as_lists()
+        M = incidence_matrix(g)
         assert check_k_regular(M, 2, max_order=4)
         half = [[Fraction(v, 2) for v in row] for row in M]
         assert check_k_regular(half, 1, max_order=4)

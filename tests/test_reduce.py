@@ -45,8 +45,8 @@ def test_attach_sizes():
 def test_attach_normalized_terminals():
     g, X, Y = shipped("fig1a")
     g_hat, s, t, _ = attach_terminals(g, X, Y)
-    assert all(e.sign_at(s) is MINUS for e in g_hat.incident(s))
-    assert all(e.sign_at(t) is PLUS for e in g_hat.incident(t))
+    assert all(e.sign_at(s) == MINUS for e in g_hat.incident(s))
+    assert all(e.sign_at(t) == PLUS for e in g_hat.incident(t))
     assert len(g_hat.incident(s)) == len(X)
     assert len(g_hat.incident(t)) == len(Y)
 
@@ -139,12 +139,12 @@ def test_split_forces_terminal_signs(rng):
     for g in _st_draws(rng, 30, (4, 8), (0, 10)):
         s, t = g.vertices[0], g.vertices[1]
         g_prime, f, _ = split_and_close(g, s, t)
-        assert all(e.sign_at(s) is MINUS for e in g_prime.incident(s) if e.eid != f)
-        assert all(e.sign_at(t) is PLUS for e in g_prime.incident(t) if e.eid != f)
+        assert all(e.sign_at(s) == MINUS for e in g_prime.incident(s) if e.eid != f)
+        assert all(e.sign_at(t) == PLUS for e in g_prime.incident(t) if e.eid != f)
         assert len(g_prime.incident(s)) == len(g.incident(s)) + 1
         assert len(g_prime.incident(t)) == len(g.incident(t)) + 1
-        forced += any(e.sign_at(s) is PLUS for e in g.incident(s))
-        forced += any(e.sign_at(t) is MINUS for e in g.incident(t))
+        forced += any(e.sign_at(s) == PLUS for e in g.incident(s))
+        forced += any(e.sign_at(t) == MINUS for e in g.incident(t))
     assert forced >= 5
 
 
@@ -178,8 +178,8 @@ def test_split_capacity_structure():
     assert set(split_edge) == set(g_hat.vertices) - {s, t}
     for v, eid in split_edge.items():
         vp, vm = g_prime.edge(eid).endpoints  # v+ then v-
-        minus_at_plus = [e for e in g_prime.incident(vp) if e.sign_at(vp) is MINUS]
-        plus_at_minus = [e for e in g_prime.incident(vm) if e.sign_at(vm) is PLUS]
+        minus_at_plus = [e for e in g_prime.incident(vp) if e.sign_at(vp) == MINUS]
+        plus_at_minus = [e for e in g_prime.incident(vm) if e.sign_at(vm) == PLUS]
         assert len(minus_at_plus) == 1
         assert len(plus_at_minus) == 1
         assert minus_at_plus[0].eid == eid
@@ -192,8 +192,8 @@ def test_closing_edge_is_unique_plus_at_s():
     g_prime, f, _ = split_and_close(g_hat, s, t)
     fe = g_prime.edge(f)
     assert {fe.u, fe.v} == {s, t}
-    assert fe.sign_at(s) is PLUS and fe.sign_at(t) is MINUS
-    plus_at_s = [e for e in g_prime.incident(s) if e.sign_at(s) is PLUS]
+    assert fe.sign_at(s) == PLUS and fe.sign_at(t) == MINUS
+    plus_at_s = [e for e in g_prime.incident(s) if e.sign_at(s) == PLUS]
     assert [e.eid for e in plus_at_s] == [f]
 
 
