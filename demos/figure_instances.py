@@ -38,7 +38,7 @@ print("max packing (turnarounds count twice):", pk.value)
 # a separator must destroy one whole triangle's edges; one vertex leaves
 # an edge standing, so the minimum has size 2 and the bound is tight here
 sep = oracle_min_separator(g, X, Y)
-print("min separator:", sorted(sep.vertices))
+print("min separator:", sorted(sep))
 
 cert = solve_menger(g, X, Y)
 print("solver certificate: value", cert.value, "separator", sorted(cert.separator))

@@ -51,7 +51,7 @@ st = build_graph(
     [("s", "m", MINUS, PLUS), ("m", "t", MINUS, PLUS)],
 )
 pk, sep = oracle_st(st, "s", "t")
-print("s-t packing", pk.value, "separator", sorted(sep.vertices))
+print("s-t packing", pk.value, "separator", sorted(sep))
 cert = solve_st(st, "s", "t")
 print("s-t certificate agrees:", cert.value == pk.value)
 

@@ -40,7 +40,6 @@ from .walks import (
 )
 from .oracle import (
     PackingResult,
-    SeparatorResult,
     SizeBoundExceeded,
     oracle_max_links,
     oracle_min_separator,

@@ -230,8 +230,8 @@ def check_instance(inst: InstanceFile) -> list[str]:
     failures = []
     pk = oracle_max_links(g, X, Y)
     sep = oracle_min_separator(g, X, Y)
-    if not pk.value >= sep.size:
-        failures.append(f"min-max violated: packing {pk.value} < separator {sep.size}")
+    if not pk.value >= len(sep):
+        failures.append(f"min-max violated: packing {pk.value} < separator {len(sep)}")
     cert = solve_menger(g, X, Y)
     if cert.value != pk.value:
         failures.append(f"certificate value {cert.value} != oracle {pk.value}")
@@ -364,8 +364,8 @@ def _cmd_oracle(args, out: TextIO, err: TextIO) -> int:
     payload = {
         "max_links": pk.value,
         "links": [_link_json(l) for l in pk.links],
-        "min_separator": len(sep.vertices),
-        "separator": sorted(map(str, sep.vertices)),
+        "min_separator": len(sep),
+        "separator": sorted(map(str, sep)),
     }
     xp = oracle_xpaths(g, inst.X)
     payload["xpaths"] = {"max_packing": xp[0], "min_hitting": xp[1]}
@@ -374,10 +374,10 @@ def _cmd_oracle(args, out: TextIO, err: TextIO) -> int:
         st_pack, st_sep = oracle_st(g, inst.s, inst.t)
         payload["st"] = {
             "max_links": st_pack.value,
-            "min_separator": "infinite" if st_sep.is_infinite else len(st_sep.vertices),
-            "separator": sorted(map(str, st_sep.vertices)),
+            "min_separator": "infinite" if st_sep is None else len(st_sep),
+            "separator": sorted(map(str, st_sep or ())),
         }
-        if st_sep.is_infinite:
+        if st_sep is None:
             exit_code = EXIT_SEPARATOR_INFINITE
     if args.json:
         json.dump(payload, out, indent=2)

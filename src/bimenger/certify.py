@@ -18,7 +18,8 @@ which is a perfect matching of the split graph's half vertices
 Dual solutions are still used to extract the cut F; whenever the
 relaxation is tight, the classic chain |separator| <= |F| <= sum(y*) =
 value goes through, and the certificate records where it did not
-(falling back to the oracle's separator at checkable sizes).
+(falling back to the oracle's separator at checkable sizes).  At value
+0 the exact packing proves the empty separator, so no cut is mapped.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Iterable, Optional
 from .bigraph import BidirectedGraph, EdgeId, VerificationFailure, VertexId, delete_vertices
 from .matching import max_packing
 from .oracle import (
-    SeparatorResult,
     _exists_path,
     min_st_separator,
     min_xpath_hitting_set,
@@ -245,20 +245,20 @@ def _certify(
     cert: MengerCertificate,
     g: BidirectedGraph,
     ends: tuple[set, set],
-    separator: frozenset,
     separates: Optional[Callable[[frozenset], bool]],
-    oracle_search: Optional[Callable[[], SeparatorResult]],
+    oracle_search: Optional[Callable[[], frozenset]],
     bound: tuple[str, int],
     terminals: frozenset = frozenset(),
 ) -> MengerCertificate:
-    """Pick the separator of ``cert``, verify it and check its links.
+    """Verify the separator of ``cert``, or replace it, and check its links.
 
     ``separates(S)`` tells whether no link of ``g`` between ``ends``
-    avoids S.  It is None where the separator is proven: the mapped cut
-    of ``solve_menger`` and ``solve_st`` separates, since ``extract_cut``
-    checked z_s - z_t >= 2, so along any s-t link of the split graph
-    (minus ends at s, plus ends at t) the signed z-sums telescope to
-    (z_t - z_s) * weight < 0 and the link uses an F edge;
+    avoids S.  It is None where the separator is proven: the empty set
+    of a packing of value 0 separates, since the value is exact; and the
+    mapped cut of ``solve_menger`` and ``solve_st`` separates, since
+    ``extract_cut`` checked z_s - z_t >= 2, so along any s-t link of the
+    split graph (minus ends at s, plus ends at t) the signed z-sums
+    telescope to (z_t - z_s) * weight < 0 and the link uses an F edge;
     ``map_cut_to_separator`` charges each F edge to a vertex on every
     link through it; and every link of ``g`` lifts to such a link (the
     round-trip lift tests).  A separator larger than ``cert.value`` gives
@@ -270,9 +270,10 @@ def _certify(
     t of the two-terminal version) lie on every link, so the
     disjointness check ignores them.
     """
+    separator = cert.separator
     from_oracle = len(separator) > cert.value and oracle_search is not None
     if from_oracle:
-        separator = oracle_search().vertices
+        separator = oracle_search()
     key, limit = bound
     checks = dict(cert.checks)
     checks.update(
@@ -292,8 +293,9 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
 
     Pipeline: attach terminals, split and close, exact primal optimum,
     support decomposition, backward mapping, dual cut extraction.  The
-    separator is the mapped cut whenever that respects the theorem bound
-    |S| <= value, and the oracle minimum otherwise (at checkable sizes).
+    separator, the empty set at value 0 and the mapped cut otherwise,
+    stands whenever it respects the theorem bound |S| <= value; the
+    oracle minimum replaces it otherwise (at checkable sizes).
     """
     X, Y = set(X), set(Y)
     cert = _trivial_certificate()
@@ -302,7 +304,7 @@ def solve_menger(g: BidirectedGraph, X: Iterable, Y: Iterable) -> MengerCertific
         *_, smap = split_and_close(g_hat, s, t)
         cert = _finish_certificate([tmap, smap])
     return _certify(
-        cert, g, (X, Y), cert.separator, None,
+        cert, g, (X, Y), None,
         (lambda: oracle_min_separator(g, X, Y)) if within_limits(g) else None,
         ("separator_within_value", cert.value),
     )
@@ -313,7 +315,10 @@ def _finish_certificate(
 ) -> MengerCertificate:
     """The LP facts of a certificate: solve (D), find the packing,
     decompose it, extract the cut and map both back through ``chain``,
-    whose last map holds the split graph, f and the split edges.
+    whose last map holds the split graph, f and the split edges.  The
+    separator is the mapped cut, or the empty set when the packing has
+    value 0: the value is exact, so then no link exists.  The cut is
+    extracted at value 0 all the same, which checks (z, y).
     ``simplex_max`` solves (D), read off (P), cold once; (P)'s optimum x
     is read off its final tableau, and ``duality`` checks the pair
     exactly.  The packing, an integral optimum of (P), is a perfect
@@ -341,7 +346,7 @@ def _finish_certificate(
     dec = decompose_packing(g_prime, f, chosen, xf)
     links = map_links_back(chain, dec.links)
     cut = extract_cut(g_prime, f, z, y)
-    separator = map_cut_to_separator(chain, cut)
+    separator = map_cut_to_separator(chain, cut) if xf else frozenset()
     primal_value = Fraction(x[-1])
     dual_value = -Fraction(dlp.objective_value)
     checks = {
@@ -368,7 +373,7 @@ def solve_st(g: BidirectedGraph, s: VertexId, t: VertexId) -> MengerCertificate:
     *_, smap = split_and_close(g, s, t)
     cert = _finish_certificate([smap])
     return _certify(
-        cert, g, ({s}, {t}), cert.separator, None,
+        cert, g, ({s}, {t}), None,
         (lambda: min_st_separator(g, s, t)) if within_limits(g) else None,
         ("separator_within_value", cert.value),
         terminals=frozenset({s, t}),
@@ -386,17 +391,16 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
     vertex names and edge ids, and the chain maps the s side into it, so
     the kept paths are paths of ``g`` and the mapped folded cut is a
     vertex set of ``g``, with no map back.  The separator is that cut,
-    or the empty set when no path was packed (the value is the exact
-    optimum, so then no X-path exists); one path search on ``g``
-    confirms it.  When it is not within the packing value, the
-    separator is a minimum X-path hitting set of ``g`` instead.  That
-    search is exhaustive, so above the oracle limits it runs only when
-    the doubled cut exceeds the doubled value; otherwise the cut is
-    within 2 * value already.  The guarantee here is |separator| <= 2 *
+    or the empty set when no path was packed, as in every pipeline
+    (``_finish_certificate``); one path search on ``g`` confirms it.
+    When it is not within the packing value, the separator is a minimum
+    X-path hitting set of ``g`` instead.  That search is exhaustive, so
+    above the oracle limits it runs only when the doubled cut exceeds
+    the doubled value; otherwise the cut is within 2 * value already.  The guarantee here is |separator| <= 2 *
     value (checks key cor15_bound).
     """
     X = set(X)
-    cert, separator = _trivial_certificate(), frozenset()
+    cert = _trivial_certificate()
     if X:
         g2, X2 = double_for_xpaths(g, X)
         g_hat, s, t, tmap = attach_terminals(g2, X, X2)
@@ -404,11 +408,9 @@ def solve_xpaths(g: BidirectedGraph, X: Iterable) -> MengerCertificate:
         doubled = _finish_certificate([tmap, smap], s_side(g_prime, f))
         paths = tuple(path_link(link.ss_part) for link in doubled.links)
         cert = dataclasses.replace(doubled, value=len(paths), links=paths)
-        if paths:
-            separator = doubled.separator
-    searchable = within_limits(g) or len(separator) > 2 * cert.value
+    searchable = within_limits(g) or len(cert.separator) > 2 * cert.value
     return _certify(
-        cert, g, (X, X), separator,
+        cert, g, (X, X),
         lambda S: not _exists_path(delete_vertices(g, S), X, X, nontrivial_only=True),
         (lambda: min_xpath_hitting_set(g, X)) if searchable else None,
         ("cor15_bound", 2 * cert.value),

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .bigraph import BidirectedGraph, VerificationFailure, VertexId, delete_vertices, vertex_sort_key
 from .reduce import EqualTerminals
@@ -37,16 +36,6 @@ class SizeBoundExceeded(Exception):
 class PackingResult:
     value: int
     links: tuple[Link, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class SeparatorResult:
-    size: float  # nonnegative integer, or math.inf
-    vertices: frozenset
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.size == math.inf
 
 
 def within_limits(
@@ -158,15 +147,17 @@ def oracle_max_links(
     return PackingResult(value, tuple(sel))
 
 
-def min_separator(g: BidirectedGraph, pool: Iterable, has_link: Callable) -> SeparatorResult:
+def min_separator(g: BidirectedGraph, pool: Iterable, has_link: Callable) -> frozenset:
     """Smallest subset of ``pool`` whose deletion from ``g`` leaves a graph
     on which ``has_link`` is false: subsets in increasing size, each size
-    in lexicographic order, so the first hit is a minimum."""
+    in lexicographic order, so the first hit is a minimum.  It and the
+    searches built on it return the vertex set itself; its size is its
+    ``len``.  When not even the whole pool separates, it raises."""
     ordered = sorted(pool, key=vertex_sort_key)
     for k in range(len(ordered) + 1):
         for S in itertools.combinations(ordered, k):
             if not has_link(delete_vertices(g, S)):
-                return SeparatorResult(k, frozenset(S))
+                return frozenset(S)
     raise VerificationFailure("no vertex set separates, not even the whole pool")
 
 
@@ -176,14 +167,14 @@ def oracle_min_separator(
     Y: Iterable,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_edges: int = DEFAULT_MAX_EDGES,
-) -> SeparatorResult:
+) -> frozenset:
     """Smallest vertex set whose deletion leaves no X-Y link."""
     _check_bounds(g, max_vertices, max_edges)
     X, Y = set(X), set(Y)
     return min_separator(g, g.vertices, lambda h: has_xy_link(h, X, Y))
 
 
-def min_st_separator(g: BidirectedGraph, s: VertexId, t: VertexId) -> SeparatorResult:
+def min_st_separator(g: BidirectedGraph, s: VertexId, t: VertexId) -> frozenset:
     """Smallest set of internal vertices whose deletion leaves no s-t link."""
     return min_separator(g, (v for v in g.vertices if v not in (s, t)),
                          lambda h: has_st_link(h, s, t))
@@ -195,10 +186,10 @@ def oracle_st(
     t: VertexId,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_edges: int = DEFAULT_MAX_EDGES,
-) -> tuple[PackingResult, SeparatorResult]:
+) -> tuple[PackingResult, Optional[frozenset]]:
     """Maximum internally vertex-disjoint s-t links (turnarounds twice) and
-    the minimum internal separator; the separator is infinite when a direct
-    s-t edge makes every internal vertex set insufficient."""
+    the minimum internal separator, which is None when a direct s-t edge
+    makes every internal vertex set insufficient."""
     if s == t:
         raise EqualTerminals(f"terminals coincide: {s!r}")
     _check_bounds(g, max_vertices, max_edges)
@@ -214,11 +205,11 @@ def oracle_st(
     packing = PackingResult(value + len(direct), tuple(direct) + tuple(sel))
 
     if direct:
-        return packing, SeparatorResult(math.inf, frozenset())
+        return packing, None
     return packing, min_st_separator(g, s, t)
 
 
-def min_xpath_hitting_set(g: BidirectedGraph, X: Iterable) -> SeparatorResult:
+def min_xpath_hitting_set(g: BidirectedGraph, X: Iterable) -> frozenset:
     """Smallest vertex set meeting every nontrivial X-X path."""
     X = set(X)
     return min_separator(g, g.vertices, lambda h: _exists_path(h, X, X, nontrivial_only=True))
@@ -239,5 +230,4 @@ def oracle_xpaths(
         (frozenset(p.vertices), Link("path", (p,))) for p in paths
     )
     max_packing, _ = _max_weight_disjoint(items)
-    hitting = min_xpath_hitting_set(g, X)
-    return max_packing, int(hitting.size)
+    return max_packing, len(min_xpath_hitting_set(g, X))

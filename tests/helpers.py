@@ -116,8 +116,8 @@ def check_no_turnaround_equality(g: BidirectedGraph, X: Iterable, Y: Iterable) -
     pack = oracle_max_links(g, X, Y)
     sep = oracle_min_separator(g, X, Y)
     cert = solve_menger(g, X, Y)
-    holds = pack.value == sep.size == cert.value
-    return EqualityVerdict(True, holds, pack.value, int(sep.size))
+    holds = pack.value == len(sep) == cert.value
+    return EqualityVerdict(True, holds, pack.value, len(sep))
 
 
 def lift_link_through_terminal(tmap: TerminalMap, link: Link) -> Link:

@@ -128,7 +128,7 @@ def test_five_vertex_witness_packs_less_than_its_minimum_separator(tmp_path):
     inst = parse_instance(text)
     g, X, Y = inst.graph, inst.X, inst.Y
     assert oracle_max_links(g, X, Y).value == 1
-    assert oracle_min_separator(g, X, Y).size == 2
+    assert len(oracle_min_separator(g, X, Y)) == 2
     cert = solve_menger(g, X, Y)
     assert cert.value == 1
     assert cert.checks["separator_from_oracle"] is True

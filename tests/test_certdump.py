@@ -22,7 +22,8 @@ def test_certdump_writes_one_line_per_run():
     sets = {(r["instance"].rsplit("/", 1)[0], r["command"][0]) for r in records}
     assert sets == {("suite200", "solve"), ("suite200", "xpaths"), ("suite200", "solve-st"),
                     ("suite200", "oracle"), ("above-limits", "solve"), ("above-limits", "xpaths"),
-                    ("fractional-dual", "solve-st"), ("unions", "solve"), ("unions", "xpaths")} | {
+                    ("sparse-above-limits", "solve"), ("fractional-dual", "solve-st"),
+                    ("unions", "solve"), ("unions", "xpaths")} | {
         (f"{name}/{seed}", command)
         for name, command in (("small", "solve"), ("xpaths", "xpaths"))
         for seed in (101, 102, 103)
@@ -51,6 +52,8 @@ def test_certdump_writes_one_line_per_run():
         assert isinstance(doc["value"], int)
         if r["instance"].startswith("fractional-dual/"):
             assert doc["checks"]["dual_integral_raw"] is False
+    # a packing of value 0 proves the empty separator at every size
+    assert next(r["exit"] for r in records if r["instance"] == "sparse-above-limits/11-0") == 0
 
 
 def test_compare_reports_only_the_runs_that_differ(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import io
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,7 @@ from bimenger import (
 from bimenger.bigraph import MINUS, PLUS, vertex_sort_key
 from bimenger.bmcli import GenParams, parse_instance, random_instance, run_cli
 from bimenger.certify import _certify, _finish_certificate
-from bimenger.oracle import SeparatorResult, _exists_path, has_st_link, has_xy_link
+from bimenger.oracle import _exists_path, has_st_link, has_xy_link
 from bimenger.ratlp import (
     build_dual,
     build_primal,
@@ -607,7 +608,7 @@ def test_solve_st_certifies_fractional_dual_roots(n, m, seed):
     assert cert.checks["dual_integral_raw"] is False
     assert failed_checks(cert) == []
     assert cert.value == packing.value
-    assert len(cert.separator) == separator.size
+    assert len(cert.separator) == len(separator)
 
 
 def test_finish_certificate_builds_the_primal_once(monkeypatch):
@@ -787,7 +788,7 @@ def test_certificate_chain_randomized(rng):
         pk = oracle_max_links(g, X, Y)
         sep = oracle_min_separator(g, X, Y)
         assert cert.value == pk.value
-        assert pk.value >= sep.size
+        assert pk.value >= len(sep)
         assert len(cert.separator) <= cert.value
         assert cert.checks["duality"]
         if X and Y:
@@ -804,7 +805,7 @@ def _certify_path(separator, separates, oracle_search=None):
     cert = solve_menger(g, {"x"}, {"y"})
     assert cert.value == 1
     return _certify(
-        cert, g, ({"x"}, {"y"}), separator, separates, oracle_search,
+        dataclasses.replace(cert, separator=separator), g, ({"x"}, {"y"}), separates, oracle_search,
         ("separator_within_value", cert.value),
     )
 
@@ -831,7 +832,7 @@ def test_certify_tests_the_one_separator_once(separator, confirms, verified, fai
 
 
 def test_certify_falls_back_to_the_oracle_above_value():
-    cert = _certify_path(BIG, lambda S: False, lambda: SeparatorResult(1, SMALL))
+    cert = _certify_path(BIG, lambda S: False, lambda: SMALL)
     assert cert.separator == SMALL
     assert cert.checks["separator_verified"] is True
     assert cert.checks["separator_from_oracle"] is True
@@ -859,8 +860,9 @@ def _suite200_st_runs():
 
 def test_separator_fallbacks_return_finite_sizes_on_suite200():
     # the three searches _certify falls back on share oracle.min_separator,
-    # which raises rather than return an infinite size; solve_st refuses a
-    # direct s-t edge, the one case without a finite internal separator
+    # which returns a vertex set or raises, never an infinite size; solve_st
+    # refuses a direct s-t edge, the one case without a finite internal
+    # separator
     searched = 0
     for inst in suite200_instances():
         g, X, Y = inst.graph, inst.X, inst.Y
@@ -870,14 +872,14 @@ def test_separator_fallbacks_return_finite_sizes_on_suite200():
         if X:
             found.append(certify.min_xpath_hitting_set(g, X))
         for sep in found:
-            assert sep.size == len(sep.vertices)
+            assert isinstance(sep, frozenset)
             searched += 1
     for g, s, t in _suite200_st_runs():
         if any({e.u, e.v} == {s, t} for e in g.edges):
             continue
         sep = certify.min_st_separator(g, s, t)
-        assert sep.size == len(sep.vertices)
-        assert not sep.vertices & {s, t}
+        assert isinstance(sep, frozenset)
+        assert not sep & {s, t}
         searched += 1
     assert searched >= 300, searched
 
@@ -912,3 +914,50 @@ def test_failed_checks_needs_every_required_key():
     xpaths = flipped(solve_xpaths(g, {"s", "t"}), cor15_bound=False)
     assert failed_checks(xpaths) == ["cor15_bound"]
     assert failed_checks(flipped(solve_menger(g, {"s"}, {"t"}), cor15_bound=False)) == []
+
+
+# a packing of value 0 certifies the empty separator in every pipeline
+
+
+def test_edgeless_instance_above_oracle_limits_certifies_the_empty_separator(tmp_path):
+    # the mapped LP cut here is {v0}, over the value, and no oracle runs
+    # at 11 vertices; the exact value 0 proves the empty set instead
+    path = tmp_path / "edgeless.bg"
+    path.write_text("".join(f"vertex v{i}\n" for i in range(11)) + "set X v0\nset Y v1\n",
+                    encoding="utf-8")
+    out = io.StringIO()
+    assert run_cli(["solve", "--input", str(path), "--json"], out, io.StringIO()) == 0
+    doc = json.loads(out.getvalue())
+    assert (doc["value"], doc["separator"]) == (0, [])
+    assert doc["checks"]["separator_from_oracle"] is False
+
+
+def test_solve_st_above_oracle_limits_certifies_the_empty_separator():
+    # a fractional dual root whose mapped cut is {v3} at value 0
+    inst = random_instance(GenParams(5, 6, 11, 2, 2))
+    s, t = min(inst.X, key=vertex_sort_key), min(inst.Y, key=vertex_sort_key)
+    cert = solve_st(_above_oracle_limits(inst.graph), s, t)
+    assert (cert.value, cert.separator) == (0, frozenset())
+    assert cert.checks["dual_integral_raw"] is False
+    assert failed_checks(cert) == []
+
+
+def test_no_certificate_of_value_0_runs_a_separator_search(monkeypatch):
+    calls = []
+    for name in ("oracle_min_separator", "min_st_separator"):
+        search = getattr(certify, name)
+        monkeypatch.setattr(certify, name,
+                            lambda *args, search=search: calls.append(args) or search(*args))
+    runs = [(lambda g=inst.graph, X=inst.X, Y=inst.Y: solve_menger(g, X, Y))
+            for inst in suite200_instances()]
+    runs += [(lambda g=g, s=s, t=t: solve_st(g, s, t)) for g, s, t in _suite200_st_runs()
+             if not any({e.u, e.v} == {s, t} for e in g.edges)]
+    zero = searched = 0
+    for run in runs:
+        before = len(calls)
+        cert = run()
+        if cert.value == 0:
+            assert len(calls) == before and cert.separator == frozenset()
+            zero += 1
+        searched += len(calls) > before
+    assert (zero, searched) == (123, 13)

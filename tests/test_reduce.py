@@ -65,7 +65,7 @@ def test_gadget_blocks_spurious_links():
     assert g_hat.n == 6 and g_hat.m == 6
     pk, sep = oracle_st(g_hat, s, t)
     assert pk.value == 0
-    assert sep.size == 0
+    assert len(sep) == 0
 
 
 def test_verbatim_parallel_wiring_would_inflate():
@@ -82,7 +82,7 @@ def test_verbatim_parallel_wiring_would_inflate():
     )
     pk, sep = oracle_st(g, "s", "t")
     assert pk.value == 2
-    assert sep.size == 1
+    assert len(sep) == 1
 
 
 def _draws(count, draw):
@@ -128,7 +128,7 @@ def test_gadget_oracle_parity_randomized(rng):
         g_hat, s, t, _ = attach_terminals(g, X, Y)
         pk, sep = oracle_st(g_hat, s, t, max_vertices=g_hat.n, max_edges=g_hat.m)
         assert pk.value == oracle_max_links(g, X, Y).value
-        assert sep.size == oracle_min_separator(g, X, Y).size
+        assert len(sep) == len(oracle_min_separator(g, X, Y))
 
 
 def test_split_forces_terminal_signs(rng):

@@ -13,6 +13,9 @@ The runs are in-process `bimenger.bmcli.run_cli` calls with `--json`:
   `GenParams(n, int(1.8 * n), seed, 2, 2)` with n = 11-16 and seeds 0-4;
 - 10 `xpaths` runs above those limits, on `GenParams(n, int(1.8 * n),
   seed, 3, 0)` with n = 11-12 and seeds 0-4;
+- 10 `sparse-above-limits` runs, `solve` above those limits on the
+  sparse draws `GenParams(n, n // 2, seed, 2, 2)` with n = 11-12 and
+  seeds 0-4, most of which have packing value 0;
 - 37 `solve-st` runs whose dual root is fractional, so that they take
   the integral dual search: the draws `GenParams(n, m, seed, 2, 2)` with
   n = 5-10, m = n-16 and seeds 0-59 on which it is, with s and t the
@@ -73,6 +76,7 @@ SUITE_SIZE = 200
 BENCH_SEEDS = (101, 102, 103)
 ABOVE_LIMITS = [(n, seed) for n in range(11, 17) for seed in range(5)]
 XPATHS_ABOVE_LIMITS = [(n, seed) for n in range(11, 13) for seed in range(5)]
+SPARSE_ABOVE_LIMITS = [(n, seed) for n in range(11, 13) for seed in range(5)]
 FRACTIONAL_DUAL_ST = [
     (5, 6, 11), (5, 6, 33), (5, 7, 11), (5, 8, 12), (5, 8, 57), (5, 9, 12),
     (5, 12, 47), (6, 9, 37), (6, 9, 56), (6, 11, 56), (6, 14, 15), (6, 15, 24),
@@ -120,6 +124,9 @@ def runs(limit: Optional[int] = None) -> Iterator[tuple[str, list[str], str]]:
     for n, seed in XPATHS_ABOVE_LIMITS[:limit]:
         inst = random_instance(GenParams(n, int(1.8 * n), seed, 3, 0))
         yield f"above-limits/{n}-{seed}", ["xpaths"], serialize_instance(inst)
+    for n, seed in SPARSE_ABOVE_LIMITS[:limit]:
+        inst = random_instance(GenParams(n, n // 2, seed, 2, 2))
+        yield f"sparse-above-limits/{n}-{seed}", ["solve"], serialize_instance(inst)
     for n, m, seed in FRACTIONAL_DUAL_ST[:limit]:
         inst = random_instance(GenParams(n, m, seed, 2, 2))
         s, t = _terminals(inst)
